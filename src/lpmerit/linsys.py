@@ -4,7 +4,9 @@ The system (hessian + mu*I) delta = -gradient has a rank-one-plus-structured
 matrix: after eliminating the s block it reduces to a block-diagonal matrix
 diag(A'A + D1, A*W*A' + D2) with W = D3 (I + D3)^{-1}, corrected by the
 rank-one term v v' with v = (c; -b).  Only n x n and m x m Cholesky
-factorizations are required, plus one O((m+n)^2) rank-one factor update.
+factorizations are required; the rank-one term is absorbed by a
+Sherman-Morrison correction, followed by one step of iterative refinement on
+the reduced system.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ from .errors import FactorizationFailure, KindMismatch, NonPositiveRegularizatio
 from .merit import MeritKind, MeritSpec
 from .problems import StandardFormLp
 
-RANK_ONE_BACKENDS = ("cholesky-update", "sherman-morrison")
-
-
 @dataclass
 class FactorizationStats:
-    """Instrumentation: sizes of Cholesky factorizations and rank-one updates."""
+    """Instrumentation: sizes of Cholesky factorizations and rank-one corrections."""
 
     cholesky_sizes: list = field(default_factory=list)
     rank_one_updates: int = 0
@@ -43,19 +42,21 @@ class ReducedSystem:
     v: np.ndarray
 
 
-def build_reduced(spec: MeritSpec, lp: StandardFormLp, point, mu: float) -> ReducedSystem:
+def build_reduced(
+    spec: MeritSpec, lp: StandardFormLp, point, mu: float, g: np.ndarray
+) -> ReducedSystem:
     """Assemble diagonals and right-hand side of the reduced system at ``point``.
 
     D1, D2, D3 are the penalty diagonal plus mu (all strictly positive for
-    mu > 0); the right-hand side is the negative merit gradient split into
-    (x, lam, s) blocks.  Not defined for the HOMOGENEOUS merit, whose extra
-    dense rows fall outside this elimination; use solve_dense there.
+    mu > 0); the right-hand side is the negative merit gradient ``g`` at
+    ``point``, split into (x, lam, s) blocks.  Not defined for the HOMOGENEOUS
+    merit, whose extra dense rows fall outside this elimination; use
+    solve_dense there.
     """
     if spec.kind is MeritKind.HOMOGENEOUS:
         raise KindMismatch("the reduced system covers only primal-dual merits")
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
-    g = merit.eval_gradient(spec, lp, point)
     diag = merit.penalty_diagonal_at(spec, lp, point.as_vector())
     n, m = lp.n, lp.m
     return ReducedSystem(
@@ -73,7 +74,8 @@ def cholesky_rank_one_update(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Given lower-triangular L with M = L L', return the factor of M + v v'.
 
     O(k^2) sweep of Givens-like eliminations; M + v v' is SPD whenever M is,
-    so the update cannot break down.
+    so the update cannot break down.  A standalone utility: no solve path
+    calls it.
     """
     L = np.array(factor, dtype=float)
     w = np.array(v, dtype=float).ravel()
@@ -94,21 +96,17 @@ def cholesky_rank_one_update(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def solve_structured(
-    system: ReducedSystem,
-    lp: StandardFormLp,
-    *,
-    backend: str = "cholesky-update",
-    stats: FactorizationStats | None = None,
+    system: ReducedSystem, lp: StandardFormLp, *, stats: FactorizationStats | None = None
 ):
     """Solve the full regularized Newton system via the eliminated form.
 
-    Returns (dx, dlam, ds).  ``backend`` selects how the rank-one coupling is
-    absorbed: a Cholesky factor update of the joint block factor (default) or
-    an algebraically equivalent Sherman-Morrison correction.  Raises
-    FactorizationFailure when a block is not numerically SPD.
+    Returns (dx, dlam, ds).  The block-diagonal part is factored as n x n and
+    m x m Cholesky blocks, the rank-one coupling v v' is absorbed by a
+    Sherman-Morrison correction, whose denominator 1 + v'M^{-1}v is at least
+    one, and one step of iterative refinement on the reduced (n+m) system keeps
+    its residual near round-off at tiny mu.  Raises FactorizationFailure when a
+    block is not numerically SPD.
     """
-    if backend not in RANK_ONE_BACKENDS:
-        raise ValueError(f"backend must be one of {RANK_ONE_BACKENDS}, got {backend!r}")
     A, m, n = lp.A, lp.m, lp.n
     shift = 1.0 + system.d3
     M_x = A.T @ A
@@ -122,25 +120,25 @@ def solve_structured(
         raise FactorizationFailure(f"block factorization failed: {exc}") from exc
     if stats is not None:
         stats.cholesky_sizes += [n, m]
-    rhs = np.concatenate([system.rhs_x, system.rhs_lam - A @ (system.rhs_s / shift)])
+        stats.rank_one_updates += 1
     v = system.v
-    if backend == "cholesky-update":
-        L = np.zeros((n + m, n + m))
-        L[:n, :n] = L_x
-        L[n:, n:] = L_lam
-        L = cholesky_rank_one_update(L, v)
-        if stats is not None:
-            stats.rank_one_updates += 1
-        u = cho_solve((L, True), rhs)
-    else:
-        def block_solve(r):
-            return np.concatenate(
-                [cho_solve((L_x, True), r[:n]), cho_solve((L_lam, True), r[n:])]
-            )
 
-        u0 = block_solve(rhs)
-        y = block_solve(v)
-        u = u0 - y * float(v @ u0) / (1.0 + float(v @ y))
+    def block_solve(r):
+        return np.concatenate(
+            [cho_solve((L_x, True), r[:n]), cho_solve((L_lam, True), r[n:])]
+        )
+
+    y = block_solve(v)
+    denominator = 1.0 + float(v @ y)
+
+    def reduced_solve(r):
+        u0 = block_solve(r)
+        return u0 - y * (float(v @ u0) / denominator)
+
+    rhs = np.concatenate([system.rhs_x, system.rhs_lam - A @ (system.rhs_s / shift)])
+    u = reduced_solve(rhs)
+    applied = np.concatenate([M_x @ u[:n], M_lam @ u[n:]]) + v * float(v @ u)
+    u += reduced_solve(rhs - applied)
     dx, dlam = u[:n], u[n:]
     ds = (system.rhs_s - A.T @ dlam) / shift
     return dx, dlam, ds

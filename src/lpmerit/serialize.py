@@ -10,6 +10,7 @@ double bit for bit.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def _render(value, indent: int) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        return format(value, ".17g") if np.isfinite(value) else "null"
+        return format(value, ".17g") if math.isfinite(value) else "null"
     if value is None:
         return "null"
     if isinstance(value, str):

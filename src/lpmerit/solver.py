@@ -22,7 +22,7 @@ import numpy as np
 
 from . import merit
 from .errors import FactorizationFailure, InvalidConfig, NotDescentDirection
-from .linsys import RANK_ONE_BACKENDS, build_reduced, solve_dense, solve_structured
+from .linsys import build_reduced, solve_dense, solve_structured
 from .merit import MeritKind, MeritSpec
 from .problems import HomogeneousPoint, PrimalDualPoint, StandardFormLp, residuals
 
@@ -91,7 +91,6 @@ class SolverConfig:
     tol_f: float = 1e-16
     tol_no_opt: float = 1e-8
     trace: bool = True
-    rank_one_backend: str = "cholesky-update"
 
     def __post_init__(self):
         if self.q is None:
@@ -125,10 +124,6 @@ class SolverConfig:
             )
         if self.max_backtracks < 0 or self.max_iter < 0:
             raise InvalidConfig("max_backtracks and max_iter must be nonnegative")
-        if self.rank_one_backend not in RANK_ONE_BACKENDS:
-            raise InvalidConfig(
-                f"rank_one_backend must be one of {RANK_ONE_BACKENDS}"
-            )
 
 
 @dataclass
@@ -165,6 +160,7 @@ def armijo_search(
     p,
     delta,
     slope: float,
+    f0: float,
     *,
     alpha0: float = 1.0,
     c1: float = 1e-4,
@@ -174,14 +170,13 @@ def armijo_search(
     """Backtracking line search with the sufficient-decrease condition.
 
     Probes alpha0 * shrink**j for j = 0..max_backtracks and returns the first
-    (hence largest) step with objective(p + alpha*delta) <= objective(p) +
-    c1*alpha*slope, where ``slope`` is the directional derivative at ``p``.
+    (hence largest) step with objective(p + alpha*delta) <= f0 + c1*alpha*slope,
+    where ``f0`` is objective(p) and ``slope`` the directional derivative at ``p``.
     Returns (alpha, stagnated); when every probe fails, the last probe is
     returned with stagnated=True.  Raises NotDescentDirection if slope >= 0.
     """
     if not slope < 0.0:
         raise NotDescentDirection(f"directional derivative must be negative, got {slope}")
-    f0 = objective(p)
     alpha = alpha0
     for j in range(max_backtracks + 1):
         if objective(p + alpha * delta) <= f0 + c1 * alpha * slope:
@@ -191,29 +186,62 @@ def armijo_search(
     return alpha, True
 
 
-def _newton_step(spec, lp, point, mu, g, config):
-    """Direction from the structured solve, escalating mu on factorization failure."""
-    mu_try = mu
+def _newton_step(spec, lp, point, mu, g):
+    """Solve (hessian + mu*I) delta = -g, escalating mu on factorization failure.
+
+    Primal-dual merits take the structured solve; the homogeneous merit takes
+    the dense one, since its two border rows fall outside the reduced system.
+    Each failure sets mu <- max(10 mu, 1e-12); once the ladder is exhausted, one
+    dense attempt is made, whose FactorizationFailure propagates.
+    """
     for _ in range(_MAX_MU_ESCALATIONS + 1):
         try:
-            system = build_reduced(spec, lp, point, mu_try)
-            dx, dlam, ds = solve_structured(
-                system, lp, backend=config.rank_one_backend
-            )
-            return np.concatenate([dx, dlam, ds])
+            if spec.kind is MeritKind.HOMOGENEOUS:
+                return solve_dense(spec, lp, point, mu, -g)
+            return np.concatenate(solve_structured(build_reduced(spec, lp, point, mu, g), lp))
         except FactorizationFailure:
-            mu_try = max(10.0 * mu_try, 1e-12)
-    return solve_dense(spec, lp, point, mu_try, -g)
+            mu = max(10.0 * mu, 1e-12)
+    return solve_dense(spec, lp, point, mu, -g)
 
 
-def _solve_homogeneous_step(spec, lp, point, mu, g):
-    mu_try = mu
-    for _ in range(_MAX_MU_ESCALATIONS + 1):
-        try:
-            return solve_dense(spec, lp, point, mu_try, -g)
-        except FactorizationFailure:
-            mu_try = max(10.0 * mu_try, 1e-12)
-    raise FactorizationFailure("dense factorization failed after mu escalation")
+def _step(spec, lp, config, point, z, f, g, mu):
+    """One damped Newton step from ``z``, given the objective's value f and gradient g.
+
+    Returns (alpha, z_next, None) on success, or (None, None, status) with
+    the status that ends the run: a failed factorization or a non-finite
+    iterate is a numerical failure, a non-descent direction or an Armijo
+    search that stagnates without decrease is an iteration limit.
+    """
+    try:
+        delta = _newton_step(spec, lp, point, mu, g)
+    except FactorizationFailure:
+        return None, None, SolveStatus.NUMERICAL_FAILURE
+    slope = float(g @ delta)
+    if not slope < 0.0:
+        return None, None, SolveStatus.ITERATION_LIMIT
+    alpha = 1.0
+    if config.line_search is LineSearchRule.ARMIJO:
+
+        def objective(zz):
+            return merit.value_at(spec, lp, zz)
+
+        alpha, stagnated = armijo_search(
+            objective,
+            z,
+            delta,
+            slope,
+            f,
+            c1=config.armijo_c1,
+            shrink=config.armijo_shrink,
+            max_backtracks=config.max_backtracks,
+        )
+        # a stagnated probe is only taken if it still strictly decreases
+        if stagnated and not objective(z + alpha * delta) < f:
+            return None, None, SolveStatus.ITERATION_LIMIT
+    z_next = z + alpha * delta
+    if not np.isfinite(z_next).all():
+        return None, None, SolveStatus.NUMERICAL_FAILURE
+    return alpha, z_next, None
 
 
 def solve(
@@ -259,7 +287,6 @@ def solve(
     for k in range(config.max_iter + 1):
         iterations = k
         point = PrimalDualPoint.from_vector(z, n, m)
-        gamma, rho, sigma = residuals(lp, point)
         f_base = merit.value_at(base_spec, lp, z)
         g_base = merit.gradient_at(base_spec, lp, z)
         if not (math.isfinite(f_base) and np.isfinite(g_base).all()):
@@ -285,6 +312,7 @@ def solve(
 
         record = None
         if config.trace:
+            gamma, rho, sigma = residuals(lp, point)
             record = IterationRecord(
                 k=k,
                 f=f_cur,
@@ -319,35 +347,9 @@ def solve(
             status = SolveStatus.ITERATION_LIMIT
             break
 
-        try:
-            delta = _newton_step(cur_spec, lp, point, mu_k, g_cur, config)
-        except FactorizationFailure:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-        slope = float(g_cur @ delta)
-        if not slope < 0.0:
-            status = SolveStatus.ITERATION_LIMIT
-            break
-
-        if config.line_search is LineSearchRule.ARMIJO:
-            alpha, stagnated = armijo_search(
-                lambda zz: merit.value_at(cur_spec, lp, zz),
-                z,
-                delta,
-                slope,
-                c1=config.armijo_c1,
-                shrink=config.armijo_shrink,
-                max_backtracks=config.max_backtracks,
-            )
-            # a stagnated probe is only taken if it still strictly decreases
-            if stagnated and not merit.value_at(cur_spec, lp, z + alpha * delta) < f_cur:
-                status = SolveStatus.ITERATION_LIMIT
-                break
-        else:
-            alpha = 1.0
-        z_next = z + alpha * delta
-        if not np.isfinite(z_next).all():
-            status = SolveStatus.NUMERICAL_FAILURE
+        alpha, z_next, failure = _step(cur_spec, lp, config, point, z, f_cur, g_cur, mu_k)
+        if failure is not None:
+            status = failure
             break
         if record is not None:
             record.alpha = alpha
@@ -386,7 +388,8 @@ def solve_homogeneous(
     Iterations use the dense Newton path, since the block elimination does not
     cover the two extra dense rows.  On gradient convergence, tau and kappa
     decide the outcome; sign tests use the same classification threshold so
-    that round-off cannot flip a branch.
+    that round-off cannot flip a branch.  A run that stops before convergence,
+    on a failed factorization included, is Inconclusive.
     """
     n, m = lp.n, lp.m
     if start.x.shape != (n,) or start.lam.shape != (m,):
@@ -418,26 +421,8 @@ def solve_homogeneous(
                 break
         else:
             mu_k = config.mu_const
-        delta = _solve_homogeneous_step(spec, lp, point, mu_k, g)
-        slope = float(g @ delta)
-        if not slope < 0.0:
-            break
-        if config.line_search is LineSearchRule.ARMIJO:
-            alpha, stagnated = armijo_search(
-                lambda zz: merit.value_at(spec, lp, zz),
-                z,
-                delta,
-                slope,
-                c1=config.armijo_c1,
-                shrink=config.armijo_shrink,
-                max_backtracks=config.max_backtracks,
-            )
-            if stagnated and not merit.value_at(spec, lp, z + alpha * delta) < f:
-                break
-        else:
-            alpha = 1.0
-        z_next = z + alpha * delta
-        if not np.isfinite(z_next).all():
+        _, z_next, failure = _step(spec, lp, config, point, z, f, g, mu_k)
+        if failure is not None:
             break
         z = z_next
 
@@ -445,7 +430,9 @@ def solve_homogeneous(
     if not converged:
         return point, HomogeneousStatus.INCONCLUSIVE
     eps_class = 1e-6 * (1.0 + float(np.abs(z).max()))
-    if point.tau > eps_class:
+    # the larger of tau and kappa decides: a decaying tau with kappa near one
+    # is a certificate of infeasibility, not an optimum
+    if point.tau > eps_class and point.tau >= point.kappa:
         return point, HomogeneousStatus.OPTIMAL_RECOVERED
     if point.kappa > eps_class:
         if -float(lp.c @ point.x) > eps_class:

@@ -163,7 +163,7 @@ def test_criterion_5_structured_solve_matches_dense():
         # where forward agreement of two backward-stable solvers is no longer
         # measurable at 1e-8; the tiny-mu regime is covered by residual tests.
         mu = 10.0 ** rng.uniform(-6, -1)
-        system = build_reduced(spec, lp, point, mu)
+        system = build_reduced(spec, lp, point, mu, eval_gradient(spec, lp, point))
         stats = FactorizationStats()
         dx, dlam, ds = solve_structured(system, lp, stats=stats)
         delta = np.concatenate([dx, dlam, ds])

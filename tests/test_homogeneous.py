@@ -86,6 +86,16 @@ def test_unbounded_problem_detected_as_dual_infeasible():
     assert -(prob.lp.c @ point.x) > 0.0
 
 
+@pytest.mark.parametrize("seed", [2, 8])
+def test_decaying_tau_is_not_labelled_optimal(seed):
+    """On these problems the gradient test stops with tau near 3e-6 and kappa
+    near 1; the larger of the two must decide the label."""
+    prob = generate_unbounded_lp(150, 450, seed)
+    point, status = solve_homogeneous(prob.lp, CFG, HomogeneousPoint.ones(450, 150))
+    assert status is HomogeneousStatus.DUAL_INFEASIBLE
+    assert point.kappa > point.tau
+
+
 def test_recover_requires_positive_tau():
     with pytest.raises(ValueError):
         recover_primal_dual(HomogeneousPoint([1.0], [1.0], [1.0], 0.0, 1.0))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from helpers import random_primal_dual
 
 from lpmerit import (
@@ -29,7 +30,7 @@ class TestBuildReduced:
     def test_nonnegative_point_gives_pure_mu_diagonals(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         p = PrimalDualPoint([0.5, 0.2], [0.3], [0.1, 0.4])
-        system = build_reduced(BASE3, lp, p, 1e-2)
+        system = build_reduced(BASE3, lp, p, 1e-2, eval_gradient(BASE3, lp, p))
         np.testing.assert_array_equal(system.d1, [1e-2, 1e-2])
         np.testing.assert_array_equal(system.d2, [1e-2])
         np.testing.assert_array_equal(system.d3, [1e-2, 1e-2])
@@ -37,21 +38,21 @@ class TestBuildReduced:
     def test_negative_x_feeds_the_penalty_diagonal(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         p = PrimalDualPoint([-2.0, 1.0], [0.0], [0.5, 0.5])
-        system = build_reduced(BASE3, lp, p, 0.5)
+        system = build_reduced(BASE3, lp, p, 0.5, eval_gradient(BASE3, lp, p))
         np.testing.assert_array_equal(system.d1, [2.5, 0.5])
 
     def test_homotopy_adds_two_nu_to_the_lambda_block(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         spec = MeritSpec(MeritKind.HOMOTOPY, q=3.0, nu=0.1)
         p = PrimalDualPoint([0.0, 0.0], [0.7], [0.0, 0.0])
-        system = build_reduced(spec, lp, p, 1e-9)
+        system = build_reduced(spec, lp, p, 1e-9, eval_gradient(spec, lp, p))
         np.testing.assert_allclose(system.d2, [1e-9 + 0.2], rtol=0, atol=0)
 
     def test_rhs_is_negative_gradient(self):
         prob = generate_optimal_lp(3, 6, 0)
         p = random_primal_dual(np.random.default_rng(1), 6, 3)
-        system = build_reduced(BASE3, prob.lp, p, 1e-3)
         g = eval_gradient(BASE3, prob.lp, p)
+        system = build_reduced(BASE3, prob.lp, p, 1e-3, g)
         np.testing.assert_array_equal(
             np.concatenate([system.rhs_x, system.rhs_lam, system.rhs_s]), -g
         )
@@ -60,13 +61,17 @@ class TestBuildReduced:
     def test_requires_positive_mu(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         with pytest.raises(NonPositiveRegularization):
-            build_reduced(BASE3, lp, PrimalDualPoint.zeros(2, 1), 0.0)
+            build_reduced(BASE3, lp, PrimalDualPoint.zeros(2, 1), 0.0, np.zeros(5))
 
     def test_rejects_homogeneous_spec(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         with pytest.raises(KindMismatch):
             build_reduced(
-                MeritSpec(MeritKind.HOMOGENEOUS, q=3.0), lp, PrimalDualPoint.zeros(2, 1), 1.0
+                MeritSpec(MeritKind.HOMOGENEOUS, q=3.0),
+                lp,
+                PrimalDualPoint.zeros(2, 1),
+                1.0,
+                np.zeros(5),
             )
 
 
@@ -135,21 +140,44 @@ class TestSolveDense:
             solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1), -1.0, np.zeros(5))
 
 
-def _structured_vs_dense(spec, lp, point, mu, backend):
-    system = build_reduced(spec, lp, point, mu)
-    stats = FactorizationStats()
-    dx, dlam, ds = solve_structured(system, lp, backend=backend, stats=stats)
-    delta = np.concatenate([dx, dlam, ds])
+def _structured_vs_dense(spec, lp, point, mu):
     g = eval_gradient(spec, lp, point)
+    system = build_reduced(spec, lp, point, mu, g)
+    stats = FactorizationStats()
+    dx, dlam, ds = solve_structured(system, lp, stats=stats)
+    delta = np.concatenate([dx, dlam, ds])
     dense = solve_dense(spec, lp, point, mu, -g)
     assert np.linalg.norm(delta - dense) <= 1e-8 * (1.0 + np.linalg.norm(dense))
     return stats
 
 
+def _reduced_reference(system, lp, reference):
+    """Solve the reduced (n+m) system (M + v v') u = r independently of
+    solve_structured: either through the Cholesky factor of M updated by
+    cholesky_rank_one_update, or through the Sherman-Morrison identity with
+    dense solves against M."""
+    A, m, n = lp.A, lp.m, lp.n
+    shift = 1.0 + system.d3
+    M = np.zeros((n + m, n + m))
+    M[:n, :n] = A.T @ A + np.diag(system.d1)
+    M[n:, n:] = (A * (system.d3 / shift)) @ A.T + np.diag(system.d2)
+    r = np.concatenate([system.rhs_x, system.rhs_lam - A @ (system.rhs_s / shift)])
+    v = system.v
+    if reference == "cholesky-update":
+        L = cholesky_rank_one_update(np.linalg.cholesky(M), v)
+        return cho_solve((L, True), r)
+    u0 = np.linalg.solve(M, r)
+    y = np.linalg.solve(M, v)
+    return u0 - y * (v @ u0) / (1.0 + v @ y)
+
+
 class TestSolveStructured:
-    @pytest.mark.parametrize("backend", ["cholesky-update", "sherman-morrison"])
+    @pytest.mark.parametrize("reference", ["cholesky-update", "sherman-morrison"])
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 6), (5, 8), (10, 30)])
-    def test_matches_dense_solve(self, m, n, backend):
+    def test_matches_dense_solve(self, m, n, reference):
+        """The structured step matches the dense full-system solve, and its
+        (dx, dlam) part matches a reduced-system solve that absorbs the
+        rank-one coupling by ``reference``."""
         rng = np.random.default_rng(100 * m + n)
         for seed in range(5):
             prob = generate_optimal_lp(m, n, seed)
@@ -158,7 +186,14 @@ class TestSolveStructured:
             spec = (
                 MeritSpec(MeritKind.HOMOTOPY, q=2.1, nu=0.3) if seed % 2 else BASE3
             )
-            _structured_vs_dense(spec, prob.lp, point, mu, backend)
+            _structured_vs_dense(spec, prob.lp, point, mu)
+            system = build_reduced(
+                spec, prob.lp, point, mu, eval_gradient(spec, prob.lp, point)
+            )
+            dx, dlam, _ = solve_structured(system, prob.lp)
+            u = np.concatenate([dx, dlam])
+            expected = _reduced_reference(system, prob.lp, reference)
+            assert np.linalg.norm(u - expected) <= 1e-8 * (1.0 + np.linalg.norm(expected))
 
     def test_full_system_residual_at_tiny_mu(self):
         """At mu = 1e-9 the system is too ill-conditioned for forward
@@ -170,10 +205,10 @@ class TestSolveStructured:
         for seed in range(10):
             prob = generate_optimal_lp(8, 20, seed)
             point = random_primal_dual(rng, 20, 8, scale=2.0)
-            system = build_reduced(BASE3, prob.lp, point, 1e-9)
+            g = eval_gradient(BASE3, prob.lp, point)
+            system = build_reduced(BASE3, prob.lp, point, 1e-9, g)
             dx, dlam, ds = solve_structured(system, prob.lp)
             delta = np.concatenate([dx, dlam, ds])
-            g = eval_gradient(BASE3, prob.lp, point)
             H = eval_hessian(BASE3, prob.lp, point).full()
             H[np.diag_indices_from(H)] += 1e-9
             res = np.linalg.norm(H @ delta + g)
@@ -185,9 +220,9 @@ class TestSolveStructured:
         c = prob.lp.c * (1e3 / np.linalg.norm(prob.lp.c))
         lp = StandardFormLp(prob.lp.A, prob.lp.b, c)
         rng = np.random.default_rng(10)
-        for backend in ("cholesky-update", "sherman-morrison"):
+        for _ in range(2):
             point = random_primal_dual(rng, 8, 5)
-            _structured_vs_dense(BASE3, lp, point, 1e-4, backend)
+            _structured_vs_dense(BASE3, lp, point, 1e-4)
 
     def test_decoupled_when_v_is_zero(self):
         """With b = 0 and c = 0 the rank-one coupling vanishes; the structured
@@ -216,7 +251,9 @@ class TestSolveStructured:
     def test_factorization_sizes_are_instrumented(self):
         prob = generate_optimal_lp(4, 9, 2)
         point = random_primal_dual(np.random.default_rng(5), 9, 4)
-        system = build_reduced(BASE3, prob.lp, point, 1e-6)
+        system = build_reduced(
+            BASE3, prob.lp, point, 1e-6, eval_gradient(BASE3, prob.lp, point)
+        )
         stats = FactorizationStats()
         solve_structured(system, prob.lp, stats=stats)
         assert stats.cholesky_sizes == [9, 4]
@@ -230,9 +267,9 @@ class TestSolveStructured:
             prob = generate_optimal_lp(3, 7, seed)
             point = random_primal_dual(rng, 7, 3, scale=2.0)
             mu = 10.0 ** rng.uniform(-9, -1)
-            system = build_reduced(BASE3, prob.lp, point, mu)
-            dx, dlam, ds = solve_structured(system, prob.lp)
             g = eval_gradient(BASE3, prob.lp, point)
+            system = build_reduced(BASE3, prob.lp, point, mu, g)
+            dx, dlam, ds = solve_structured(system, prob.lp)
             assert g @ np.concatenate([dx, dlam, ds]) < 0.0
 
     def test_invariant_breach_raises_factorization_failure(self):
@@ -248,9 +285,3 @@ class TestSolveStructured:
         )
         with pytest.raises(FactorizationFailure):
             solve_structured(bad, lp)
-
-    def test_unknown_backend_rejected(self):
-        lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-        system = build_reduced(BASE3, lp, PrimalDualPoint.zeros(2, 1), 1e-3)
-        with pytest.raises(ValueError):
-            solve_structured(system, lp, backend="qr")

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import lpmerit.solver as solver_module
 from lpmerit import (
     Algorithm,
     Classification,
+    FactorizationFailure,
+    HomogeneousPoint,
+    HomogeneousStatus,
     InvalidConfig,
     LineSearchRule,
     NotDescentDirection,
@@ -20,28 +24,29 @@ from lpmerit import (
     generate_unbounded_lp,
     residuals,
     solve,
+    solve_homogeneous,
 )
 
 
 class TestArmijo:
     def test_full_step_accepted_on_quadratic(self):
-        alpha, stagnated = armijo_search(lambda t: t * t, 1.0, -1.0, -2.0)
+        alpha, stagnated = armijo_search(lambda t: t * t, 1.0, -1.0, -2.0, 1.0)
         assert alpha == 1.0 and not stagnated
 
     def test_halved_step_on_overshooting_direction(self):
         """f(t) = t^2 from t = 1 along -3: the full step lands at f(-2) = 4 and
         fails, the halved step lands at f(-0.5) = 0.25 and passes."""
-        alpha, stagnated = armijo_search(lambda t: t * t, 1.0, -3.0, -6.0)
+        alpha, stagnated = armijo_search(lambda t: t * t, 1.0, -3.0, -6.0, 1.0)
         assert alpha == 0.5 and not stagnated
 
     def test_stagnation_on_flat_objective(self):
-        alpha, stagnated = armijo_search(lambda t: 1.0, 0.0, -1.0, -1.0, max_backtracks=10)
+        alpha, stagnated = armijo_search(lambda t: 1.0, 0.0, -1.0, -1.0, 1.0, max_backtracks=10)
         assert stagnated
         assert alpha == 0.5**10
 
     def test_rejects_non_descent_direction(self):
         with pytest.raises(NotDescentDirection):
-            armijo_search(lambda t: t * t, 1.0, 1.0, 2.0)
+            armijo_search(lambda t: t * t, 1.0, 1.0, 2.0, 1.0)
 
 
 class TestConfig:
@@ -67,7 +72,6 @@ class TestConfig:
             {"tol_grad": 0.0},
             {"armijo_shrink": 1.0},
             {"max_iter": -1},
-            {"rank_one_backend": "qr"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -170,10 +174,10 @@ class TestSolve:
         assert out.trace == []
         np.testing.assert_array_equal(out.point.x, start.x)
 
-    def test_sherman_morrison_backend_reaches_the_same_optimum(self):
+    def test_constant_mu_reaches_the_oracle_optimum(self):
         prob = generate_optimal_lp(3, 6, 10)
         _, oracle_value = brute_force_optimum(prob.lp)
-        cfg = SolverConfig(Algorithm.LM_CONSTANT, rank_one_backend="sherman-morrison")
+        cfg = SolverConfig(Algorithm.LM_CONSTANT)
         out = solve(prob.lp, cfg)
         assert out.status is SolveStatus.OPTIMAL
         value = float(prob.lp.c @ out.point.x)
@@ -183,3 +187,66 @@ class TestSolve:
         prob = generate_optimal_lp(3, 6, 9)
         with pytest.raises(InvalidConfig):
             solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT), start=PrimalDualPoint.zeros(4, 3))
+
+
+class TestFactorizationFailures:
+    """The mu-escalation ladder and the final dense attempt, reached by fakes
+    of the two linear solves that raise FactorizationFailure."""
+
+    CFG = SolverConfig(Algorithm.LM_CONSTANT, max_iter=1)
+
+    @staticmethod
+    def _failing(calls, accept=lambda args: False, solve_fn=None):
+        """A linear solve that records its arguments in ``calls`` and raises
+        FactorizationFailure unless ``accept(args)``; then ``solve_fn`` runs."""
+
+        def fake(*args, **kwargs):
+            calls.append(args)
+            if accept(args):
+                return solve_fn(*args, **kwargs)
+            raise FactorizationFailure("fake")
+
+        return fake
+
+    def test_mu_escalates_tenfold_until_accepted(self, monkeypatch):
+        """d2 is exactly mu at a base-merit point, since lam has no penalty."""
+        calls = []
+        fake = self._failing(
+            calls, lambda args: args[0].d2[0] >= 1e-6, solver_module.solve_structured
+        )
+        monkeypatch.setattr(solver_module, "solve_structured", fake)
+        out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        tried = [args[0].d2[0] for args in calls]
+        np.testing.assert_allclose(tried, [1e-9, 1e-8, 1e-7, 1e-6], rtol=1e-12)
+
+    def test_dense_attempt_follows_an_exhausted_ladder(self, monkeypatch):
+        structured, dense = [], []
+        real_dense = solver_module.solve_dense
+        monkeypatch.setattr(solver_module, "solve_structured", self._failing(structured))
+        monkeypatch.setattr(
+            solver_module, "solve_dense", self._failing(dense, lambda args: True, real_dense)
+        )
+        out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        assert len(structured) == solver_module._MAX_MU_ESCALATIONS + 1
+        assert len(dense) == 1
+        assert dense[0][3] == pytest.approx(1e-9 * 10.0**21, rel=1e-12)
+
+    def test_solve_reports_numerical_failure_when_every_attempt_fails(self, monkeypatch):
+        structured, dense = [], []
+        monkeypatch.setattr(solver_module, "solve_structured", self._failing(structured))
+        monkeypatch.setattr(solver_module, "solve_dense", self._failing(dense))
+        out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
+        assert out.status is SolveStatus.NUMERICAL_FAILURE
+        assert out.iterations == 0
+        assert (len(structured), len(dense)) == (solver_module._MAX_MU_ESCALATIONS + 1, 1)
+
+    def test_homogeneous_is_inconclusive_when_every_attempt_fails(self, monkeypatch):
+        dense = []
+        monkeypatch.setattr(solver_module, "solve_dense", self._failing(dense))
+        prob = generate_unbounded_lp(3, 8, 1)
+        point, status = solve_homogeneous(prob.lp, self.CFG, HomogeneousPoint.ones(8, 3))
+        assert status is HomogeneousStatus.INCONCLUSIVE
+        assert len(dense) == solver_module._MAX_MU_ESCALATIONS + 2
+        np.testing.assert_array_equal(point.as_vector(), np.ones(2 * 8 + 3 + 2))
