@@ -30,7 +30,7 @@ class NonPositiveRegularization(LpMeritError, ValueError):
 
 
 class FactorizationFailure(LpMeritError, RuntimeError):
-    """A Cholesky factorization failed; the matrix is not numerically SPD."""
+    """A Cholesky factorization failed: the matrix is not numerically SPD, or not finite."""
 
 
 class NotDescentDirection(LpMeritError, ValueError):

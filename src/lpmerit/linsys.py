@@ -4,9 +4,11 @@ The system (hessian + mu*I) delta = -gradient has a rank-one-plus-structured
 matrix: after eliminating the s block it reduces to a block-diagonal matrix
 diag(A'A + D1, A*W*A' + D2) with W = D3 (I + D3)^{-1}, corrected by the
 rank-one term v v' with v = (c; -b).  Only n x n and m x m Cholesky
-factorizations are required; the rank-one term is absorbed by a
-Sherman-Morrison correction, followed by one step of iterative refinement on
-the reduced system.
+factorizations are required: A'A is cached per problem, A*W*A' is formed by a
+symmetric rank-k update, and both factors are kept in LAPACK's column-major
+layout.  The rank-one term is absorbed by a Sherman-Morrison correction whose
+two right-hand sides are solved together, followed by one step of iterative
+refinement on the reduced system.
 """
 
 from __future__ import annotations
@@ -100,45 +102,50 @@ def solve_structured(
 ):
     """Solve the full regularized Newton system via the eliminated form.
 
-    Returns (dx, dlam, ds).  The block-diagonal part is factored as n x n and
-    m x m Cholesky blocks, the rank-one coupling v v' is absorbed by a
-    Sherman-Morrison correction, whose denominator 1 + v'M^{-1}v is at least
-    one, and one step of iterative refinement on the reduced (n+m) system keeps
-    its residual near round-off at tiny mu.  Raises FactorizationFailure when a
-    block is not numerically SPD.
+    Returns (dx, dlam, ds).  The n x n block is the problem's cached Gram
+    matrix A'A plus D1; the m x m block A W A' + D2 is built as B B' with
+    B = A sqrt(W), which BLAS forms with a symmetric rank-k update.  Both are
+    Cholesky-factored in LAPACK's column-major layout.  The rank-one coupling
+    v v' is absorbed by a Sherman-Morrison correction, whose denominator
+    1 + v'M^{-1}v is at least one; M^{-1}v and the first solve share one
+    two-column triangular solve per block.  One step of iterative refinement
+    on the reduced (n+m) system keeps its residual near round-off at tiny mu.
+    Raises FactorizationFailure when a block is not numerically SPD or not
+    finite.
     """
     A, m, n = lp.A, lp.m, lp.n
+    d1, d2 = system.d1, system.d2
     shift = 1.0 + system.d3
-    M_x = A.T @ A
-    M_x[np.diag_indices(n)] += system.d1
-    M_lam = (A * (system.d3 / shift)) @ A.T
-    M_lam[np.diag_indices(m)] += system.d2
-    try:
-        L_x = np.linalg.cholesky(M_x)
-        L_lam = np.linalg.cholesky(M_lam)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"block factorization failed: {exc}") from exc
+    B = A * np.sqrt(system.d3 / shift)
+    # both blocks are symmetric, so their transposes are the column-major
+    # copies that LAPACK factors in place; the refinement residual below
+    # applies the blocks through A'A and B instead
+    M_x = lp.gram.copy().T
+    M_x[np.diag_indices(n)] += d1
+    M_lam = (B @ B.T).T
+    M_lam[np.diag_indices(m)] += d2
+    F_x = _factor(M_x)
+    F_lam = _factor(M_lam)
     if stats is not None:
         stats.cholesky_sizes += [n, m]
         stats.rank_one_updates += 1
     v = system.v
 
     def block_solve(r):
-        return np.concatenate(
-            [cho_solve((L_x, True), r[:n]), cho_solve((L_lam, True), r[n:])]
-        )
-
-    y = block_solve(v)
-    denominator = 1.0 + float(v @ y)
-
-    def reduced_solve(r):
-        u0 = block_solve(r)
-        return u0 - y * (float(v @ u0) / denominator)
+        return np.concatenate([cho_solve(F_x, r[:n]), cho_solve(F_lam, r[n:])])
 
     rhs = np.concatenate([system.rhs_x, system.rhs_lam - A @ (system.rhs_s / shift)])
-    u = reduced_solve(rhs)
-    applied = np.concatenate([M_x @ u[:n], M_lam @ u[n:]]) + v * float(v @ u)
-    u += reduced_solve(rhs - applied)
+    y, u0 = block_solve(np.column_stack([v, rhs])).T
+    denominator = 1.0 + float(v @ y)
+
+    def rank_one_corrected(w):
+        return w - y * (float(v @ w) / denominator)
+
+    u = rank_one_corrected(u0)
+    ux, ul = u[:n], u[n:]
+    applied = np.concatenate([lp.gram @ ux + d1 * ux, B @ (B.T @ ul) + d2 * ul])
+    applied += v * float(v @ u)
+    u += rank_one_corrected(block_solve(rhs - applied))
     dx, dlam = u[:n], u[n:]
     ds = (system.rhs_s - A.T @ dlam) / shift
     return dx, dlam, ds
@@ -150,20 +157,33 @@ def solve_dense(
     """Factor the full (hessian + mu*I) directly and solve against ``rhs``.
 
     Reference path for tests and the fallback when the structured solve fails;
-    one step of iterative refinement keeps the residual near round-off.
+    one step of iterative refinement keeps the residual near round-off.  The
+    only working matrix is the column-major copy that is factored in place;
+    the refinement residual is formed from the read-only base and the diagonal.
     """
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
-    H = merit.hessian_base(spec, lp).copy()
-    idx = np.diag_indices_from(H)
-    H[idx] += merit.penalty_diagonal_at(spec, lp, point.as_vector()) + mu
+    base = merit.hessian_base(spec, lp)
+    diag = merit.penalty_diagonal_at(spec, lp, point.as_vector()) + mu
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (H.shape[0],):
-        raise ValueError(f"rhs must have shape ({H.shape[0]},), got {rhs.shape}")
-    try:
-        factor = cho_factor(H, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"dense factorization failed: {exc}") from exc
+    if rhs.shape != (base.shape[0],):
+        raise ValueError(f"rhs must have shape ({base.shape[0]},), got {rhs.shape}")
+    H = base.copy().T  # the base is symmetric: a column-major copy
+    H[np.diag_indices_from(H)] += diag
+    factor = _factor(H)
     sol = cho_solve(factor, rhs)
-    sol += cho_solve(factor, rhs - H @ sol)
+    sol += cho_solve(factor, rhs - (base @ sol + diag * sol))
     return sol
+
+
+def _factor(M: np.ndarray):
+    """Lower Cholesky factor of ``M``, in place, in the form cho_solve takes.
+
+    ``M`` should be column-major so that LAPACK needs no copy.  Raises
+    FactorizationFailure when ``M`` is not numerically SPD or holds a NaN or
+    inf (scipy's finiteness check raises ValueError for the latter).
+    """
+    try:
+        return cho_factor(M, lower=True, overwrite_a=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise FactorizationFailure(f"Cholesky factorization failed: {exc}") from exc

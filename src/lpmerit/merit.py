@@ -138,16 +138,8 @@ def value_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> float:
             penalty / (q * (q - 1.0)),
         ]
         if spec.kind is MeritKind.HOMOTOPY and spec.nu > 0.0:
-            terms.append(spec.nu * float(lam @ lam))
-            terms.append(
-                spec.nu * (_pos_pow(x, q).sum() + _pos_pow(s, q).sum()) / (q * (q - 1.0))
-            )
-    total = 0.0
-    for t in terms:
-        if not math.isfinite(t) or t > OVERFLOW_LIMIT:
-            return math.inf
-        total += t
-    return total
+            terms += _nu_terms(spec, x, lam, s)
+    return _saturating_sum(terms)
 
 
 def gradient_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarray:
@@ -173,11 +165,62 @@ def gradient_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarra
     gx = gamma * c - A.T @ rho - _hinge_pow(x, q - 1) / (q - 1.0)
     gl = -gamma * b - A @ sigma
     gs = -sigma - _hinge_pow(s, q - 1) / (q - 1.0)
+    g = np.concatenate([gx, gl, gs])
     if spec.kind is MeritKind.HOMOTOPY and spec.nu > 0.0:
-        gx = gx + spec.nu * _pos_pow(x, q - 1) / (q - 1.0)
-        gl = gl + 2.0 * spec.nu * lam
-        gs = gs + spec.nu * _pos_pow(s, q - 1) / (q - 1.0)
-    return np.concatenate([gx, gl, gs])
+        g += _nu_gradient(spec, x, lam, s)
+    return g
+
+
+def homotopy_from_base(
+    spec: MeritSpec, lp: StandardFormLp, z: np.ndarray, f_base: float, g_base: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """HOMOTOPY value and gradient at ``z`` from the BASE ones at the same ``z``.
+
+    ``f_base`` and ``g_base`` must be value_at and gradient_at of the BASE
+    merit with the same q.  The nu terms are added in the order value_at and
+    gradient_at use, with the same saturation, so both results equal theirs
+    bit for bit; the gradient is returned even when the value saturates.
+    """
+    if spec.kind is not MeritKind.HOMOTOPY:
+        raise KindMismatch(f"expected a HOMOTOPY spec, got {spec.kind.name}")
+    _expect_length(lp, spec, z)
+    if spec.nu == 0.0:
+        return f_base, g_base
+    x, lam, s = _split(lp, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _nu_terms(spec, x, lam, s)
+    return _saturating_sum(terms, f_base), g_base + _nu_gradient(spec, x, lam, s)
+
+
+def _nu_terms(spec, x, lam, s):
+    """The two value terms the HOMOTOPY merit adds to the BASE merit."""
+    q, nu = spec.q, spec.nu
+    return [
+        nu * float(lam @ lam),
+        nu * (_pos_pow(x, q).sum() + _pos_pow(s, q).sum()) / (q * (q - 1.0)),
+    ]
+
+
+def _nu_gradient(spec, x, lam, s):
+    """The gradient of the two HOMOTOPY terms, in (x, lam, s) order."""
+    q, nu = spec.q, spec.nu
+    return np.concatenate(
+        [
+            nu * _pos_pow(x, q - 1) / (q - 1.0),
+            2.0 * nu * lam,
+            nu * _pos_pow(s, q - 1) / (q - 1.0),
+        ]
+    )
+
+
+def _saturating_sum(terms, total=0.0):
+    """``total`` plus the terms in order; +inf once a term is not finite or
+    exceeds OVERFLOW_LIMIT."""
+    for t in terms:
+        if not math.isfinite(t) or t > OVERFLOW_LIMIT:
+            return math.inf
+        total += t
+    return total
 
 
 def penalty_diagonal_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarray:
@@ -206,7 +249,7 @@ _BASE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 def _build_primal_dual_base(lp: StandardFormLp) -> np.ndarray:
     A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
     H = np.zeros((2 * n + m, 2 * n + m))
-    H[:n, :n] = np.outer(c, c) + A.T @ A
+    H[:n, :n] = np.outer(c, c) + lp.gram
     H[:n, n : n + m] = -np.outer(c, b)
     H[n : n + m, :n] = -np.outer(b, c)
     H[n : n + m, n : n + m] = np.outer(b, b) + A @ A.T

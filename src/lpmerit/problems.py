@@ -81,6 +81,13 @@ class StandardFormLp:
             + np.linalg.norm(self.c)
         )
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The n x n Gram matrix A'A, computed once per problem and read-only."""
+        G = self.A.T @ self.A
+        G.flags.writeable = False
+        return G
+
     def __repr__(self):
         return f"StandardFormLp(m={self.m}, n={self.n})"
 

@@ -32,6 +32,10 @@ def _render(value, indent: int) -> str:
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():
+            # one format call for the whole array; "%.17g" renders a float
+            # exactly as format(value, ".17g") does below
+            return "[" + ", ".join(["%.17g"] * value.size) % tuple(value.tolist()) + "]"
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_render(v, indent) for v in value) + "]"

@@ -296,8 +296,7 @@ def solve(
 
         if config.algorithm is Algorithm.HOMOTOPY:
             cur_spec = MeritSpec(MeritKind.HOMOTOPY, q=config.q, nu=nu)
-            f_cur = merit.value_at(cur_spec, lp, z)
-            g_cur = merit.gradient_at(cur_spec, lp, z)
+            f_cur, g_cur = merit.homotopy_from_base(cur_spec, lp, z, f_base, g_base)
             if not (math.isfinite(f_cur) and np.isfinite(g_cur).all()):
                 status = SolveStatus.NUMERICAL_FAILURE
                 break

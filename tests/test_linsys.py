@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import cho_solve
 from helpers import random_primal_dual
 
+from lpmerit import linsys
 from lpmerit import (
     FactorizationFailure,
     FactorizationStats,
@@ -138,6 +139,15 @@ class TestSolveDense:
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         with pytest.raises(NonPositiveRegularization):
             solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1), -1.0, np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_factorization_failure(self, bad, monkeypatch):
+        lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+        monkeypatch.setattr(
+            linsys.merit, "penalty_diagonal_at", lambda spec, lp, z: np.full(z.size, bad)
+        )
+        with pytest.raises(FactorizationFailure):
+            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1), 1.0, np.zeros(5))
 
 
 def _structured_vs_dense(spec, lp, point, mu):
@@ -285,3 +295,42 @@ class TestSolveStructured:
         )
         with pytest.raises(FactorizationFailure):
             solve_structured(bad, lp)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_raises_factorization_failure(self, bad):
+        lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+        system = ReducedSystem(
+            d1=np.array([bad, 1.0]),
+            d2=np.ones(1),
+            d3=np.ones(2),
+            rhs_x=np.zeros(2),
+            rhs_lam=np.zeros(1),
+            rhs_s=np.zeros(2),
+            v=np.zeros(3),
+        )
+        with pytest.raises(FactorizationFailure):
+            solve_structured(system, lp)
+
+    def test_four_triangular_solves_per_step(self, monkeypatch):
+        """M^{-1}v and the first solve share one two-column solve per block;
+        the refinement solve takes one more per block."""
+        calls = []
+
+        def counting(factor, rhs, **kwargs):
+            calls.append(np.shape(rhs))
+            return cho_solve(factor, rhs, **kwargs)
+
+        monkeypatch.setattr(linsys, "cho_solve", counting)
+        prob = generate_optimal_lp(4, 9, 2)
+        point = random_primal_dual(np.random.default_rng(5), 9, 4)
+        g = eval_gradient(BASE3, prob.lp, point)
+        solve_structured(build_reduced(BASE3, prob.lp, point, 1e-6, g), prob.lp)
+        assert calls == [(9, 2), (4, 2), (9,), (4,)]
+
+    def test_problem_gram_matrix_is_left_unchanged(self):
+        prob = generate_optimal_lp(4, 9, 3)
+        before = prob.lp.gram.copy()
+        point = random_primal_dual(np.random.default_rng(8), 9, 4)
+        g = eval_gradient(BASE3, prob.lp, point)
+        solve_structured(build_reduced(BASE3, prob.lp, point, 1e-6, g), prob.lp)
+        assert np.array_equal(prob.lp.gram, before)

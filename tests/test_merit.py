@@ -19,6 +19,7 @@ from lpmerit import (
     eval_value,
     generate_optimal_lp,
 )
+from lpmerit import merit
 
 BASE3 = MeritSpec(MeritKind.BASE, q=3.0)
 
@@ -205,6 +206,56 @@ class TestInvariants:
                 eval_hessian(hom0, prob.lp, point).diag_add,
                 eval_hessian(base, prob.lp, point).diag_add,
             )
+
+
+class TestHomotopyFromBase:
+    """The HOMOTOPY merit built on the BASE value and gradient equals
+    value_at and gradient_at of the HOMOTOPY spec bit for bit."""
+
+    @staticmethod
+    def _check(lp, z, q, nu):
+        base = MeritSpec(MeritKind.BASE, q=q)
+        spec = MeritSpec(MeritKind.HOMOTOPY, q=q, nu=nu)
+        f, g = merit.homotopy_from_base(
+            spec, lp, z, merit.value_at(base, lp, z), merit.gradient_at(base, lp, z)
+        )
+        assert f == merit.value_at(spec, lp, z)
+        assert np.array_equal(g, merit.gradient_at(spec, lp, z))
+        return f, g
+
+    def test_random_points(self):
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            m = int(rng.integers(1, 8))
+            n = m + int(rng.integers(1, 8))
+            lp = generate_optimal_lp(m, n, trial).lp
+            z = rng.standard_normal(2 * n + m) * 10.0 ** rng.uniform(-3, 3)
+            q = (2.1, 3.0)[trial % 2]
+            nu = 0.0 if trial % 10 == 0 else 10.0 ** rng.uniform(-12, 0)
+            self._check(lp, z, q, nu)
+
+    def test_overflowing_nu_terms_saturate_the_value_only(self):
+        """Column 3 and the second row of A are zero, so x_3 and lam_2 enter
+        only the nu terms: the BASE value stays finite, the HOMOTOPY value
+        saturates, and the gradient is still returned."""
+        lp = StandardFormLp([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 0.0], [1.0, 1.0, 0.0])
+        for x3, lam2 in ((1e110, 0.0), (0.0, 1e151), (0.0, 1e155)):
+            z = np.array([0.5, 0.5, x3, 0.2, lam2, 0.1, 0.1, 0.3])
+            assert math.isfinite(merit.value_at(BASE3, lp, z))
+            f, g = self._check(lp, z, 3.0, 0.5)
+            assert f == math.inf
+            assert np.isfinite(g).all()
+
+    def test_saturated_base_value_stays_saturated(self):
+        lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+        f, _ = self._check(lp, np.array([1e160, 0.0, 0.0, 0.0, 0.0]), 2.1, 0.1)
+        assert f == math.inf
+
+    def test_requires_a_homotopy_spec(self):
+        lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+        z = np.zeros(5)
+        with pytest.raises(KindMismatch):
+            merit.homotopy_from_base(BASE3, lp, z, 0.0, np.zeros(5))
 
 
 class TestGuards:

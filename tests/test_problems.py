@@ -19,6 +19,7 @@ from lpmerit import (
     save_problem,
     validate,
 )
+from lpmerit import serialize
 
 
 class TestValidation:
@@ -210,3 +211,29 @@ class TestProblemFiles:
         text = path.read_text()
         probe = format(float(prob.lp.A[0, 0]), ".17g")
         assert probe in text
+
+
+class TestRenderArrays:
+    """The one-call rendering of finite 1-D float arrays against the
+    per-value rendering of the same numbers as a list."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308],
+            [0.1, -1.0 / 3.0, 1e-17, 123456789.0, -2.5e-300],
+            [],
+        ],
+    )
+    def test_matches_the_per_value_path(self, values):
+        arr = np.array(values, dtype=float)
+        assert serialize._render(arr, 0) == serialize._render(arr.tolist(), 0)
+
+    def test_non_finite_entries_are_written_as_null(self):
+        arr = np.array([1.5, np.nan, -np.inf, -0.0])
+        assert serialize._render(arr, 0) == "[1.5, null, null, -0]"
+
+    def test_problem_document_renders_as_before(self):
+        doc = serialize.problem_document(generate_unbounded_lp(4, 9, 3))
+        per_value = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+        assert serialize.dumps(doc) == serialize.dumps(per_value)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import lpmerit.merit as merit_module
 import lpmerit.solver as solver_module
 from lpmerit import (
     Algorithm,
@@ -242,6 +243,18 @@ class TestFactorizationFailures:
         assert out.iterations == 0
         assert (len(structured), len(dense)) == (solver_module._MAX_MU_ESCALATIONS + 1, 1)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_ends_in_numerical_failure(self, bad, monkeypatch):
+        """A NaN or inf in the penalty diagonal fails every factorization,
+        structured and dense, instead of escaping as scipy's ValueError."""
+        monkeypatch.setattr(
+            merit_module, "penalty_diagonal_at", lambda spec, lp, z: np.full(z.size, bad)
+        )
+        out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
+        assert out.status is SolveStatus.NUMERICAL_FAILURE
+        assert out.iterations == 0
+
     def test_homogeneous_is_inconclusive_when_every_attempt_fails(self, monkeypatch):
         dense = []
         monkeypatch.setattr(solver_module, "solve_dense", self._failing(dense))
@@ -250,3 +263,37 @@ class TestFactorizationFailures:
         assert status is HomogeneousStatus.INCONCLUSIVE
         assert len(dense) == solver_module._MAX_MU_ESCALATIONS + 2
         np.testing.assert_array_equal(point.as_vector(), np.ones(2 * 8 + 3 + 2))
+
+
+class TestIterates:
+    """The per-problem cache of A'A and the iterates it feeds."""
+
+    HOMOTOPY = SolverConfig(Algorithm.HOMOTOPY)
+
+    def test_two_solves_of_one_problem_agree_and_keep_the_gram_matrix(self):
+        lp = generate_optimal_lp(20, 30, 4).lp
+        first = solve(lp, self.HOMOTOPY)
+        gram = lp.gram
+        second = solve(lp, self.HOMOTOPY)
+        assert lp.gram is gram
+        assert not gram.flags.writeable
+        assert np.array_equal(gram, lp.A.T @ lp.A)
+        assert first.status is second.status is SolveStatus.OPTIMAL
+        assert first.iterations == second.iterations
+        assert (first.final_f, first.final_grad_norm) == (second.final_f, second.final_grad_norm)
+        assert np.array_equal(first.point.as_vector(), second.point.as_vector())
+
+    @pytest.mark.parametrize(
+        "m,n,expected",
+        [
+            (5, 10, [95, 87, 92, 84, 111, 95, 87, 84, 88, 88]),
+            (50, 75, [94, 93, 92]),
+        ],
+    )
+    def test_homotopy_iteration_counts_are_pinned(self, m, n, expected):
+        outcomes = [
+            solve(generate_optimal_lp(m, n, seed).lp, self.HOMOTOPY)
+            for seed in range(len(expected))
+        ]
+        assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * len(expected)
+        assert [out.iterations for out in outcomes] == expected
