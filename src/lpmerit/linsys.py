@@ -1,4 +1,4 @@
-"""Regularized Newton systems: a structured block solve and a dense reference path.
+"""Regularized Newton systems: a structured block solve and a solve on the Hessian base.
 
 The system (hessian + mu*I) delta = -gradient has a rank-one-plus-structured
 matrix: after eliminating the s block it reduces to a block-diagonal matrix
@@ -9,6 +9,17 @@ symmetric rank-k update, and both factors are kept in LAPACK's column-major
 layout.  The rank-one term is absorbed by a Sherman-Morrison correction whose
 two right-hand sides are solved together, followed by one step of iterative
 refinement on the reduced system.
+
+solve_dense covers every merit, the homogeneous one included, on the cached
+Hessian base.  It eliminates only the s block, whose diagonal is exact, and
+factors the dense remainder over (x, lam[, tau, kappa]) of order n+m(+2).
+The homogeneous merit does not take the structured path: with the (tau, kappa)
+rows as a border, a Sherman-Morrison correction through A'A + mu*I, which is
+nearly singular along null(A) at small mu, cancels catastrophically.
+
+The back-substitutions skip scipy's finiteness check, since each factor comes
+from a matrix that cho_factor has checked; a non-finite right-hand side gives
+a non-finite step, which the caller must test.
 """
 
 from __future__ import annotations
@@ -131,8 +142,14 @@ def solve_structured(
         stats.rank_one_updates += 1
     v = system.v
 
+    # _factor has checked both blocks for NaN and inf, so their factors are finite
     def block_solve(r):
-        return np.concatenate([cho_solve(F_x, r[:n]), cho_solve(F_lam, r[n:])])
+        return np.concatenate(
+            [
+                cho_solve(F_x, r[:n], check_finite=False),
+                cho_solve(F_lam, r[n:], check_finite=False),
+            ]
+        )
 
     rhs = np.concatenate([system.rhs_x, system.rhs_lam - A @ (system.rhs_s / shift)])
     y, u0 = block_solve(np.column_stack([v, rhs])).T
@@ -154,25 +171,56 @@ def solve_structured(
 def solve_dense(
     spec: MeritSpec, lp: StandardFormLp, point, mu: float, rhs: np.ndarray
 ) -> np.ndarray:
-    """Factor the full (hessian + mu*I) directly and solve against ``rhs``.
+    """Solve (hessian + mu*I) delta = ``rhs`` on the cached Hessian base.
 
-    Reference path for tests and the fallback when the structured solve fails;
-    one step of iterative refinement keeps the residual near round-off.  The
-    only working matrix is the column-major copy that is factored in place;
-    the refinement residual is formed from the read-only base and the diagonal.
+    The Newton solve of the homogeneous merit and the fallback when the
+    structured solve fails.  In both bases the s block is the identity and is
+    coupled only to the lam rows (and, in the homogeneous base, the tau row),
+    so it is eliminated exactly: with d_s = 1 + diag[s] and C those rows'
+    s columns, the remainder over (x, lam[, tau, kappa]) is
+    R = base + diag - (C/sqrt(d_s)) (C/sqrt(d_s))', of order n+m or n+m+2,
+    the only matrix factored; s is recovered as (r_s - C'y) / d_s.  Cholesky
+    is backward stable under this symmetric reordering.  One step of
+    iterative refinement, with the residual formed from the read-only base
+    and the diagonal, keeps the full-system residual near round-off.  Raises
+    FactorizationFailure when R is not numerically SPD or not finite, or d_s
+    is not finite and positive.
     """
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
     base = merit.hessian_base(spec, lp)
     diag = merit.penalty_diagonal_at(spec, lp, point.as_vector()) + mu
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (base.shape[0],):
-        raise ValueError(f"rhs must have shape ({base.shape[0]},), got {rhs.shape}")
-    H = base.copy().T  # the base is symmetric: a column-major copy
-    H[np.diag_indices_from(H)] += diag
-    factor = _factor(H)
-    sol = cho_solve(factor, rhs)
-    sol += cho_solve(factor, rhs - (base @ sol + diag * sol))
+    k = base.shape[0]
+    if rhs.shape != (k,):
+        raise ValueError(f"rhs must have shape ({k},), got {rhs.shape}")
+    n, p, t = lp.n, lp.n + lp.m, 2 * lp.n + lp.m  # the s block is [p, t)
+    d_s = 1.0 + diag[p:t]
+    if not (np.isfinite(d_s) & (d_s > 0.0)).all():
+        raise FactorizationFailure("the s block is not finite and positive")
+    # the lam rows and any tau and kappa rows; the kappa row of C is zero
+    C = base[np.r_[n:p, t:k], p:t]
+    # R is symmetric, so its row-major copy by slices is its column-major form
+    order = p + k - t
+    R = np.empty((order, order))
+    R[:p, :p] = base[:p, :p]
+    R[:p, p:] = base[:p, t:]
+    R[p:, :p] = base[t:, :p]
+    R[p:, p:] = base[t:, t:]
+    R = R.T
+    R[np.diag_indices(order)] += np.concatenate([diag[:p], diag[t:]])
+    G = C / np.sqrt(d_s)
+    R[n:, n:] -= G @ G.T
+    factor = _factor(R)
+
+    def eliminated_solve(r):
+        y = np.concatenate([r[:p], r[t:]])
+        y[n:] -= C @ (r[p:t] / d_s)
+        y = cho_solve(factor, y, check_finite=False)
+        return np.concatenate([y[:p], (r[p:t] - C.T @ y[n:]) / d_s, y[p:]])
+
+    sol = eliminated_solve(rhs)
+    sol += eliminated_solve(rhs - (base @ sol + diag * sol))
     return sol
 
 

@@ -246,24 +246,25 @@ def penalty_diagonal_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> n
 _BASE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _build_primal_dual_base(lp: StandardFormLp) -> np.ndarray:
+def _build_primal_dual_base(lp: StandardFormLp, border: int = 0) -> np.ndarray:
+    """The primal-dual base, as the leading block of a zero matrix with
+    ``border`` further rows and columns."""
     A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
-    H = np.zeros((2 * n + m, 2 * n + m))
+    t = 2 * n + m
+    H = np.zeros((t + border, t + border))
     H[:n, :n] = np.outer(c, c) + lp.gram
     H[:n, n : n + m] = -np.outer(c, b)
     H[n : n + m, :n] = -np.outer(b, c)
     H[n : n + m, n : n + m] = np.outer(b, b) + A @ A.T
-    H[n : n + m, n + m :] = A
-    H[n + m :, n : n + m] = A.T
-    H[n + m :, n + m :] = np.eye(n)
+    H[n : n + m, n + m : t] = A
+    H[n + m : t, n : n + m] = A.T
+    H[n + m : t, n + m : t] = np.eye(n)
     return H
 
 
 def _build_homogeneous_base(lp: StandardFormLp) -> np.ndarray:
     A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
-    k = 2 * n + m + 2
-    H = np.zeros((k, k))
-    H[: 2 * n + m, : 2 * n + m] = _build_primal_dual_base(lp)
+    H = _build_primal_dual_base(lp, border=2)
     it, ik = 2 * n + m, 2 * n + m + 1
     H[:n, it] = -(A.T @ b)
     H[it, :n] = H[:n, it]

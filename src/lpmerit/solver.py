@@ -190,7 +190,8 @@ def _newton_step(spec, lp, point, mu, g):
     """Solve (hessian + mu*I) delta = -g, escalating mu on factorization failure.
 
     Primal-dual merits take the structured solve; the homogeneous merit takes
-    the dense one, since its two border rows fall outside the reduced system.
+    solve_dense, which eliminates only the s block, since its two border rows
+    fall outside the reduced system.
     Each failure sets mu <- max(10 mu, 1e-12); once the ladder is exhausted, one
     dense attempt is made, whose FactorizationFailure propagates.
     """
@@ -208,13 +209,17 @@ def _step(spec, lp, config, point, z, f, g, mu):
     """One damped Newton step from ``z``, given the objective's value f and gradient g.
 
     Returns (alpha, z_next, None) on success, or (None, None, status) with
-    the status that ends the run: a failed factorization or a non-finite
-    iterate is a numerical failure, a non-descent direction or an Armijo
-    search that stagnates without decrease is an iteration limit.
+    the status that ends the run: a failed factorization, a non-finite step or
+    a non-finite iterate is a numerical failure, a non-descent direction or an
+    Armijo search that stagnates without decrease is an iteration limit.
     """
     try:
         delta = _newton_step(spec, lp, point, mu, g)
     except FactorizationFailure:
+        return None, None, SolveStatus.NUMERICAL_FAILURE
+    # the back-substitutions skip scipy's finiteness check, so a NaN or inf
+    # in the right-hand side or its refinement residual surfaces here
+    if not np.isfinite(delta).all():
         return None, None, SolveStatus.NUMERICAL_FAILURE
     slope = float(g @ delta)
     if not slope < 0.0:
@@ -384,11 +389,13 @@ def solve_homogeneous(
 
     The caller must supply ``start``: the all-zero point is a global minimizer
     of this merit, so starting there returns it unchanged (Inconclusive).
-    Iterations use the dense Newton path, since the block elimination does not
-    cover the two extra dense rows.  On gradient convergence, tau and kappa
-    decide the outcome; sign tests use the same classification threshold so
-    that round-off cannot flip a branch.  A run that stops before convergence,
-    on a failed factorization included, is Inconclusive.
+    Iterations use solve_dense, which eliminates only the s block and factors
+    the remainder over (x, lam, tau, kappa), since the structured elimination
+    does not cover the two extra dense rows.  On gradient convergence, tau
+    and kappa decide the outcome; sign tests use the same classification
+    threshold so that round-off cannot flip a branch.  A run that stops before
+    convergence, on a failed factorization or a non-finite step included, is
+    Inconclusive.
     """
     n, m = lp.n, lp.m
     if start.x.shape != (n,) or start.lam.shape != (m,):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lpmerit.solver as solver_module
 from lpmerit import (
     Algorithm,
     HomogeneousPoint,
@@ -94,6 +95,26 @@ def test_decaying_tau_is_not_labelled_optimal(seed):
     point, status = solve_homogeneous(prob.lp, CFG, HomogeneousPoint.ones(450, 150))
     assert status is HomogeneousStatus.DUAL_INFEASIBLE
     assert point.kappa > point.tau
+
+
+def test_benchmark_panel_is_dual_infeasible_in_five_dense_steps(monkeypatch):
+    """Pins the homogeneous escalation on the panel of the benchmark's
+    unbounded workload: the label and the number of Newton solves."""
+    calls = []
+    real_dense = solver_module.solve_dense
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return real_dense(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_dense", counting)
+    config = SolverConfig(Algorithm.HOMOTOPY)
+    for seed in range(10):
+        calls.clear()
+        lp = generate_unbounded_lp(150, 450, seed).lp
+        _, status = solve_homogeneous(lp, config, HomogeneousPoint.ones(450, 150))
+        assert status is HomogeneousStatus.DUAL_INFEASIBLE
+        assert len(calls) == 5
 
 
 def test_recover_requires_positive_tau():

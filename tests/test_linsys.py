@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
-from helpers import random_primal_dual
+from scipy.linalg import cho_factor, cho_solve
+from helpers import random_homogeneous, random_primal_dual
 
 from lpmerit import linsys
 from lpmerit import (
@@ -19,12 +19,20 @@ from lpmerit import (
     build_reduced,
     cholesky_rank_one_update,
     eval_gradient,
+    eval_hessian,
     generate_optimal_lp,
+    generate_unbounded_lp,
     solve_dense,
     solve_structured,
 )
 
 BASE3 = MeritSpec(MeritKind.BASE, q=3.0)
+HOMOGENEOUS3 = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
+
+
+def _random_point(spec, rng, n, m, scale=1.0):
+    draw = random_homogeneous if spec.kind is MeritKind.HOMOGENEOUS else random_primal_dual
+    return draw(rng, n, m, scale=scale)
 
 
 class TestBuildReduced:
@@ -148,6 +156,80 @@ class TestSolveDense:
         )
         with pytest.raises(FactorizationFailure):
             solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1), 1.0, np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
+    def test_bad_s_block_raises_factorization_failure(self, bad, monkeypatch):
+        """The eliminated s block is checked on its own: a NaN, an inf or a
+        non-positive d_s = 1 + diag[s] never reaches the factored remainder."""
+        lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+
+        def s_block_only(spec, lp, z):
+            d = np.zeros(z.size)
+            d[lp.n + lp.m : 2 * lp.n + lp.m] = bad
+            return d
+
+        monkeypatch.setattr(linsys.merit, "penalty_diagonal_at", s_block_only)
+        with pytest.raises(FactorizationFailure):
+            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1), 1.0, np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [BASE3, MeritSpec(MeritKind.HOMOTOPY, q=2.1, nu=0.3), HOMOGENEOUS3],
+        ids=lambda spec: spec.kind.name,
+    )
+    def test_matches_an_independent_dense_solve(self, spec):
+        """Oracle: np.linalg.solve on the full hessian + mu*I, with no block
+        eliminated.  Points with negative entries make every block of the
+        penalty diagonal, tau and kappa included, nonzero."""
+        rng = np.random.default_rng(31)
+        for seed in range(5):
+            prob = generate_optimal_lp(4, 9, seed)
+            point = _random_point(spec, rng, 9, 4, scale=2.0)
+            H = eval_hessian(spec, prob.lp, point).full()
+            H[np.diag_indices_from(H)] += 1e-3
+            rhs = rng.standard_normal(H.shape[0])
+            expected = np.linalg.solve(H, rhs)
+            delta = solve_dense(spec, prob.lp, point, 1e-3, rhs)
+            assert np.linalg.norm(delta - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    def test_homogeneous_full_system_residual_at_tiny_mu(self):
+        """At mu = 1e-9 the eliminated solve, refined once against the full
+        base, must satisfy the full homogeneous system near round-off."""
+        rng = np.random.default_rng(22)
+        for seed in range(10):
+            generate = generate_unbounded_lp if seed % 2 else generate_optimal_lp
+            lp = generate(8, 20, seed).lp
+            point = random_homogeneous(rng, 20, 8, scale=2.0)
+            g = eval_gradient(HOMOGENEOUS3, lp, point)
+            delta = solve_dense(HOMOGENEOUS3, lp, point, 1e-9, -g)
+            H = eval_hessian(HOMOGENEOUS3, lp, point).full()
+            H[np.diag_indices_from(H)] += 1e-9
+            res = np.linalg.norm(H @ delta + g)
+            assert res <= 1e-12 * (1.0 + np.linalg.norm(g))
+
+    @pytest.mark.parametrize("spec", [BASE3, HOMOGENEOUS3], ids=lambda spec: spec.kind.name)
+    def test_one_factorization_without_the_s_block(self, spec, monkeypatch):
+        """Only the remainder over (x, lam[, tau, kappa]) is factored, and the
+        solve and its refinement take one triangular solve each."""
+        factored, solved = [], []
+
+        def counting_factor(M, **kwargs):
+            factored.append(M.shape)
+            return cho_factor(M, **kwargs)
+
+        def counting_solve(factor, rhs, **kwargs):
+            solved.append(np.shape(rhs))
+            return cho_solve(factor, rhs, **kwargs)
+
+        monkeypatch.setattr(linsys, "cho_factor", counting_factor)
+        monkeypatch.setattr(linsys, "cho_solve", counting_solve)
+        prob = generate_optimal_lp(4, 9, 2)
+        point = _random_point(spec, np.random.default_rng(5), 9, 4)
+        g = eval_gradient(spec, prob.lp, point)
+        solve_dense(spec, prob.lp, point, 1e-6, -g)
+        order = 9 + 4 + (2 if spec.kind is MeritKind.HOMOGENEOUS else 0)
+        assert factored == [(order, order)]
+        assert solved == [(order,), (order,)]
 
 
 def _structured_vs_dense(spec, lp, point, mu):

@@ -300,6 +300,17 @@ def test_base_matrices_are_symmetric():
     np.testing.assert_array_equal(Hh, Hh.T)
 
 
+def test_homogeneous_base_borders_the_primal_dual_base():
+    """The homogeneous base is built around the primal-dual blocks in place;
+    its leading block must be the primal-dual base bit for bit."""
+    for m, n, seed in [(4, 7, 18), (150, 450, 0)]:
+        lp = generate_optimal_lp(m, n, seed).lp
+        k = 2 * n + m
+        H = merit._build_homogeneous_base(lp)
+        assert H.shape == (k + 2, k + 2)
+        assert np.array_equal(H[:k, :k], merit._build_primal_dual_base(lp))
+
+
 def test_hessian_base_is_cached_per_problem():
     prob = generate_optimal_lp(3, 6, 16)
     rng = np.random.default_rng(17)

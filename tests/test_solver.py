@@ -265,6 +265,37 @@ class TestFactorizationFailures:
         np.testing.assert_array_equal(point.as_vector(), np.ones(2 * 8 + 3 + 2))
 
 
+class TestNonFiniteSteps:
+    """A Newton step holding a NaN, faked in place of the linear solves, ends
+    the run before its slope is tested."""
+
+    CFG = SolverConfig(Algorithm.LM_CONSTANT)
+
+    def test_solve_reports_numerical_failure(self, monkeypatch):
+        def nan_step(system, lp):
+            return np.full(lp.n, np.nan), np.full(lp.m, np.nan), np.full(lp.n, np.nan)
+
+        monkeypatch.setattr(solver_module, "solve_structured", nan_step)
+        out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
+        assert out.status is SolveStatus.NUMERICAL_FAILURE
+        assert out.iterations == 0
+
+    def test_homogeneous_is_inconclusive(self, monkeypatch):
+        calls = []
+
+        def nan_step(spec, lp, point, mu, rhs):
+            calls.append(mu)
+            return np.full(rhs.shape, np.nan)
+
+        monkeypatch.setattr(solver_module, "solve_dense", nan_step)
+        point, status = solve_homogeneous(
+            generate_unbounded_lp(3, 8, 1).lp, self.CFG, HomogeneousPoint.ones(8, 3)
+        )
+        assert status is HomogeneousStatus.INCONCLUSIVE
+        assert len(calls) == 1
+        np.testing.assert_array_equal(point.as_vector(), np.ones(2 * 8 + 3 + 2))
+
+
 class TestIterates:
     """The per-problem cache of A'A and the iterates it feeds."""
 
