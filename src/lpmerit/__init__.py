@@ -55,7 +55,6 @@ from .solver import (
     Classification,
     HomogeneousStatus,
     IterationRecord,
-    LineSearchRule,
     SolveOutcome,
     SolveStatus,
     SolverConfig,
@@ -82,7 +81,6 @@ __all__ = [
     "InvalidConfig",
     "IterationRecord",
     "KindMismatch",
-    "LineSearchRule",
     "LpMeritError",
     "MeritKind",
     "MeritSpec",

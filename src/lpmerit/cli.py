@@ -14,9 +14,11 @@ Exit codes separate mathematical outcomes from operational failures:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -76,22 +78,10 @@ def _write_trace(path, trace) -> None:
 
 
 def _config_document(config: SolverConfig) -> dict:
-    return {
-        "algorithm": config.algorithm.value,
-        "q": config.q,
-        "mu_const": config.mu_const,
-        "hessian_lipschitz": config.hessian_lipschitz,
-        "theta": config.theta,
-        "nu0": config.nu0,
-        "line_search": config.line_search.value,
-        "armijo_c1": config.armijo_c1,
-        "armijo_shrink": config.armijo_shrink,
-        "max_backtracks": config.max_backtracks,
-        "max_iter": config.max_iter,
-        "tol_grad": config.tol_grad,
-        "tol_f": config.tol_f,
-        "tol_no_opt": config.tol_no_opt,
-    }
+    """Every SolverConfig field but ``trace``, in declaration order, enums by value."""
+    fields = [f.name for f in dataclasses.fields(config) if f.name != "trace"]
+    values = {name: getattr(config, name) for name in fields}
+    return {name: v.value if isinstance(v, Enum) else v for name, v in values.items()}
 
 
 def cmd_gen(args) -> int:

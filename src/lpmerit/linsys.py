@@ -56,21 +56,21 @@ class ReducedSystem:
 
 
 def build_reduced(
-    spec: MeritSpec, lp: StandardFormLp, point, mu: float, g: np.ndarray
+    spec: MeritSpec, lp: StandardFormLp, z: np.ndarray, mu: float, g: np.ndarray
 ) -> ReducedSystem:
-    """Assemble diagonals and right-hand side of the reduced system at ``point``.
+    """Assemble diagonals and right-hand side of the reduced system at ``z``.
 
-    D1, D2, D3 are the penalty diagonal plus mu (all strictly positive for
-    mu > 0); the right-hand side is the negative merit gradient ``g`` at
-    ``point``, split into (x, lam, s) blocks.  Not defined for the HOMOGENEOUS
-    merit, whose extra dense rows fall outside this elimination; use
-    solve_dense there.
+    D1, D2, D3 are the penalty diagonal at the flat iterate ``z`` plus mu
+    (all strictly positive for mu > 0); the right-hand side is the negative
+    merit gradient ``g`` at ``z``, split into (x, lam, s) blocks.  Not
+    defined for the HOMOGENEOUS merit, whose extra dense rows fall outside
+    this elimination; use solve_dense there.
     """
     if spec.kind is MeritKind.HOMOGENEOUS:
         raise KindMismatch("the reduced system covers only primal-dual merits")
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
-    diag = merit.penalty_diagonal_at(spec, lp, point.as_vector())
+    diag = merit.penalty_diagonal_at(spec, lp, z)
     n, m = lp.n, lp.m
     return ReducedSystem(
         d1=mu + diag[:n],
@@ -169,9 +169,9 @@ def solve_structured(
 
 
 def solve_dense(
-    spec: MeritSpec, lp: StandardFormLp, point, mu: float, rhs: np.ndarray
+    spec: MeritSpec, lp: StandardFormLp, z: np.ndarray, mu: float, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve (hessian + mu*I) delta = ``rhs`` on the cached Hessian base.
+    """Solve (hessian + mu*I) delta = ``rhs`` at ``z`` on the cached Hessian base.
 
     The Newton solve of the homogeneous merit and the fallback when the
     structured solve fails.  In both bases the s block is the identity and is
@@ -189,7 +189,7 @@ def solve_dense(
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
     base = merit.hessian_base(spec, lp)
-    diag = merit.penalty_diagonal_at(spec, lp, point.as_vector()) + mu
+    diag = merit.penalty_diagonal_at(spec, lp, z) + mu
     rhs = np.asarray(rhs, dtype=float)
     k = base.shape[0]
     if rhs.shape != (k,):

@@ -14,7 +14,10 @@ Three variants share one interface:
   (x, lam, s, tau, kappa), whose residuals are c.x - b.lam + kappa,
   b*tau - A x and c*tau - A'lam - s.
 
-The Hessian splits into an iterate-independent base matrix (cached per
+The solver works on flat iterates: ``evaluate`` returns the value and the
+gradient at one iterate from a single computation of the residuals
+(gamma, rho, sigma), and ``value_at`` and ``gradient_at`` reuse that residual
+code.  The Hessian splits into an iterate-independent base matrix (cached per
 problem) plus a nonnegative diagonal that is recomputed per point.
 """
 
@@ -105,32 +108,31 @@ def _split(lp, z):
 
 
 # ---------------------------------------------------------------------------
-# flat-vector evaluation (used by the solver's inner loop)
+# flat-vector evaluation: evaluate at the solver's iterates, value_at at its
+# Armijo probes, both on one residual computation
 # ---------------------------------------------------------------------------
 
 
-def value_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> float:
-    """Merit value at the flat iterate ``z``; saturates to +inf on overflow."""
+def _residuals(spec, lp, z):
+    """(gamma, rho, sigma, A x, A' lam) at the flat iterate ``z``."""
     _expect_length(lp, spec, z)
-    A, b, c, q = lp.A, lp.b, lp.c, spec.q
+    A, b, c = lp.A, lp.b, lp.c
     x, lam, s = _split(lp, z)
     with np.errstate(over="ignore", invalid="ignore"):
+        Ax, ATlam = A @ x, A.T @ lam
         if spec.kind is MeritKind.HOMOGENEOUS:
             tau, kappa = z[-2], z[-1]
-            gamma = float(c @ x - b @ lam + kappa)
-            rho = b * tau - A @ x
-            sigma = c * tau - A.T @ lam - s
-            penalty = (
-                _hinge_pow(x, q).sum()
-                + _hinge_pow(s, q).sum()
-                + _hinge_pow_scalar(tau, q)
-                + _hinge_pow_scalar(kappa, q)
-            )
-        else:
-            gamma = float(c @ x - b @ lam)
-            rho = b - A @ x
-            sigma = c - A.T @ lam - s
-            penalty = _hinge_pow(x, q).sum() + _hinge_pow(s, q).sum()
+            return float(c @ x - b @ lam + kappa), b * tau - Ax, c * tau - ATlam - s, Ax, ATlam
+        return float(c @ x - b @ lam), b - Ax, c - ATlam - s, Ax, ATlam
+
+
+def _value(spec, lp, z, gamma, rho, sigma):
+    q = spec.q
+    x, lam, s = _split(lp, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        penalty = _hinge_pow(x, q).sum() + _hinge_pow(s, q).sum()
+        if spec.kind is MeritKind.HOMOGENEOUS:
+            penalty = penalty + _hinge_pow_scalar(z[-2], q) + _hinge_pow_scalar(z[-1], q)
         terms = [
             0.5 * gamma * gamma,
             0.5 * float(rho @ rho),
@@ -142,33 +144,39 @@ def value_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> float:
     return _saturating_sum(terms)
 
 
-def gradient_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarray:
-    """Analytic gradient at the flat iterate ``z``."""
-    _expect_length(lp, spec, z)
+def _gradient(spec, lp, z, gamma, rho, sigma, Ax, ATlam):
     A, b, c, q = lp.A, lp.b, lp.c, spec.q
     x, lam, s = _split(lp, z)
-    if spec.kind is MeritKind.HOMOGENEOUS:
-        tau, kappa = z[-2], z[-1]
-        gamma = float(c @ x - b @ lam + kappa)
-        rho = b * tau - A @ x
-        sigma = c * tau - A.T @ lam - s
-        gx = gamma * c - A.T @ rho - _hinge_pow(x, q - 1) / (q - 1.0)
-        gl = -gamma * b - A @ sigma
-        gs = -sigma - _hinge_pow(s, q - 1) / (q - 1.0)
-        w = float((A @ x) @ b + (A.T @ lam + s) @ c - (b @ b + c @ c) * tau)
-        gt = -w - _hinge_pow_scalar(tau, q - 1) / (q - 1.0)
-        gk = gamma - _hinge_pow_scalar(kappa, q - 1) / (q - 1.0)
-        return np.concatenate([gx, gl, gs, [gt, gk]])
-    gamma = float(c @ x - b @ lam)
-    rho = b - A @ x
-    sigma = c - A.T @ lam - s
     gx = gamma * c - A.T @ rho - _hinge_pow(x, q - 1) / (q - 1.0)
     gl = -gamma * b - A @ sigma
     gs = -sigma - _hinge_pow(s, q - 1) / (q - 1.0)
+    if spec.kind is MeritKind.HOMOGENEOUS:
+        tau, kappa = z[-2], z[-1]
+        w = float(Ax @ b + (ATlam + s) @ c - (b @ b + c @ c) * tau)
+        gt = -w - _hinge_pow_scalar(tau, q - 1) / (q - 1.0)
+        gk = gamma - _hinge_pow_scalar(kappa, q - 1) / (q - 1.0)
+        return np.concatenate([gx, gl, gs, [gt, gk]])
     g = np.concatenate([gx, gl, gs])
     if spec.kind is MeritKind.HOMOTOPY and spec.nu > 0.0:
         g += _nu_gradient(spec, x, lam, s)
     return g
+
+
+def evaluate(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> tuple[float, np.ndarray]:
+    """Merit value and gradient at the flat iterate ``z``, from one residual
+    computation; equal to (value_at, gradient_at) bit for bit."""
+    r = _residuals(spec, lp, z)
+    return _value(spec, lp, z, *r[:3]), _gradient(spec, lp, z, *r)
+
+
+def value_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> float:
+    """Merit value at the flat iterate ``z``; saturates to +inf on overflow."""
+    return _value(spec, lp, z, *_residuals(spec, lp, z)[:3])
+
+
+def gradient_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarray:
+    """Analytic gradient at the flat iterate ``z``."""
+    return _gradient(spec, lp, z, *_residuals(spec, lp, z))
 
 
 def homotopy_from_base(

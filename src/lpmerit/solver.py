@@ -1,4 +1,8 @@
-"""Iteration drivers: regularized Newton on the merit function.
+"""The iteration driver: regularized Newton on the merit function.
+
+One loop serves ``solve`` (the primal-dual merit) and ``solve_homogeneous``
+(the homogeneous embedding).  It evaluates each flat iterate once and builds
+a point object only for trace rows and at exit.
 
 Two regularization policies are provided.  ``LM_ADAPTIVE`` sets
 mu_k = sqrt(L * ||grad||_2 / 2) and takes full steps, the setting with a
@@ -41,11 +45,6 @@ class Algorithm(Enum):
     HOMOTOPY = "homotopy"
 
 
-class LineSearchRule(Enum):
-    PURE_NEWTON = "pure-newton"
-    ARMIJO = "armijo"
-
-
 class SolveStatus(Enum):
     OPTIMAL = "Optimal"
     NO_OPTIMAL_SOLUTION = "NoOptimalSolution"
@@ -69,9 +68,9 @@ class HomogeneousStatus(Enum):
 class SolverConfig:
     """Algorithm variant, schedules, and stopping tolerances.
 
-    ``q`` and ``line_search`` default per variant: the adaptive scheme pairs
-    with q = 3 and full steps, the constant-mu schemes with q = 2.1 and
-    Armijo backtracking.  Stopping thresholds are scale-relative: optimal
+    ``q`` defaults to 3 for the adaptive scheme, which takes full steps, and
+    to 2.1 for the constant-mu schemes, which backtrack with Armijo.  Every
+    number must be finite.  Stopping thresholds are scale-relative: optimal
     needs value <= tol_f * scale^2 and grad <= tol_grad * scale^2; a certified
     no-optimum needs the same gradient bound with value >= tol_no_opt * scale^2.
     """
@@ -82,10 +81,6 @@ class SolverConfig:
     hessian_lipschitz: float = 1.0
     theta: float = 0.8
     nu0: float = 1.0
-    line_search: LineSearchRule | None = None
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 60
     max_iter: int = 500
     tol_grad: float = 1e-10
     tol_f: float = 1e-16
@@ -97,33 +92,16 @@ class SolverConfig:
             object.__setattr__(
                 self, "q", 3.0 if self.algorithm is Algorithm.LM_ADAPTIVE else 2.1
             )
-        if self.line_search is None:
-            default = (
-                LineSearchRule.PURE_NEWTON
-                if self.algorithm is Algorithm.LM_ADAPTIVE
-                else LineSearchRule.ARMIJO
-            )
-            object.__setattr__(self, "line_search", default)
-        if not self.q > 2.0:
-            raise InvalidConfig(f"q must exceed 2, got {self.q}")
+        if not (math.isfinite(self.q) and self.q > 2.0):
+            raise InvalidConfig(f"q must be finite and exceed 2, got {self.q}")
         if not 0.0 < self.theta < 1.0:
             raise InvalidConfig(f"theta must lie in (0, 1), got {self.theta}")
-        if not self.nu0 > 0.0:
-            raise InvalidConfig(f"nu0 must be positive, got {self.nu0}")
-        if not self.mu_const > 0.0:
-            raise InvalidConfig(f"mu_const must be positive, got {self.mu_const}")
-        if not self.hessian_lipschitz > 0.0:
-            raise InvalidConfig("hessian_lipschitz must be positive")
-        if not (self.tol_grad > 0.0 and self.tol_f > 0.0 and self.tol_no_opt > 0.0):
-            raise InvalidConfig("tolerances must be positive")
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise InvalidConfig(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1}")
-        if not 0.0 < self.armijo_shrink < 1.0:
-            raise InvalidConfig(
-                f"armijo_shrink must lie in (0, 1), got {self.armijo_shrink}"
-            )
-        if self.max_backtracks < 0 or self.max_iter < 0:
-            raise InvalidConfig("max_backtracks and max_iter must be nonnegative")
+        for name in ("mu_const", "hessian_lipschitz", "nu0", "tol_grad", "tol_f", "tol_no_opt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidConfig(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.max_iter) and self.max_iter >= 0):
+            raise InvalidConfig(f"max_iter must be finite and nonnegative, got {self.max_iter}")
 
 
 @dataclass
@@ -186,8 +164,8 @@ def armijo_search(
     return alpha, True
 
 
-def _newton_step(spec, lp, point, mu, g):
-    """Solve (hessian + mu*I) delta = -g, escalating mu on factorization failure.
+def _newton_step(spec, lp, z, mu, g):
+    """Solve (hessian + mu*I) delta = -g at ``z``, escalating mu on factorization failure.
 
     Primal-dual merits take the structured solve; the homogeneous merit takes
     solve_dense, which eliminates only the s block, since its two border rows
@@ -198,23 +176,24 @@ def _newton_step(spec, lp, point, mu, g):
     for _ in range(_MAX_MU_ESCALATIONS + 1):
         try:
             if spec.kind is MeritKind.HOMOGENEOUS:
-                return solve_dense(spec, lp, point, mu, -g)
-            return np.concatenate(solve_structured(build_reduced(spec, lp, point, mu, g), lp))
+                return solve_dense(spec, lp, z, mu, -g)
+            return np.concatenate(solve_structured(build_reduced(spec, lp, z, mu, g), lp))
         except FactorizationFailure:
             mu = max(10.0 * mu, 1e-12)
-    return solve_dense(spec, lp, point, mu, -g)
+    return solve_dense(spec, lp, z, mu, -g)
 
 
-def _step(spec, lp, config, point, z, f, g, mu):
+def _step(spec, lp, config, z, f, g, mu):
     """One damped Newton step from ``z``, given the objective's value f and gradient g.
 
-    Returns (alpha, z_next, None) on success, or (None, None, status) with
-    the status that ends the run: a failed factorization, a non-finite step or
-    a non-finite iterate is a numerical failure, a non-descent direction or an
+    LM_ADAPTIVE takes full steps, the others backtrack with Armijo.  Returns
+    (alpha, z_next, None) on success, or (None, None, status) with the status
+    that ends the run: a failed factorization, a non-finite step or a
+    non-finite iterate is a numerical failure, a non-descent direction or an
     Armijo search that stagnates without decrease is an iteration limit.
     """
     try:
-        delta = _newton_step(spec, lp, point, mu, g)
+        delta = _newton_step(spec, lp, z, mu, g)
     except FactorizationFailure:
         return None, None, SolveStatus.NUMERICAL_FAILURE
     # the back-substitutions skip scipy's finiteness check, so a NaN or inf
@@ -225,21 +204,12 @@ def _step(spec, lp, config, point, z, f, g, mu):
     if not slope < 0.0:
         return None, None, SolveStatus.ITERATION_LIMIT
     alpha = 1.0
-    if config.line_search is LineSearchRule.ARMIJO:
+    if config.algorithm is not Algorithm.LM_ADAPTIVE:
 
         def objective(zz):
             return merit.value_at(spec, lp, zz)
 
-        alpha, stagnated = armijo_search(
-            objective,
-            z,
-            delta,
-            slope,
-            f,
-            c1=config.armijo_c1,
-            shrink=config.armijo_shrink,
-            max_backtracks=config.max_backtracks,
-        )
+        alpha, stagnated = armijo_search(objective, z, delta, slope, f)
         # a stagnated probe is only taken if it still strictly decreases
         if stagnated and not objective(z + alpha * delta) < f:
             return None, None, SolveStatus.ITERATION_LIMIT
@@ -247,6 +217,61 @@ def _step(spec, lp, config, point, z, f, g, mu):
     if not np.isfinite(z_next).all():
         return None, None, SolveStatus.NUMERICAL_FAILURE
     return alpha, z_next, None
+
+
+def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
+    """The iteration loop of ``solve`` and ``solve_homogeneous``.
+
+    Minimizes the merit ``spec`` from the point ``start``.  While ``nu`` > 0,
+    steps are taken on the HOMOTOPY surrogate of weight nu, which decays by
+    theta per step.  ``stop(f, g_inf)`` returns the status that ends the run
+    at an iterate, or None.  ``record``, if given, returns the trace row of
+    an iterate; its alpha is set once the step is taken.  Returns
+    (z, k, f, g_inf, status) at the last finite iterate; f is the last merit
+    value and g_inf the last finite gradient max-norm.
+    """
+    n, m = lp.n, lp.m
+    if start.x.shape != (n,) or start.lam.shape != (m,):
+        raise InvalidConfig(
+            f"start has sizes (n={start.x.size}, m={start.lam.size}), "
+            f"problem has (n={n}, m={m})"
+        )
+    z = start.as_vector()
+    g_inf = math.inf
+    for k in range(config.max_iter + 1):
+        f, g = merit.evaluate(spec, lp, z)
+        if not (math.isfinite(f) and np.isfinite(g).all()):
+            return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
+        g_inf = float(np.abs(g).max())
+
+        cur_spec, f_cur, g_cur = spec, f, g
+        if nu > 0.0:
+            cur_spec = MeritSpec(MeritKind.HOMOTOPY, q=spec.q, nu=nu)
+            f_cur, g_cur = merit.homotopy_from_base(cur_spec, lp, z, f, g)
+            if not (math.isfinite(f_cur) and np.isfinite(g_cur).all()):
+                return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
+        g_cur_norm = float(np.linalg.norm(g_cur))
+
+        if config.algorithm is Algorithm.LM_ADAPTIVE:
+            mu = math.sqrt(config.hessian_lipschitz * g_cur_norm / 2.0)
+        else:
+            mu = config.mu_const
+
+        row = record(k, z, f_cur, g_cur_norm, mu, nu) if record is not None else None
+        status = stop(f, g_inf)
+        # mu = 0 only at a zero gradient whose value ``stop`` leaves undecided
+        if status is None and (k == config.max_iter or mu <= 0.0):
+            status = SolveStatus.ITERATION_LIMIT
+        if status is not None:
+            return z, k, f, g_inf, status
+
+        alpha, z_next, failure = _step(cur_spec, lp, config, z, f_cur, g_cur, mu)
+        if failure is not None:
+            return z, k, f, g_inf, failure
+        if row is not None:
+            row.alpha = alpha
+        z = z_next
+        nu *= config.theta
 
 
 def solve(
@@ -265,14 +290,6 @@ def solve(
     report the problem as primal feasible but dual infeasible.
     """
     n, m = lp.n, lp.m
-    if start is None:
-        start = PrimalDualPoint.zeros(n, m)
-    if start.x.shape != (n,) or start.lam.shape != (m,):
-        raise InvalidConfig(
-            f"start has sizes (n={start.x.size}, m={start.lam.size}), "
-            f"problem has (n={n}, m={m})"
-        )
-    base_spec = MeritSpec(MeritKind.BASE, q=config.q)
     scale2 = lp.scale**2
     tol_f = config.tol_f * scale2
     tol_grad = config.tol_grad * scale2
@@ -281,86 +298,46 @@ def solve(
         x_star = np.asarray(x_star, dtype=float)
         x_star_norm = float(np.linalg.norm(x_star))
 
-    z = start.as_vector()
-    nu = config.nu0 if config.algorithm is Algorithm.HOMOTOPY else 0.0
-    status = SolveStatus.ITERATION_LIMIT
+    def stop(f, g_inf):
+        if g_inf <= tol_grad:
+            if f <= tol_f:
+                return SolveStatus.OPTIMAL
+            if f >= tol_no_opt:
+                return SolveStatus.NO_OPTIMAL_SOLUTION
+        return None
+
     trace: list[IterationRecord] = []
-    iterations = 0
-    f_base = math.inf
-    g_base_inf = math.inf
 
-    for k in range(config.max_iter + 1):
-        iterations = k
+    def record(k, z, f, grad_norm, mu, nu):
         point = PrimalDualPoint.from_vector(z, n, m)
-        f_base = merit.value_at(base_spec, lp, z)
-        g_base = merit.gradient_at(base_spec, lp, z)
-        if not (math.isfinite(f_base) and np.isfinite(g_base).all()):
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-        g_base_inf = float(np.abs(g_base).max())
+        gamma, rho, sigma = residuals(lp, point)
+        row = IterationRecord(
+            k=k,
+            f=f,
+            grad_norm=grad_norm,
+            mu=mu,
+            nu=nu,
+            alpha=0.0,
+            gap=abs(gamma),
+            primal_res=float(np.linalg.norm(rho)),
+            dual_res=float(np.linalg.norm(sigma)),
+            min_x=float(point.x.min()),
+            min_s=float(point.s.min()),
+            rel_err_x=(
+                float(np.linalg.norm(point.x - x_star)) / x_star_norm
+                if x_star is not None and x_star_norm > 0
+                else None
+            ),
+        )
+        trace.append(row)
+        return row
 
-        if config.algorithm is Algorithm.HOMOTOPY:
-            cur_spec = MeritSpec(MeritKind.HOMOTOPY, q=config.q, nu=nu)
-            f_cur, g_cur = merit.homotopy_from_base(cur_spec, lp, z, f_base, g_base)
-            if not (math.isfinite(f_cur) and np.isfinite(g_cur).all()):
-                status = SolveStatus.NUMERICAL_FAILURE
-                break
-        else:
-            cur_spec, f_cur, g_cur = base_spec, f_base, g_base
-        g_cur_norm = float(np.linalg.norm(g_cur))
-
-        if config.algorithm is Algorithm.LM_ADAPTIVE:
-            mu_k = math.sqrt(config.hessian_lipschitz * g_cur_norm / 2.0)
-        else:
-            mu_k = config.mu_const
-
-        record = None
-        if config.trace:
-            gamma, rho, sigma = residuals(lp, point)
-            record = IterationRecord(
-                k=k,
-                f=f_cur,
-                grad_norm=g_cur_norm,
-                mu=mu_k,
-                nu=nu,
-                alpha=0.0,
-                gap=abs(gamma),
-                primal_res=float(np.linalg.norm(rho)),
-                dual_res=float(np.linalg.norm(sigma)),
-                min_x=float(point.x.min()),
-                min_s=float(point.s.min()),
-                rel_err_x=(
-                    float(np.linalg.norm(point.x - x_star)) / x_star_norm
-                    if x_star is not None and x_star_norm > 0
-                    else None
-                ),
-            )
-            trace.append(record)
-
-        if f_base <= tol_f and g_base_inf <= tol_grad:
-            status = SolveStatus.OPTIMAL
-            break
-        if g_base_inf <= tol_grad and f_base >= tol_no_opt:
-            status = SolveStatus.NO_OPTIMAL_SOLUTION
-            break
-        if k == config.max_iter:
-            status = SolveStatus.ITERATION_LIMIT
-            break
-        if mu_k <= 0.0:
-            # exact-zero gradient with the value inside the undecided band
-            status = SolveStatus.ITERATION_LIMIT
-            break
-
-        alpha, z_next, failure = _step(cur_spec, lp, config, point, z, f_cur, g_cur, mu_k)
-        if failure is not None:
-            status = failure
-            break
-        if record is not None:
-            record.alpha = alpha
-        z = z_next
-        if config.algorithm is Algorithm.HOMOTOPY:
-            nu *= config.theta
-
+    start = PrimalDualPoint.zeros(n, m) if start is None else start
+    nu = config.nu0 if config.algorithm is Algorithm.HOMOTOPY else 0.0
+    z, iterations, f, g_inf, status = _minimize(
+        lp, config, MeritSpec(MeritKind.BASE, q=config.q), start, stop, nu=nu,
+        record=record if config.trace else None,
+    )
     point = PrimalDualPoint.from_vector(z, n, m)
     classification = None
     if status is SolveStatus.NO_OPTIMAL_SOLUTION:
@@ -374,8 +351,8 @@ def solve(
     return SolveOutcome(
         status=status,
         point=point,
-        final_f=f_base,
-        final_grad_norm=g_base_inf,
+        final_f=f,
+        final_grad_norm=g_inf,
         iterations=iterations,
         classification=classification,
         trace=trace,
@@ -389,6 +366,8 @@ def solve_homogeneous(
 
     The caller must supply ``start``: the all-zero point is a global minimizer
     of this merit, so starting there returns it unchanged (Inconclusive).
+    The run stops on the gradient test alone, and ``config.algorithm`` picks
+    only the mu rule and the line search: no nu homotopy is applied.
     Iterations use solve_dense, which eliminates only the s block and factors
     the remainder over (x, lam, tau, kappa), since the structured elimination
     does not cover the two extra dense rows.  On gradient convergence, tau
@@ -397,43 +376,16 @@ def solve_homogeneous(
     convergence, on a failed factorization or a non-finite step included, is
     Inconclusive.
     """
-    n, m = lp.n, lp.m
-    if start.x.shape != (n,) or start.lam.shape != (m,):
-        raise InvalidConfig(
-            f"start has sizes (n={start.x.size}, m={start.lam.size}), "
-            f"problem has (n={n}, m={m})"
-        )
-    spec = MeritSpec(MeritKind.HOMOGENEOUS, q=config.q)
-    scale2 = lp.scale**2
-    tol_grad = config.tol_grad * scale2
-    z = start.as_vector()
-    converged = False
-    for k in range(config.max_iter + 1):
-        point = HomogeneousPoint.from_vector(z, n, m)
-        f = merit.value_at(spec, lp, z)
-        g = merit.gradient_at(spec, lp, z)
-        if not (math.isfinite(f) and np.isfinite(g).all()):
-            break
-        g_inf = float(np.abs(g).max())
-        if g_inf <= tol_grad:
-            converged = True
-            break
-        if k == config.max_iter:
-            break
-        if config.algorithm is Algorithm.LM_ADAPTIVE:
-            mu_k = math.sqrt(config.hessian_lipschitz * np.linalg.norm(g) / 2.0)
-            if mu_k <= 0.0:
-                converged = True
-                break
-        else:
-            mu_k = config.mu_const
-        _, z_next, failure = _step(spec, lp, config, point, z, f, g, mu_k)
-        if failure is not None:
-            break
-        z = z_next
+    tol_grad = config.tol_grad * lp.scale**2
 
-    point = HomogeneousPoint.from_vector(z, n, m)
-    if not converged:
+    def stop(f, g_inf):
+        return SolveStatus.OPTIMAL if g_inf <= tol_grad else None
+
+    z, _, _, _, status = _minimize(
+        lp, config, MeritSpec(MeritKind.HOMOGENEOUS, q=config.q), start, stop
+    )
+    point = HomogeneousPoint.from_vector(z, lp.n, lp.m)
+    if status is not SolveStatus.OPTIMAL:
         return point, HomogeneousStatus.INCONCLUSIVE
     eps_class = 1e-6 * (1.0 + float(np.abs(z).max()))
     # the larger of tau and kappa decides: a decaying tau with kappa near one

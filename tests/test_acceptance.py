@@ -163,11 +163,11 @@ def test_criterion_5_structured_solve_matches_dense():
         # where forward agreement of two backward-stable solvers is no longer
         # measurable at 1e-8; the tiny-mu regime is covered by residual tests.
         mu = 10.0 ** rng.uniform(-6, -1)
-        system = build_reduced(spec, lp, point, mu, eval_gradient(spec, lp, point))
+        system = build_reduced(spec, lp, point.as_vector(), mu, eval_gradient(spec, lp, point))
         stats = FactorizationStats()
         dx, dlam, ds = solve_structured(system, lp, stats=stats)
         delta = np.concatenate([dx, dlam, ds])
-        dense = solve_dense(spec, lp, point, mu, -eval_gradient(spec, lp, point))
+        dense = solve_dense(spec, lp, point.as_vector(), mu, -eval_gradient(spec, lp, point))
         if not np.linalg.norm(delta - dense) <= 1e-8 * (1.0 + np.linalg.norm(dense)):
             failures.append(f"instance {i} at ({m},{n})")
         if max(stats.cholesky_sizes) > max(m, n) or stats.rank_one_updates != 1:

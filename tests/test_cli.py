@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from lpmerit import generate_optimal_lp, load_problem, save_problem
 from lpmerit.cli import TRACE_HEADER, main
@@ -137,6 +138,26 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text('{"m": 2, "n": 4}')
         assert main(["solve", "--input", str(bad)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--tol-grad", "--tol-f", "--mu", "--nu0", "--q"])
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, flag):
+        """An infinite tolerance would certify the starting point; it is
+        rejected as an invalid flag before any iteration runs."""
+        path = _gen(tmp_path, 5, 10)
+        assert main(["solve", "--input", str(path), flag, "inf"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_report_config_lists_the_solver_settings(self, tmp_path):
+        path = _gen(tmp_path, 3, 6)
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
+        config = json.loads(report.read_text())["config"]
+        assert list(config) == [
+            "algorithm", "q", "mu_const", "hessian_lipschitz", "theta", "nu0",
+            "max_iter", "tol_grad", "tol_f", "tol_no_opt",
+        ]
+        assert config["algorithm"] == "homotopy"
+        assert config["max_iter"] == 500
 
     def test_report_roundtrips_through_json(self, tmp_path):
         path = _gen(tmp_path, 3, 6)

@@ -117,6 +117,34 @@ def test_benchmark_panel_is_dual_infeasible_in_five_dense_steps(monkeypatch):
         assert len(calls) == 5
 
 
+@pytest.mark.parametrize(
+    "algorithm,expected",
+    [
+        (Algorithm.LM_CONSTANT, [9, 8, 9, 8, 8]),
+        (Algorithm.LM_ADAPTIVE, [43, 73, 51, 55, 43]),
+    ],
+)
+def test_small_unbounded_step_counts_are_pinned(algorithm, expected, monkeypatch):
+    """Newton solves to a DualInfeasible label on small unbounded problems,
+    with Armijo (constant mu) and with full steps (adaptive mu)."""
+    calls = []
+    real_dense = solver_module.solve_dense
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return real_dense(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_dense", counting)
+    counts = []
+    for seed in range(len(expected)):
+        calls.clear()
+        lp = generate_unbounded_lp(3, 8, seed).lp
+        _, status = solve_homogeneous(lp, SolverConfig(algorithm), HomogeneousPoint.ones(8, 3))
+        assert status is HomogeneousStatus.DUAL_INFEASIBLE
+        counts.append(len(calls))
+    assert counts == expected
+
+
 def test_recover_requires_positive_tau():
     with pytest.raises(ValueError):
         recover_primal_dual(HomogeneousPoint([1.0], [1.0], [1.0], 0.0, 1.0))

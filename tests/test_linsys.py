@@ -39,7 +39,7 @@ class TestBuildReduced:
     def test_nonnegative_point_gives_pure_mu_diagonals(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         p = PrimalDualPoint([0.5, 0.2], [0.3], [0.1, 0.4])
-        system = build_reduced(BASE3, lp, p, 1e-2, eval_gradient(BASE3, lp, p))
+        system = build_reduced(BASE3, lp, p.as_vector(), 1e-2, eval_gradient(BASE3, lp, p))
         np.testing.assert_array_equal(system.d1, [1e-2, 1e-2])
         np.testing.assert_array_equal(system.d2, [1e-2])
         np.testing.assert_array_equal(system.d3, [1e-2, 1e-2])
@@ -47,21 +47,21 @@ class TestBuildReduced:
     def test_negative_x_feeds_the_penalty_diagonal(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         p = PrimalDualPoint([-2.0, 1.0], [0.0], [0.5, 0.5])
-        system = build_reduced(BASE3, lp, p, 0.5, eval_gradient(BASE3, lp, p))
+        system = build_reduced(BASE3, lp, p.as_vector(), 0.5, eval_gradient(BASE3, lp, p))
         np.testing.assert_array_equal(system.d1, [2.5, 0.5])
 
     def test_homotopy_adds_two_nu_to_the_lambda_block(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         spec = MeritSpec(MeritKind.HOMOTOPY, q=3.0, nu=0.1)
         p = PrimalDualPoint([0.0, 0.0], [0.7], [0.0, 0.0])
-        system = build_reduced(spec, lp, p, 1e-9, eval_gradient(spec, lp, p))
+        system = build_reduced(spec, lp, p.as_vector(), 1e-9, eval_gradient(spec, lp, p))
         np.testing.assert_allclose(system.d2, [1e-9 + 0.2], rtol=0, atol=0)
 
     def test_rhs_is_negative_gradient(self):
         prob = generate_optimal_lp(3, 6, 0)
         p = random_primal_dual(np.random.default_rng(1), 6, 3)
         g = eval_gradient(BASE3, prob.lp, p)
-        system = build_reduced(BASE3, prob.lp, p, 1e-3, g)
+        system = build_reduced(BASE3, prob.lp, p.as_vector(), 1e-3, g)
         np.testing.assert_array_equal(
             np.concatenate([system.rhs_x, system.rhs_lam, system.rhs_s]), -g
         )
@@ -70,7 +70,7 @@ class TestBuildReduced:
     def test_requires_positive_mu(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         with pytest.raises(NonPositiveRegularization):
-            build_reduced(BASE3, lp, PrimalDualPoint.zeros(2, 1), 0.0, np.zeros(5))
+            build_reduced(BASE3, lp, PrimalDualPoint.zeros(2, 1).as_vector(), 0.0, np.zeros(5))
 
     def test_rejects_homogeneous_spec(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
@@ -78,7 +78,7 @@ class TestBuildReduced:
             build_reduced(
                 MeritSpec(MeritKind.HOMOGENEOUS, q=3.0),
                 lp,
-                PrimalDualPoint.zeros(2, 1),
+                PrimalDualPoint.zeros(2, 1).as_vector(),
                 1.0,
                 np.zeros(5),
             )
@@ -121,12 +121,12 @@ class TestSolveDense:
         system matrix is [[3,-1,0],[-1,3,1],[0,1,2]] with determinant 13, so
         delta = (6, 5, 4)/13 (recomputed independently)."""
         lp = StandardFormLp([[1.0]], [1.0], [1.0], allow_square=True)
-        delta = solve_dense(BASE3, lp, PrimalDualPoint.zeros(1, 1), 1.0, np.ones(3))
+        delta = solve_dense(BASE3, lp, PrimalDualPoint.zeros(1, 1).as_vector(), 1.0, np.ones(3))
         np.testing.assert_allclose(delta, np.array([6.0, 5.0, 4.0]) / 13.0, rtol=1e-12)
 
     def test_zero_rhs_gives_zero(self):
         prob = generate_optimal_lp(3, 6, 1)
-        delta = solve_dense(BASE3, prob.lp, PrimalDualPoint.zeros(6, 3), 1e-2, np.zeros(15))
+        delta = solve_dense(BASE3, prob.lp, PrimalDualPoint.zeros(6, 3).as_vector(), 1e-2, np.zeros(15))
         np.testing.assert_array_equal(delta, np.zeros(15))
 
     def test_residual_is_tiny(self):
@@ -135,7 +135,7 @@ class TestSolveDense:
             prob = generate_optimal_lp(4, 9, seed)
             p = random_primal_dual(rng, 9, 4)
             rhs = rng.standard_normal(22)
-            delta = solve_dense(BASE3, prob.lp, p, 1e-3, rhs)
+            delta = solve_dense(BASE3, prob.lp, p.as_vector(), 1e-3, rhs)
             from lpmerit import eval_hessian
 
             H = eval_hessian(BASE3, prob.lp, p).full()
@@ -146,7 +146,7 @@ class TestSolveDense:
     def test_requires_positive_mu(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         with pytest.raises(NonPositiveRegularization):
-            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1), -1.0, np.zeros(5))
+            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1).as_vector(), -1.0, np.zeros(5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_raises_factorization_failure(self, bad, monkeypatch):
@@ -155,7 +155,7 @@ class TestSolveDense:
             linsys.merit, "penalty_diagonal_at", lambda spec, lp, z: np.full(z.size, bad)
         )
         with pytest.raises(FactorizationFailure):
-            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1), 1.0, np.zeros(5))
+            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1).as_vector(), 1.0, np.zeros(5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
     def test_bad_s_block_raises_factorization_failure(self, bad, monkeypatch):
@@ -170,7 +170,7 @@ class TestSolveDense:
 
         monkeypatch.setattr(linsys.merit, "penalty_diagonal_at", s_block_only)
         with pytest.raises(FactorizationFailure):
-            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1), 1.0, np.zeros(5))
+            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1).as_vector(), 1.0, np.zeros(5))
 
     @pytest.mark.parametrize(
         "spec",
@@ -189,7 +189,7 @@ class TestSolveDense:
             H[np.diag_indices_from(H)] += 1e-3
             rhs = rng.standard_normal(H.shape[0])
             expected = np.linalg.solve(H, rhs)
-            delta = solve_dense(spec, prob.lp, point, 1e-3, rhs)
+            delta = solve_dense(spec, prob.lp, point.as_vector(), 1e-3, rhs)
             assert np.linalg.norm(delta - expected) <= 1e-8 * np.linalg.norm(expected)
 
     def test_homogeneous_full_system_residual_at_tiny_mu(self):
@@ -201,7 +201,7 @@ class TestSolveDense:
             lp = generate(8, 20, seed).lp
             point = random_homogeneous(rng, 20, 8, scale=2.0)
             g = eval_gradient(HOMOGENEOUS3, lp, point)
-            delta = solve_dense(HOMOGENEOUS3, lp, point, 1e-9, -g)
+            delta = solve_dense(HOMOGENEOUS3, lp, point.as_vector(), 1e-9, -g)
             H = eval_hessian(HOMOGENEOUS3, lp, point).full()
             H[np.diag_indices_from(H)] += 1e-9
             res = np.linalg.norm(H @ delta + g)
@@ -226,7 +226,7 @@ class TestSolveDense:
         prob = generate_optimal_lp(4, 9, 2)
         point = _random_point(spec, np.random.default_rng(5), 9, 4)
         g = eval_gradient(spec, prob.lp, point)
-        solve_dense(spec, prob.lp, point, 1e-6, -g)
+        solve_dense(spec, prob.lp, point.as_vector(), 1e-6, -g)
         order = 9 + 4 + (2 if spec.kind is MeritKind.HOMOGENEOUS else 0)
         assert factored == [(order, order)]
         assert solved == [(order,), (order,)]
@@ -234,11 +234,11 @@ class TestSolveDense:
 
 def _structured_vs_dense(spec, lp, point, mu):
     g = eval_gradient(spec, lp, point)
-    system = build_reduced(spec, lp, point, mu, g)
+    system = build_reduced(spec, lp, point.as_vector(), mu, g)
     stats = FactorizationStats()
     dx, dlam, ds = solve_structured(system, lp, stats=stats)
     delta = np.concatenate([dx, dlam, ds])
-    dense = solve_dense(spec, lp, point, mu, -g)
+    dense = solve_dense(spec, lp, point.as_vector(), mu, -g)
     assert np.linalg.norm(delta - dense) <= 1e-8 * (1.0 + np.linalg.norm(dense))
     return stats
 
@@ -280,7 +280,7 @@ class TestSolveStructured:
             )
             _structured_vs_dense(spec, prob.lp, point, mu)
             system = build_reduced(
-                spec, prob.lp, point, mu, eval_gradient(spec, prob.lp, point)
+                spec, prob.lp, point.as_vector(), mu, eval_gradient(spec, prob.lp, point)
             )
             dx, dlam, _ = solve_structured(system, prob.lp)
             u = np.concatenate([dx, dlam])
@@ -298,7 +298,7 @@ class TestSolveStructured:
             prob = generate_optimal_lp(8, 20, seed)
             point = random_primal_dual(rng, 20, 8, scale=2.0)
             g = eval_gradient(BASE3, prob.lp, point)
-            system = build_reduced(BASE3, prob.lp, point, 1e-9, g)
+            system = build_reduced(BASE3, prob.lp, point.as_vector(), 1e-9, g)
             dx, dlam, ds = solve_structured(system, prob.lp)
             delta = np.concatenate([dx, dlam, ds])
             H = eval_hessian(BASE3, prob.lp, point).full()
@@ -344,7 +344,7 @@ class TestSolveStructured:
         prob = generate_optimal_lp(4, 9, 2)
         point = random_primal_dual(np.random.default_rng(5), 9, 4)
         system = build_reduced(
-            BASE3, prob.lp, point, 1e-6, eval_gradient(BASE3, prob.lp, point)
+            BASE3, prob.lp, point.as_vector(), 1e-6, eval_gradient(BASE3, prob.lp, point)
         )
         stats = FactorizationStats()
         solve_structured(system, prob.lp, stats=stats)
@@ -360,7 +360,7 @@ class TestSolveStructured:
             point = random_primal_dual(rng, 7, 3, scale=2.0)
             mu = 10.0 ** rng.uniform(-9, -1)
             g = eval_gradient(BASE3, prob.lp, point)
-            system = build_reduced(BASE3, prob.lp, point, mu, g)
+            system = build_reduced(BASE3, prob.lp, point.as_vector(), mu, g)
             dx, dlam, ds = solve_structured(system, prob.lp)
             assert g @ np.concatenate([dx, dlam, ds]) < 0.0
 
@@ -406,7 +406,7 @@ class TestSolveStructured:
         prob = generate_optimal_lp(4, 9, 2)
         point = random_primal_dual(np.random.default_rng(5), 9, 4)
         g = eval_gradient(BASE3, prob.lp, point)
-        solve_structured(build_reduced(BASE3, prob.lp, point, 1e-6, g), prob.lp)
+        solve_structured(build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert calls == [(9, 2), (4, 2), (9,), (4,)]
 
     def test_problem_gram_matrix_is_left_unchanged(self):
@@ -414,5 +414,5 @@ class TestSolveStructured:
         before = prob.lp.gram.copy()
         point = random_primal_dual(np.random.default_rng(8), 9, 4)
         g = eval_gradient(BASE3, prob.lp, point)
-        solve_structured(build_reduced(BASE3, prob.lp, point, 1e-6, g), prob.lp)
+        solve_structured(build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert np.array_equal(prob.lp.gram, before)

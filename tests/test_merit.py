@@ -208,9 +208,17 @@ class TestInvariants:
             )
 
 
+def _assert_evaluate_matches(spec, lp, z):
+    """merit.evaluate equals (value_at, gradient_at) bit for bit."""
+    f, g = merit.evaluate(spec, lp, z)
+    assert np.float64(f).tobytes() == np.float64(merit.value_at(spec, lp, z)).tobytes()
+    assert g.tobytes() == merit.gradient_at(spec, lp, z).tobytes()
+
+
 class TestHomotopyFromBase:
     """The HOMOTOPY merit built on the BASE value and gradient equals
-    value_at and gradient_at of the HOMOTOPY spec bit for bit."""
+    value_at and gradient_at of the HOMOTOPY spec bit for bit, and so does
+    merit.evaluate of either spec."""
 
     @staticmethod
     def _check(lp, z, q, nu):
@@ -221,6 +229,8 @@ class TestHomotopyFromBase:
         )
         assert f == merit.value_at(spec, lp, z)
         assert np.array_equal(g, merit.gradient_at(spec, lp, z))
+        _assert_evaluate_matches(base, lp, z)
+        _assert_evaluate_matches(spec, lp, z)
         return f, g
 
     def test_random_points(self):
@@ -250,6 +260,26 @@ class TestHomotopyFromBase:
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         f, _ = self._check(lp, np.array([1e160, 0.0, 0.0, 0.0, 0.0]), 2.1, 0.1)
         assert f == math.inf
+
+    def test_homogeneous_points(self):
+        rng = np.random.default_rng(29)
+        for trial in range(100):
+            m = int(rng.integers(1, 8))
+            n = m + int(rng.integers(1, 8))
+            lp = generate_optimal_lp(m, n, trial).lp
+            z = rng.standard_normal(2 * n + m + 2) * 10.0 ** rng.uniform(-3, 3)
+            _assert_evaluate_matches(MeritSpec(MeritKind.HOMOGENEOUS, q=(2.1, 3.0)[trial % 2]), lp, z)
+
+    def test_saturated_homogeneous_value(self):
+        """A huge tau overflows the squared primal residual: the value
+        saturates and the gradient stays finite."""
+        lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+        spec = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
+        z = np.array([0.5, 0.5, 0.2, 0.1, 0.1, 1e160, 1.0])
+        _assert_evaluate_matches(spec, lp, z)
+        f, g = merit.evaluate(spec, lp, z)
+        assert f == math.inf
+        assert np.isfinite(g).all()
 
     def test_requires_a_homotopy_spec(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])

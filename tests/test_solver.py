@@ -14,7 +14,6 @@ from lpmerit import (
     HomogeneousPoint,
     HomogeneousStatus,
     InvalidConfig,
-    LineSearchRule,
     NotDescentDirection,
     PrimalDualPoint,
     SolverConfig,
@@ -54,11 +53,9 @@ class TestConfig:
     def test_variant_defaults(self):
         adaptive = SolverConfig(Algorithm.LM_ADAPTIVE)
         assert adaptive.q == 3.0
-        assert adaptive.line_search is LineSearchRule.PURE_NEWTON
         for alg in (Algorithm.LM_CONSTANT, Algorithm.HOMOTOPY):
             cfg = SolverConfig(alg)
             assert cfg.q == 2.1
-            assert cfg.line_search is LineSearchRule.ARMIJO
             assert cfg.mu_const == 1e-9
         assert SolverConfig(Algorithm.HOMOTOPY).theta == 0.8
 
@@ -71,8 +68,14 @@ class TestConfig:
             {"nu0": 0.0},
             {"mu_const": 0.0},
             {"tol_grad": 0.0},
-            {"armijo_shrink": 1.0},
             {"max_iter": -1},
+            {"q": math.inf},
+            {"mu_const": math.inf},
+            {"hessian_lipschitz": math.inf},
+            {"nu0": math.inf},
+            {"tol_grad": math.inf},
+            {"tol_f": math.inf},
+            {"tol_no_opt": math.inf},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -296,6 +299,92 @@ class TestNonFiniteSteps:
         np.testing.assert_array_equal(point.as_vector(), np.ones(2 * 8 + 3 + 2))
 
 
+class TestOneEvaluationPerIterate:
+    """merit.evaluate runs once per iterate, gradient_at never runs, value_at
+    runs only as an Armijo probe, and the point is built only at exit."""
+
+    @staticmethod
+    def _instrument(monkeypatch):
+        counts = {"evaluate": 0, "gradient_at": 0, "value_at_outside_armijo": 0}
+        in_armijo = []
+        evaluate, gradient_at = merit_module.evaluate, merit_module.gradient_at
+        value_at, armijo = merit_module.value_at, solver_module.armijo_search
+
+        def counting_evaluate(*args):
+            counts["evaluate"] += 1
+            return evaluate(*args)
+
+        def counting_gradient_at(*args):
+            counts["gradient_at"] += 1
+            return gradient_at(*args)
+
+        def watched_value_at(*args):
+            if not in_armijo:
+                counts["value_at_outside_armijo"] += 1
+            return value_at(*args)
+
+        def marked_armijo(*args, **kwargs):
+            in_armijo.append(True)
+            try:
+                return armijo(*args, **kwargs)
+            finally:
+                in_armijo.pop()
+
+        monkeypatch.setattr(merit_module, "evaluate", counting_evaluate)
+        monkeypatch.setattr(merit_module, "gradient_at", counting_gradient_at)
+        monkeypatch.setattr(merit_module, "value_at", watched_value_at)
+        monkeypatch.setattr(solver_module, "armijo_search", marked_armijo)
+        return counts
+
+    @staticmethod
+    def _count_from_vector(monkeypatch, cls):
+        calls = []
+        from_vector = cls.from_vector
+
+        def counting(_cls, *args):
+            calls.append(args)
+            return from_vector(*args)
+
+        monkeypatch.setattr(cls, "from_vector", classmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("alg", [Algorithm.HOMOTOPY, Algorithm.LM_CONSTANT])
+    def test_solve(self, alg, monkeypatch):
+        counts = self._instrument(monkeypatch)
+        built = self._count_from_vector(monkeypatch, PrimalDualPoint)
+        out = solve(generate_optimal_lp(5, 10, 0).lp, SolverConfig(alg, trace=False))
+        assert out.status is SolveStatus.OPTIMAL
+        assert counts == {
+            "evaluate": out.iterations + 1,
+            "gradient_at": 0,
+            "value_at_outside_armijo": 0,
+        }
+        assert len(built) == 1
+
+    def test_solve_homogeneous(self, monkeypatch):
+        counts = self._instrument(monkeypatch)
+        built = self._count_from_vector(monkeypatch, HomogeneousPoint)
+        steps = []
+        solve_dense = solver_module.solve_dense
+
+        def counting_dense(*args):
+            steps.append(args[3])
+            return solve_dense(*args)
+
+        monkeypatch.setattr(solver_module, "solve_dense", counting_dense)
+        prob = generate_unbounded_lp(3, 8, 1)
+        _, status = solve_homogeneous(
+            prob.lp, SolverConfig(Algorithm.LM_CONSTANT), HomogeneousPoint.ones(8, 3)
+        )
+        assert status is HomogeneousStatus.DUAL_INFEASIBLE
+        assert counts == {
+            "evaluate": len(steps) + 1,
+            "gradient_at": 0,
+            "value_at_outside_armijo": 0,
+        }
+        assert len(built) == 1
+
+
 class TestIterates:
     """The per-problem cache of A'A and the iterates it feeds."""
 
@@ -326,5 +415,12 @@ class TestIterates:
             solve(generate_optimal_lp(m, n, seed).lp, self.HOMOTOPY)
             for seed in range(len(expected))
         ]
+        assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * len(expected)
+        assert [out.iterations for out in outcomes] == expected
+
+    def test_constant_mu_iteration_counts_are_pinned(self):
+        expected = [11, 11, 11, 10, 14, 9, 9, 11, 12, 11]
+        config = SolverConfig(Algorithm.LM_CONSTANT, trace=False)
+        outcomes = [solve(generate_optimal_lp(5, 10, seed).lp, config) for seed in range(10)]
         assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * len(expected)
         assert [out.iterations for out in outcomes] == expected
