@@ -21,7 +21,6 @@ from .errors import (
     ShapeViolation,
 )
 from .linsys import (
-    FactorizationStats,
     ReducedSystem,
     build_reduced,
     cholesky_rank_one_update,
@@ -71,7 +70,6 @@ __all__ = [
     "Classification",
     "DimensionMismatch",
     "FactorizationFailure",
-    "FactorizationStats",
     "GENERATOR_NAME",
     "GeneratedProblem",
     "HessianParts",

@@ -24,7 +24,7 @@ a non-finite step, which the caller must test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -33,13 +33,6 @@ from . import merit
 from .errors import FactorizationFailure, KindMismatch, NonPositiveRegularization
 from .merit import MeritKind, MeritSpec
 from .problems import StandardFormLp
-
-@dataclass
-class FactorizationStats:
-    """Instrumentation: sizes of Cholesky factorizations and rank-one corrections."""
-
-    cholesky_sizes: list = field(default_factory=list)
-    rank_one_updates: int = 0
 
 
 @dataclass(frozen=True)
@@ -108,9 +101,7 @@ def cholesky_rank_one_update(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
     return L
 
 
-def solve_structured(
-    system: ReducedSystem, lp: StandardFormLp, *, stats: FactorizationStats | None = None
-):
+def solve_structured(system: ReducedSystem, lp: StandardFormLp):
     """Solve the full regularized Newton system via the eliminated form.
 
     Returns (dx, dlam, ds).  The n x n block is the problem's cached Gram
@@ -137,9 +128,6 @@ def solve_structured(
     M_lam[np.diag_indices(m)] += d2
     F_x = _factor(M_x)
     F_lam = _factor(M_lam)
-    if stats is not None:
-        stats.cholesky_sizes += [n, m]
-        stats.rank_one_updates += 1
     v = system.v
 
     # _factor has checked both blocks for NaN and inf, so their factors are finite
@@ -173,11 +161,11 @@ def solve_dense(
 ) -> np.ndarray:
     """Solve (hessian + mu*I) delta = ``rhs`` at ``z`` on the cached Hessian base.
 
-    The Newton solve of the homogeneous merit and the fallback when the
-    structured solve fails.  In both bases the s block is the identity and is
-    coupled only to the lam rows (and, in the homogeneous base, the tau row),
-    so it is eliminated exactly: with d_s = 1 + diag[s] and C those rows'
-    s columns, the remainder over (x, lam[, tau, kappa]) is
+    The Newton solve of the homogeneous merit, and the reference that the
+    structured solve is tested against.  In both bases the s block is the
+    identity and is coupled only to the lam rows (and, in the homogeneous
+    base, the tau row), so it is eliminated exactly: with d_s = 1 + diag[s]
+    and C those rows' s columns, the remainder over (x, lam[, tau, kappa]) is
     R = base + diag - (C/sqrt(d_s)) (C/sqrt(d_s))', of order n+m or n+m+2,
     the only matrix factored; s is recovered as (r_s - C'y) / d_s.  Cholesky
     is backward stable under this symmetric reordering.  One step of

@@ -19,6 +19,7 @@ zero certifies that no primal-dual optimum exists.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,8 +35,12 @@ from .problems import HomogeneousPoint, PrimalDualPoint, StandardFormLp, residua
 #: no-optimum outcome is attributed to dual infeasibility (unboundedness).
 PRIMAL_FEASIBLE_TOL = 1e-6
 
+#: Scale-relative merit value at or above which a vanishing gradient
+#: certifies that no primal-dual optimum exists.
+NO_OPTIMUM_TOL = 1e-8
+
 #: Escalation ladder for failed factorizations: mu <- max(10 mu, 1e-12),
-#: at most this many times, then one dense attempt.
+#: at most this many times; the last failure ends the run.
 _MAX_MU_ESCALATIONS = 20
 
 
@@ -72,7 +77,8 @@ class SolverConfig:
     to 2.1 for the constant-mu schemes, which backtrack with Armijo.  Every
     number must be finite.  Stopping thresholds are scale-relative: optimal
     needs value <= tol_f * scale^2 and grad <= tol_grad * scale^2; a certified
-    no-optimum needs the same gradient bound with value >= tol_no_opt * scale^2.
+    no-optimum needs the same gradient bound with value >= NO_OPTIMUM_TOL * scale^2.
+    ``max_iter`` must be a nonnegative integer.
     """
 
     algorithm: Algorithm
@@ -84,7 +90,6 @@ class SolverConfig:
     max_iter: int = 500
     tol_grad: float = 1e-10
     tol_f: float = 1e-16
-    tol_no_opt: float = 1e-8
     trace: bool = True
 
     def __post_init__(self):
@@ -96,12 +101,15 @@ class SolverConfig:
             raise InvalidConfig(f"q must be finite and exceed 2, got {self.q}")
         if not 0.0 < self.theta < 1.0:
             raise InvalidConfig(f"theta must lie in (0, 1), got {self.theta}")
-        for name in ("mu_const", "hessian_lipschitz", "nu0", "tol_grad", "tol_f", "tol_no_opt"):
+        for name in ("mu_const", "hessian_lipschitz", "nu0", "tol_grad", "tol_f"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidConfig(f"{name} must be finite and positive, got {value}")
-        if not (math.isfinite(self.max_iter) and self.max_iter >= 0):
-            raise InvalidConfig(f"max_iter must be finite and nonnegative, got {self.max_iter}")
+        integral = isinstance(self.max_iter, numbers.Integral) and not isinstance(
+            self.max_iter, bool
+        )
+        if not (integral and self.max_iter >= 0):
+            raise InvalidConfig(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
 
 
 @dataclass
@@ -167,20 +175,21 @@ def armijo_search(
 def _newton_step(spec, lp, z, mu, g):
     """Solve (hessian + mu*I) delta = -g at ``z``, escalating mu on factorization failure.
 
-    Primal-dual merits take the structured solve; the homogeneous merit takes
-    solve_dense, which eliminates only the s block, since its two border rows
-    fall outside the reduced system.
-    Each failure sets mu <- max(10 mu, 1e-12); once the ladder is exhausted, one
-    dense attempt is made, whose FactorizationFailure propagates.
+    The merit kind picks the one solve: primal-dual merits take the
+    structured solve; the homogeneous merit takes solve_dense, which
+    eliminates only the s block, since its two border rows fall outside the
+    reduced system.  Each failure sets mu <- max(10 mu, 1e-12); the
+    FactorizationFailure of the last rung propagates.
     """
-    for _ in range(_MAX_MU_ESCALATIONS + 1):
+    for rung in range(_MAX_MU_ESCALATIONS + 1):
         try:
             if spec.kind is MeritKind.HOMOGENEOUS:
                 return solve_dense(spec, lp, z, mu, -g)
             return np.concatenate(solve_structured(build_reduced(spec, lp, z, mu, g), lp))
         except FactorizationFailure:
+            if rung == _MAX_MU_ESCALATIONS:
+                raise
             mu = max(10.0 * mu, 1e-12)
-    return solve_dense(spec, lp, z, mu, -g)
 
 
 def _step(spec, lp, config, z, f, g, mu):
@@ -189,8 +198,8 @@ def _step(spec, lp, config, z, f, g, mu):
     LM_ADAPTIVE takes full steps, the others backtrack with Armijo.  Returns
     (alpha, z_next, None) on success, or (None, None, status) with the status
     that ends the run: a failed factorization, a non-finite step or a
-    non-finite iterate is a numerical failure, a non-descent direction or an
-    Armijo search that stagnates without decrease is an iteration limit.
+    non-finite iterate is a numerical failure, a non-descent direction or a
+    stagnated Armijo search is an iteration limit.
     """
     try:
         delta = _newton_step(spec, lp, z, mu, g)
@@ -205,13 +214,10 @@ def _step(spec, lp, config, z, f, g, mu):
         return None, None, SolveStatus.ITERATION_LIMIT
     alpha = 1.0
     if config.algorithm is not Algorithm.LM_ADAPTIVE:
-
-        def objective(zz):
-            return merit.value_at(spec, lp, zz)
-
-        alpha, stagnated = armijo_search(objective, z, delta, slope, f)
-        # a stagnated probe is only taken if it still strictly decreases
-        if stagnated and not objective(z + alpha * delta) < f:
+        alpha, stagnated = armijo_search(
+            lambda zz: merit.value_at(spec, lp, zz), z, delta, slope, f
+        )
+        if stagnated:
             return None, None, SolveStatus.ITERATION_LIMIT
     z_next = z + alpha * delta
     if not np.isfinite(z_next).all():
@@ -293,7 +299,7 @@ def solve(
     scale2 = lp.scale**2
     tol_f = config.tol_f * scale2
     tol_grad = config.tol_grad * scale2
-    tol_no_opt = config.tol_no_opt * scale2
+    tol_no_opt = NO_OPTIMUM_TOL * scale2
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
         x_star_norm = float(np.linalg.norm(x_star))

@@ -154,7 +154,7 @@ class TestSolve:
         config = json.loads(report.read_text())["config"]
         assert list(config) == [
             "algorithm", "q", "mu_const", "hessian_lipschitz", "theta", "nu0",
-            "max_iter", "tol_grad", "tol_f", "tol_no_opt",
+            "max_iter", "tol_grad", "tol_f",
         ]
         assert config["algorithm"] == "homotopy"
         assert config["max_iter"] == 500

@@ -18,6 +18,7 @@ from lpmerit import (
     PrimalDualPoint,
     SolverConfig,
     SolveStatus,
+    StandardFormLp,
     armijo_search,
     brute_force_optimum,
     generate_optimal_lp,
@@ -75,7 +76,8 @@ class TestConfig:
             {"nu0": math.inf},
             {"tol_grad": math.inf},
             {"tol_f": math.inf},
-            {"tol_no_opt": math.inf},
+            {"max_iter": 5.0},
+            {"max_iter": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -194,8 +196,8 @@ class TestSolve:
 
 
 class TestFactorizationFailures:
-    """The mu-escalation ladder and the final dense attempt, reached by fakes
-    of the two linear solves that raise FactorizationFailure."""
+    """The mu-escalation ladder, reached by fakes of the two linear solves
+    that raise FactorizationFailure; the merit kind picks which one."""
 
     CFG = SolverConfig(Algorithm.LM_CONSTANT, max_iter=1)
 
@@ -224,19 +226,6 @@ class TestFactorizationFailures:
         tried = [args[0].d2[0] for args in calls]
         np.testing.assert_allclose(tried, [1e-9, 1e-8, 1e-7, 1e-6], rtol=1e-12)
 
-    def test_dense_attempt_follows_an_exhausted_ladder(self, monkeypatch):
-        structured, dense = [], []
-        real_dense = solver_module.solve_dense
-        monkeypatch.setattr(solver_module, "solve_structured", self._failing(structured))
-        monkeypatch.setattr(
-            solver_module, "solve_dense", self._failing(dense, lambda args: True, real_dense)
-        )
-        out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
-        assert out.status is SolveStatus.ITERATION_LIMIT
-        assert len(structured) == solver_module._MAX_MU_ESCALATIONS + 1
-        assert len(dense) == 1
-        assert dense[0][3] == pytest.approx(1e-9 * 10.0**21, rel=1e-12)
-
     def test_solve_reports_numerical_failure_when_every_attempt_fails(self, monkeypatch):
         structured, dense = [], []
         monkeypatch.setattr(solver_module, "solve_structured", self._failing(structured))
@@ -244,7 +233,7 @@ class TestFactorizationFailures:
         out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
         assert out.status is SolveStatus.NUMERICAL_FAILURE
         assert out.iterations == 0
-        assert (len(structured), len(dense)) == (solver_module._MAX_MU_ESCALATIONS + 1, 1)
+        assert (len(structured), len(dense)) == (solver_module._MAX_MU_ESCALATIONS + 1, 0)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -264,8 +253,83 @@ class TestFactorizationFailures:
         prob = generate_unbounded_lp(3, 8, 1)
         point, status = solve_homogeneous(prob.lp, self.CFG, HomogeneousPoint.ones(8, 3))
         assert status is HomogeneousStatus.INCONCLUSIVE
-        assert len(dense) == solver_module._MAX_MU_ESCALATIONS + 2
+        assert len(dense) == solver_module._MAX_MU_ESCALATIONS + 1
         np.testing.assert_array_equal(point.as_vector(), np.ones(2 * 8 + 3 + 2))
+
+
+class TestFailurePathsOnRealInputs:
+    """Each way a Newton step can end a run, reached by a real input where
+    one exists: the mu ladder by a badly scaled A, a non-descent step by
+    row scaling.  No input is known to stagnate Armijo, so that path is
+    reached by a fake merit value."""
+
+    @staticmethod
+    def _count_attempts(monkeypatch):
+        calls = {"structured": 0, "dense": 0}
+        build_reduced, solve_dense = solver_module.build_reduced, solver_module.solve_dense
+
+        def counting_build_reduced(*args):
+            calls["structured"] += 1
+            return build_reduced(*args)
+
+        def counting_solve_dense(*args):
+            calls["dense"] += 1
+            return solve_dense(*args)
+
+        monkeypatch.setattr(solver_module, "build_reduced", counting_build_reduced)
+        monkeypatch.setattr(solver_module, "solve_dense", counting_solve_dense)
+        return calls
+
+    @staticmethod
+    def _scaled(scale):
+        lp = generate_optimal_lp(5, 10, 0).lp
+        return StandardFormLp(lp.A * scale, lp.b * scale, lp.c)
+
+    def test_ladder_escalates_and_then_steps(self, monkeypatch):
+        calls = self._count_attempts(monkeypatch)
+        out = solve(self._scaled(1e3), SolverConfig(Algorithm.HOMOTOPY, trace=False))
+        assert out.iterations >= 1
+        assert calls["structured"] > out.iterations
+        assert calls["dense"] == 0
+
+    def test_exhausted_ladder_is_a_numerical_failure(self, monkeypatch):
+        calls = self._count_attempts(monkeypatch)
+        out = solve(self._scaled(1e14), SolverConfig(Algorithm.HOMOTOPY, trace=False))
+        assert out.status is SolveStatus.NUMERICAL_FAILURE
+        assert out.iterations == 0
+        assert calls == {"structured": solver_module._MAX_MU_ESCALATIONS + 1, "dense": 0}
+
+    def test_non_descent_step_ends_the_run_early(self, monkeypatch):
+        slopes = []
+        newton_step = solver_module._newton_step
+
+        def recording_newton_step(spec, lp, z, mu, g):
+            delta = newton_step(spec, lp, z, mu, g)
+            slopes.append(float(g @ delta))
+            return delta
+
+        monkeypatch.setattr(solver_module, "_newton_step", recording_newton_step)
+        lp = generate_optimal_lp(10, 15, 1).lp
+        rows = np.logspace(-4, 4, 10)
+        config = SolverConfig(Algorithm.HOMOTOPY, trace=False)
+        out = solve(StandardFormLp(lp.A * rows[:, None], lp.b * rows, lp.c), config)
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        assert out.iterations < config.max_iter
+        assert len(slopes) == out.iterations + 1
+        assert slopes[-1] >= 0.0 and all(slope < 0.0 for slope in slopes[:-1])
+
+    def test_stagnated_armijo_search_ends_the_run(self, monkeypatch):
+        probes = []
+
+        def infinite_value(*args):
+            probes.append(args)
+            return math.inf
+
+        monkeypatch.setattr(merit_module, "value_at", infinite_value)
+        out = solve(generate_optimal_lp(3, 6, 0).lp, SolverConfig(Algorithm.LM_CONSTANT))
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        assert out.iterations == 0
+        assert len(probes) == 61
 
 
 class TestNonFiniteSteps:
