@@ -14,11 +14,14 @@ Three variants share one interface:
   (x, lam, s, tau, kappa), whose residuals are c.x - b.lam + kappa,
   b*tau - A x and c*tau - A'lam - s.
 
-The solver works on flat iterates: ``evaluate`` returns the value and the
-gradient at one iterate from a single computation of the residuals
-(gamma, rho, sigma), and ``value_at`` and ``gradient_at`` reuse that residual
-code.  The Hessian splits into an iterate-independent base matrix (cached per
-problem) plus a nonnegative diagonal that is recomputed per point.
+The solver works on flat iterates.  ``evaluate`` computes the residuals
+(gamma, rho, sigma) once and returns them together with two value-gradient
+pairs: the merit at nu = 0 and the merit of the given spec, which differ only
+for a HOMOTOPY spec with nu > 0.  ``value_at`` and ``gradient_at`` reuse the
+same code.  Every hinge power max(-t, 0)**p, and the nu-weighted max(t, 0)**p,
+comes from one helper over the sign-constrained coordinates.  The Hessian
+splits into an iterate-independent base matrix (cached per problem) plus a
+nonnegative diagonal that is recomputed per point.
 """
 
 from __future__ import annotations
@@ -53,10 +56,12 @@ class MeritSpec:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not self.q > 2.0:
-            raise InvalidConfig(f"q must exceed 2 for twice differentiability, got {self.q}")
-        if not self.nu >= 0.0:
-            raise InvalidConfig(f"nu must be nonnegative, got {self.nu}")
+        if not (math.isfinite(self.q) and self.q > 2.0):
+            raise InvalidConfig(
+                f"q must be finite and exceed 2 for twice differentiability, got {self.q}"
+            )
+        if not (math.isfinite(self.nu) and self.nu >= 0.0):
+            raise InvalidConfig(f"nu must be finite and nonnegative, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -72,28 +77,6 @@ class HessianParts:
         return out
 
 
-def _hinge_pow(t: np.ndarray, p: float) -> np.ndarray:
-    """max(-t, 0)**p, evaluated only on negative entries so fractional p is safe."""
-    out = np.zeros_like(t)
-    neg = t < 0
-    if neg.any():
-        out[neg] = np.power(-t[neg], p)
-    return out
-
-
-def _pos_pow(t: np.ndarray, p: float) -> np.ndarray:
-    """max(t, 0)**p with the same masked evaluation."""
-    out = np.zeros_like(t)
-    pos = t > 0
-    if pos.any():
-        out[pos] = np.power(t[pos], p)
-    return out
-
-
-def _hinge_pow_scalar(t: float, p: float) -> float:
-    return float((-t) ** p) if t < 0 else 0.0
-
-
 def _expect_length(lp, spec, z):
     size = 2 * lp.n + lp.m
     if spec.kind is MeritKind.HOMOGENEOUS:
@@ -102,9 +85,18 @@ def _expect_length(lp, spec, z):
         raise DimensionMismatch(f"expected point of length {size}, got {z.shape}")
 
 
-def _split(lp, z):
-    n, m = lp.n, lp.m
-    return z[:n], z[n : n + m], z[n + m : 2 * n + m]
+def _hinge_powers(spec, lp, z, p):
+    """(max(-t, 0)**p, max(t, 0)**p) in the layout of ``z``, where t is ``z``
+    with the sign-free lam block set to zero; both come from one power of |t|.
+    The second is None unless ``spec`` is HOMOTOPY with nu > 0."""
+    t = z.copy()
+    t[lp.n : lp.n + lp.m] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.power(np.abs(t), p)
+    neg = np.where(t < 0, a, 0.0)
+    if spec.kind is MeritKind.HOMOTOPY and spec.nu > 0.0:
+        return neg, np.where(t > 0, a, 0.0)
+    return neg, None
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +108,8 @@ def _split(lp, z):
 def _residuals(spec, lp, z):
     """(gamma, rho, sigma, A x, A' lam) at the flat iterate ``z``."""
     _expect_length(lp, spec, z)
-    A, b, c = lp.A, lp.b, lp.c
-    x, lam, s = _split(lp, z)
+    A, b, c, n, m = lp.A, lp.b, lp.c, lp.n, lp.m
+    x, lam, s = z[:n], z[n : n + m], z[n + m : 2 * n + m]
     with np.errstate(over="ignore", invalid="ignore"):
         Ax, ATlam = A @ x, A.T @ lam
         if spec.kind is MeritKind.HOMOGENEOUS:
@@ -126,99 +118,59 @@ def _residuals(spec, lp, z):
         return float(c @ x - b @ lam), b - Ax, c - ATlam - s, Ax, ATlam
 
 
-def _value(spec, lp, z, gamma, rho, sigma):
-    q = spec.q
-    x, lam, s = _split(lp, z)
+def _values(spec, lp, z, gamma, rho, sigma):
+    """(value at nu = 0, value of ``spec``), the second adding the nu terms
+    to the first; sums over x and over the rest are kept apart."""
+    q, n, m = spec.q, lp.n, lp.m
+    neg, pos = _hinge_powers(spec, lp, z, q)
     with np.errstate(over="ignore", invalid="ignore"):
-        penalty = _hinge_pow(x, q).sum() + _hinge_pow(s, q).sum()
-        if spec.kind is MeritKind.HOMOGENEOUS:
-            penalty = penalty + _hinge_pow_scalar(z[-2], q) + _hinge_pow_scalar(z[-1], q)
-        terms = [
-            0.5 * gamma * gamma,
-            0.5 * float(rho @ rho),
-            0.5 * float(sigma @ sigma),
-            penalty / (q * (q - 1.0)),
-        ]
-        if spec.kind is MeritKind.HOMOTOPY and spec.nu > 0.0:
-            terms += _nu_terms(spec, x, lam, s)
-    return _saturating_sum(terms)
+        penalty = (neg[:n].sum() + neg[n + m :].sum()) / (q * (q - 1.0))
+        f0 = _saturating_sum(
+            [0.5 * gamma * gamma, 0.5 * float(rho @ rho), 0.5 * float(sigma @ sigma), penalty]
+        )
+        if pos is None:
+            return f0, f0
+        lam = z[n : n + m]
+        nu_penalty = spec.nu * (pos[:n].sum() + pos[n + m :].sum()) / (q * (q - 1.0))
+        return f0, _saturating_sum([spec.nu * float(lam @ lam), nu_penalty], f0)
 
 
-def _gradient(spec, lp, z, gamma, rho, sigma, Ax, ATlam):
-    A, b, c, q = lp.A, lp.b, lp.c, spec.q
-    x, lam, s = _split(lp, z)
-    gx = gamma * c - A.T @ rho - _hinge_pow(x, q - 1) / (q - 1.0)
-    gl = -gamma * b - A @ sigma
-    gs = -sigma - _hinge_pow(s, q - 1) / (q - 1.0)
+def _gradients(spec, lp, z, gamma, rho, sigma, Ax, ATlam):
+    """(gradient at nu = 0, gradient of ``spec``), in the layout of ``z``."""
+    A, b, c, q, n, m = lp.A, lp.b, lp.c, spec.q, lp.n, lp.m
+    neg, pos = _hinge_powers(spec, lp, z, q - 1)
+    tail = -sigma
     if spec.kind is MeritKind.HOMOGENEOUS:
-        tau, kappa = z[-2], z[-1]
-        w = float(Ax @ b + (ATlam + s) @ c - (b @ b + c @ c) * tau)
-        gt = -w - _hinge_pow_scalar(tau, q - 1) / (q - 1.0)
-        gk = gamma - _hinge_pow_scalar(kappa, q - 1) / (q - 1.0)
-        return np.concatenate([gx, gl, gs, [gt, gk]])
-    g = np.concatenate([gx, gl, gs])
-    if spec.kind is MeritKind.HOMOTOPY and spec.nu > 0.0:
-        g += _nu_gradient(spec, x, lam, s)
-    return g
+        w = float(Ax @ b + (ATlam + z[n + m : -2]) @ c - (b @ b + c @ c) * z[-2])
+        tail = np.concatenate([tail, [-w, gamma]])
+    g0 = np.concatenate([gamma * c - A.T @ rho, -gamma * b - A @ sigma, tail]) - neg / (q - 1.0)
+    if pos is None:
+        return g0, g0
+    nu_part = spec.nu * pos / (q - 1.0)
+    nu_part[n : n + m] = 2.0 * spec.nu * z[n : n + m]
+    return g0, g0 + nu_part
 
 
-def evaluate(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> tuple[float, np.ndarray]:
-    """Merit value and gradient at the flat iterate ``z``, from one residual
-    computation; equal to (value_at, gradient_at) bit for bit."""
-    r = _residuals(spec, lp, z)
-    return _value(spec, lp, z, *r[:3]), _gradient(spec, lp, z, *r)
+def evaluate(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray):
+    """``((f0, g0), (f, g), (gamma, rho, sigma))`` at the flat iterate ``z``,
+    from one residual computation: the value and gradient at nu = 0 (the BASE
+    merit for a HOMOTOPY spec, ``spec`` itself otherwise) and of ``spec``,
+    each pair equal to value_at and gradient_at of its spec bit for bit, and
+    the residuals both were built on."""
+    gamma, rho, sigma, Ax, ATlam = _residuals(spec, lp, z)
+    f0, f = _values(spec, lp, z, gamma, rho, sigma)
+    g0, g = _gradients(spec, lp, z, gamma, rho, sigma, Ax, ATlam)
+    return (f0, g0), (f, g), (gamma, rho, sigma)
 
 
 def value_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> float:
     """Merit value at the flat iterate ``z``; saturates to +inf on overflow."""
-    return _value(spec, lp, z, *_residuals(spec, lp, z)[:3])
+    return _values(spec, lp, z, *_residuals(spec, lp, z)[:3])[1]
 
 
 def gradient_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarray:
     """Analytic gradient at the flat iterate ``z``."""
-    return _gradient(spec, lp, z, *_residuals(spec, lp, z))
-
-
-def homotopy_from_base(
-    spec: MeritSpec, lp: StandardFormLp, z: np.ndarray, f_base: float, g_base: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """HOMOTOPY value and gradient at ``z`` from the BASE ones at the same ``z``.
-
-    ``f_base`` and ``g_base`` must be value_at and gradient_at of the BASE
-    merit with the same q.  The nu terms are added in the order value_at and
-    gradient_at use, with the same saturation, so both results equal theirs
-    bit for bit; the gradient is returned even when the value saturates.
-    """
-    if spec.kind is not MeritKind.HOMOTOPY:
-        raise KindMismatch(f"expected a HOMOTOPY spec, got {spec.kind.name}")
-    _expect_length(lp, spec, z)
-    if spec.nu == 0.0:
-        return f_base, g_base
-    x, lam, s = _split(lp, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _nu_terms(spec, x, lam, s)
-    return _saturating_sum(terms, f_base), g_base + _nu_gradient(spec, x, lam, s)
-
-
-def _nu_terms(spec, x, lam, s):
-    """The two value terms the HOMOTOPY merit adds to the BASE merit."""
-    q, nu = spec.q, spec.nu
-    return [
-        nu * float(lam @ lam),
-        nu * (_pos_pow(x, q).sum() + _pos_pow(s, q).sum()) / (q * (q - 1.0)),
-    ]
-
-
-def _nu_gradient(spec, x, lam, s):
-    """The gradient of the two HOMOTOPY terms, in (x, lam, s) order."""
-    q, nu = spec.q, spec.nu
-    return np.concatenate(
-        [
-            nu * _pos_pow(x, q - 1) / (q - 1.0),
-            2.0 * nu * lam,
-            nu * _pos_pow(s, q - 1) / (q - 1.0),
-        ]
-    )
+    return _gradients(spec, lp, z, *_residuals(spec, lp, z))[1]
 
 
 def _saturating_sum(terms, total=0.0):
@@ -234,21 +186,12 @@ def _saturating_sum(terms, total=0.0):
 def penalty_diagonal_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarray:
     """The nonnegative diagonal added to the base Hessian at ``z``."""
     _expect_length(lp, spec, z)
-    q, m = spec.q, lp.m
-    x, lam, s = _split(lp, z)
-    dx = _hinge_pow(x, q - 2)
-    dl = np.zeros(m)
-    ds = _hinge_pow(s, q - 2)
-    if spec.kind is MeritKind.HOMOGENEOUS:
-        tau, kappa = z[-2], z[-1]
-        return np.concatenate(
-            [dx, dl, ds, [_hinge_pow_scalar(tau, q - 2), _hinge_pow_scalar(kappa, q - 2)]]
-        )
-    if spec.kind is MeritKind.HOMOTOPY and spec.nu > 0.0:
-        dx = dx + spec.nu * _pos_pow(x, q - 2)
-        dl = dl + 2.0 * spec.nu
-        ds = ds + spec.nu * _pos_pow(s, q - 2)
-    return np.concatenate([dx, dl, ds])
+    neg, pos = _hinge_powers(spec, lp, z, spec.q - 2)
+    if pos is None:
+        return neg
+    d = neg + spec.nu * pos
+    d[lp.n : lp.n + lp.m] = 2.0 * spec.nu
+    return d
 
 
 _BASE_CACHE: WeakKeyDictionary = WeakKeyDictionary()

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .problems import (
     GeneratedProblem,
     PrimalDualPoint,
@@ -85,6 +86,16 @@ def save_problem(path, problem: GeneratedProblem) -> None:
         fh.write(dumps(problem_document(problem)))
 
 
+def _certificate_array(doc: dict, key: str, length: int) -> np.ndarray | None:
+    """``doc[key]`` as a float array of shape (length,), or None when absent."""
+    if doc.get(key) is None:
+        return None
+    v = np.asarray(doc[key], dtype=float)
+    if v.shape != (length,):
+        raise DimensionMismatch(f"{key} must have shape ({length},), got {v.shape}")
+    return v
+
+
 def problem_from_document(doc: dict, *, allow_square: bool = False) -> GeneratedProblem:
     m = int(doc["m"])
     n = int(doc["n"])
@@ -96,16 +107,11 @@ def problem_from_document(doc: dict, *, allow_square: bool = False) -> Generated
     if doc.get("known_optimum") is not None:
         opt = doc["known_optimum"]
         known_optimum = PrimalDualPoint(opt["x"], opt["lambda"], opt["s"])
-    known_ray = (
-        np.asarray(doc["known_ray"], dtype=float)
-        if doc.get("known_ray") is not None
-        else None
-    )
-    feasible_point = (
-        np.asarray(doc["feasible_point"], dtype=float)
-        if doc.get("feasible_point") is not None
-        else None
-    )
+        if known_optimum.x.shape != (n,) or known_optimum.lam.shape != (m,):
+            sizes = (known_optimum.x.size, known_optimum.lam.size, known_optimum.s.size)
+            raise DimensionMismatch(f"known_optimum has sizes {sizes}, expected ({n}, {m}, {n})")
+    known_ray = _certificate_array(doc, "known_ray", n)
+    feasible_point = _certificate_array(doc, "feasible_point", n)
     return GeneratedProblem(
         lp=lp,
         known_optimum=known_optimum,

@@ -1,8 +1,8 @@
 """The iteration driver: regularized Newton on the merit function.
 
 One loop serves ``solve`` (the primal-dual merit) and ``solve_homogeneous``
-(the homogeneous embedding).  It evaluates each flat iterate once and builds
-a point object only for trace rows and at exit.
+(the homogeneous embedding).  It evaluates each flat iterate once, through
+``merit.evaluate``, and builds a point object only at exit.
 
 Two regularization policies are provided.  ``LM_ADAPTIVE`` sets
 mu_k = sqrt(L * ||grad||_2 / 2) and takes full steps, the setting with a
@@ -230,9 +230,10 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
 
     Minimizes the merit ``spec`` from the point ``start``.  While ``nu`` > 0,
     steps are taken on the HOMOTOPY surrogate of weight nu, which decays by
-    theta per step.  ``stop(f, g_inf)`` returns the status that ends the run
-    at an iterate, or None.  ``record``, if given, returns the trace row of
-    an iterate; its alpha is set once the step is taken.  Returns
+    theta per step; one ``merit.evaluate`` call gives it with the merit of
+    ``spec``.  ``stop(f, g_inf)`` returns the status that ends the run at an
+    iterate, or None.  ``record``, if given, returns the trace row of an
+    iterate from its residuals; its alpha is set once the step is taken.  Returns
     (z, k, f, g_inf, status) at the last finite iterate; f is the last merit
     value and g_inf the last finite gradient max-norm.
     """
@@ -245,17 +246,13 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
     z = start.as_vector()
     g_inf = math.inf
     for k in range(config.max_iter + 1):
-        f, g = merit.evaluate(spec, lp, z)
+        cur_spec = MeritSpec(MeritKind.HOMOTOPY, q=spec.q, nu=nu) if nu > 0.0 else spec
+        (f, g), (f_cur, g_cur), res = merit.evaluate(cur_spec, lp, z)
         if not (math.isfinite(f) and np.isfinite(g).all()):
             return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
         g_inf = float(np.abs(g).max())
-
-        cur_spec, f_cur, g_cur = spec, f, g
-        if nu > 0.0:
-            cur_spec = MeritSpec(MeritKind.HOMOTOPY, q=spec.q, nu=nu)
-            f_cur, g_cur = merit.homotopy_from_base(cur_spec, lp, z, f, g)
-            if not (math.isfinite(f_cur) and np.isfinite(g_cur).all()):
-                return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
+        if not (math.isfinite(f_cur) and np.isfinite(g_cur).all()):
+            return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
         g_cur_norm = float(np.linalg.norm(g_cur))
 
         if config.algorithm is Algorithm.LM_ADAPTIVE:
@@ -263,7 +260,7 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
         else:
             mu = config.mu_const
 
-        row = record(k, z, f_cur, g_cur_norm, mu, nu) if record is not None else None
+        row = record(k, z, res, f_cur, g_cur_norm, mu, nu) if record is not None else None
         status = stop(f, g_inf)
         # mu = 0 only at a zero gradient whose value ``stop`` leaves undecided
         if status is None and (k == config.max_iter or mu <= 0.0):
@@ -314,9 +311,9 @@ def solve(
 
     trace: list[IterationRecord] = []
 
-    def record(k, z, f, grad_norm, mu, nu):
-        point = PrimalDualPoint.from_vector(z, n, m)
-        gamma, rho, sigma = residuals(lp, point)
+    def record(k, z, res, f, grad_norm, mu, nu):
+        gamma, rho, sigma = res
+        x, s = z[:n], z[n + m :]
         row = IterationRecord(
             k=k,
             f=f,
@@ -327,10 +324,10 @@ def solve(
             gap=abs(gamma),
             primal_res=float(np.linalg.norm(rho)),
             dual_res=float(np.linalg.norm(sigma)),
-            min_x=float(point.x.min()),
-            min_s=float(point.s.min()),
+            min_x=float(x.min()),
+            min_s=float(s.min()),
             rel_err_x=(
-                float(np.linalg.norm(point.x - x_star)) / x_star_norm
+                float(np.linalg.norm(x - x_star)) / x_star_norm
                 if x_star is not None and x_star_norm > 0
                 else None
             ),

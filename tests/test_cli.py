@@ -139,6 +139,33 @@ class TestSolve:
         bad.write_text('{"m": 2, "n": 4}')
         assert main(["solve", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "kind,n,keys,length",
+        [
+            ("optimal", 6, ["known_optimum.x", "known_optimum.s"], 7),
+            ("optimal", 6, ["known_optimum.lambda"], 4),
+            ("unbounded", 8, ["known_ray"], 3),
+            ("unbounded", 8, ["feasible_point"], 9),
+        ],
+    )
+    def test_certificate_of_the_wrong_length_exits_2(
+        self, tmp_path, capsys, kind, n, keys, length
+    ):
+        """A certificate array whose length does not match the problem is
+        invalid input, rejected on load before a traced solve can run."""
+        path = _gen(tmp_path, 3, n, seed=0, kind=kind)
+        doc = json.loads(path.read_text())
+        for key in keys:
+            *parents, name = key.split(".")
+            owner = doc
+            for parent in parents:
+                owner = owner[parent]
+            owner[name] = (owner[name] * 2)[:length]
+        path.write_text(json.dumps(doc))
+        code = main(["solve", "--input", str(path), "--trace", str(tmp_path / "trace.csv")])
+        assert code == 2
+        assert f"invalid problem file {path}: {keys[0].split('.')[0]}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--tol-grad", "--tol-f", "--mu", "--nu0", "--q"])
     def test_non_finite_setting_exits_2(self, tmp_path, capsys, flag):
         """An infinite tolerance would certify the starting point; it is

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from helpers import central_gradient, central_jacobian, random_homogeneous, random_primal_dual
 
 from lpmerit import (
@@ -209,24 +211,27 @@ class TestInvariants:
 
 
 def _assert_evaluate_matches(spec, lp, z):
-    """merit.evaluate equals (value_at, gradient_at) bit for bit."""
-    f, g = merit.evaluate(spec, lp, z)
-    assert np.float64(f).tobytes() == np.float64(merit.value_at(spec, lp, z)).tobytes()
-    assert g.tobytes() == merit.gradient_at(spec, lp, z).tobytes()
+    """Both pairs of merit.evaluate equal (value_at, gradient_at) of their
+    specs bit for bit: the first that of the merit at nu = 0, the second that
+    of ``spec``."""
+    at_nu_zero = spec
+    if spec.kind is MeritKind.HOMOTOPY:
+        at_nu_zero = MeritSpec(MeritKind.BASE, q=spec.q)
+    for (f, g), of in zip(merit.evaluate(spec, lp, z)[:2], (at_nu_zero, spec)):
+        assert np.float64(f).tobytes() == np.float64(merit.value_at(of, lp, z)).tobytes()
+        assert g.tobytes() == merit.gradient_at(of, lp, z).tobytes()
 
 
 class TestHomotopyFromBase:
-    """The HOMOTOPY merit built on the BASE value and gradient equals
-    value_at and gradient_at of the HOMOTOPY spec bit for bit, and so does
-    merit.evaluate of either spec."""
+    """merit.evaluate of a HOMOTOPY spec builds the nu-surrogate on the BASE
+    value and gradient; both of its pairs equal value_at and gradient_at of
+    their specs bit for bit, and so do the pairs of a BASE spec."""
 
     @staticmethod
     def _check(lp, z, q, nu):
         base = MeritSpec(MeritKind.BASE, q=q)
         spec = MeritSpec(MeritKind.HOMOTOPY, q=q, nu=nu)
-        f, g = merit.homotopy_from_base(
-            spec, lp, z, merit.value_at(base, lp, z), merit.gradient_at(base, lp, z)
-        )
+        _, (f, g), _ = merit.evaluate(spec, lp, z)
         assert f == merit.value_at(spec, lp, z)
         assert np.array_equal(g, merit.gradient_at(spec, lp, z))
         _assert_evaluate_matches(base, lp, z)
@@ -277,15 +282,9 @@ class TestHomotopyFromBase:
         spec = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
         z = np.array([0.5, 0.5, 0.2, 0.1, 0.1, 1e160, 1.0])
         _assert_evaluate_matches(spec, lp, z)
-        f, g = merit.evaluate(spec, lp, z)
+        _, (f, g), _ = merit.evaluate(spec, lp, z)
         assert f == math.inf
         assert np.isfinite(g).all()
-
-    def test_requires_a_homotopy_spec(self):
-        lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-        z = np.zeros(5)
-        with pytest.raises(KindMismatch):
-            merit.homotopy_from_base(BASE3, lp, z, 0.0, np.zeros(5))
 
 
 class TestGuards:
@@ -311,6 +310,14 @@ class TestGuards:
         with pytest.raises(InvalidConfig):
             MeritSpec(MeritKind.HOMOTOPY, q=3.0, nu=-0.1)
 
+    @pytest.mark.parametrize(
+        "q,nu", [(math.inf, 0.0), (3.0, math.inf), (math.nan, 0.0), (3.0, math.nan)]
+    )
+    def test_non_finite_numbers_rejected(self, q, nu):
+        """nu = inf would give an infinite value with a non-finite gradient."""
+        with pytest.raises(InvalidConfig):
+            MeritSpec(MeritKind.HOMOTOPY, q=q, nu=nu)
+
     def test_kind_mismatch(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         hom = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
@@ -318,6 +325,37 @@ class TestGuards:
             eval_value(hom, lp, PrimalDualPoint.zeros(2, 1))
         with pytest.raises(KindMismatch):
             eval_value(BASE3, lp, HomogeneousPoint.ones(2, 1))
+
+
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(MeritKind)),
+    q=st.floats(min_value=2.01, max_value=4.0),
+    nu=st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0)),
+    coords=st.lists(_COORDINATES, min_size=10, max_size=10),
+)
+@example(
+    kind=MeritKind.HOMOGENEOUS, q=2.1, nu=0.0, coords=[1.0] * 8 + [-0.5, -0.43]
+)
+def test_penalty_diagonal_matches_its_closed_form(kind, q, nu, coords):
+    """max(-t, 0)**(q-2) + nu*max(t, 0)**(q-2) on the sign-constrained
+    coordinates t, tau and kappa included, and 2 nu on lam, exactly; nu
+    counts only for HOMOTOPY."""
+    m, n = 2, 3
+    lp = generate_optimal_lp(m, n, 0).lp
+    z = np.array(coords[: 2 * n + m + (2 if kind is MeritKind.HOMOGENEOUS else 0)])
+    nu_in_effect = nu if kind is MeritKind.HOMOTOPY else 0.0
+    t = np.concatenate([z[:n], z[n + m :]])
+    expected = np.maximum(-t, 0) ** (q - 2) + nu_in_effect * np.maximum(t, 0) ** (q - 2)
+    d = merit.penalty_diagonal_at(MeritSpec(kind, q=q, nu=nu), lp, z)
+    assert np.array_equal(np.concatenate([d[:n], d[n + m :]]), expected)
+    assert np.array_equal(d[n : n + m], np.full(m, 2.0 * nu_in_effect))
 
 
 def test_base_matrices_are_symmetric():

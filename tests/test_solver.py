@@ -425,6 +425,29 @@ class TestOneEvaluationPerIterate:
         }
         assert len(built) == 1
 
+    @pytest.mark.parametrize("alg", list(Algorithm))
+    def test_traced_solve_reads_rows_from_the_iterate(self, alg, monkeypatch):
+        """Trace rows take the residuals merit.evaluate computed: the point
+        is built only at exit, and the last row, at the returned point,
+        matches residuals() there bit for bit."""
+        built = self._count_from_vector(monkeypatch, PrimalDualPoint)
+        prob = generate_optimal_lp(5, 10, 1)
+        config = SolverConfig(alg, max_iter=60, trace=True)
+        out = solve(prob.lp, config, x_star=prob.known_optimum.x)
+        assert len(built) == 1
+        assert len(out.trace) == out.iterations + 1
+        gamma, rho, sigma = residuals(prob.lp, out.point)
+        last = out.trace[-1]
+        expected = (
+            abs(gamma),
+            float(np.linalg.norm(rho)),
+            float(np.linalg.norm(sigma)),
+            float(out.point.x.min()),
+            float(out.point.s.min()),
+        )
+        observed = (last.gap, last.primal_res, last.dual_res, last.min_x, last.min_s)
+        assert np.array(observed).tobytes() == np.array(expected).tobytes()
+
     def test_solve_homogeneous(self, monkeypatch):
         counts = self._instrument(monkeypatch)
         built = self._count_from_vector(monkeypatch, HomogeneousPoint)
