@@ -11,8 +11,10 @@ two right-hand sides are solved together, followed by one step of iterative
 refinement on the reduced system.
 
 solve_dense covers every merit, the homogeneous one included, on the cached
-Hessian base.  It eliminates only the s block, whose diagonal is exact, and
-factors the dense remainder over (x, lam[, tau, kappa]) of order n+m(+2).
+Hessian base over (x, lam[, tau, kappa]) and its s coupling.  It eliminates
+only the s block, whose diagonal is exact, and forms and factors one dense
+matrix, the remainder of order n+m(+2); the full (2n+m(+2))^2 Hessian is
+never built.
 The homogeneous merit does not take the structured path: with the (tau, kappa)
 rows as a border, a Sherman-Morrison correction through A'A + mu*I, which is
 nearly singular along null(A) at small mu, cancels catastrophically.
@@ -162,54 +164,52 @@ def solve_dense(
     """Solve (hessian + mu*I) delta = ``rhs`` at ``z`` on the cached Hessian base.
 
     The Newton solve of the homogeneous merit, and the reference that the
-    structured solve is tested against.  In both bases the s block is the
-    identity and is coupled only to the lam rows (and, in the homogeneous
-    base, the tau row), so it is eliminated exactly: with d_s = 1 + diag[s]
-    and C those rows' s columns, the remainder over (x, lam[, tau, kappa]) is
-    R = base + diag - (C/sqrt(d_s)) (C/sqrt(d_s))', of order n+m or n+m+2,
-    the only matrix factored; s is recovered as (r_s - C'y) / d_s.  Cholesky
-    is backward stable under this symmetric reordering.  One step of
-    iterative refinement, with the residual formed from the read-only base
-    and the diagonal, keeps the full-system residual near round-off.  Raises
+    structured solve is tested against.  The full Hessian's s block is the
+    identity, coupled only to the lam rows (and, in the homogeneous merit,
+    the tau row) through C = ``merit.s_coupling``, so it is eliminated
+    exactly: with d_s = 1 + diag[s], the remainder over (x, lam[, tau,
+    kappa]) is R = K + diag - (C/sqrt(d_s)) (C/sqrt(d_s))', where K is
+    ``merit.hessian_base``, of order n+m or n+m+2, the only matrix formed and
+    factored; s is recovered as (r_s - C'y) / d_s.  Cholesky is backward
+    stable under this symmetric reordering.  One step of iterative
+    refinement, with the residual of the full system applied blockwise from
+    K, C and the diagonal, keeps it near round-off.  Raises
     FactorizationFailure when R is not numerically SPD or not finite, or d_s
     is not finite and positive.
     """
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
-    base = merit.hessian_base(spec, lp)
+    K, C = merit.hessian_base(spec, lp), merit.s_coupling(spec, lp)
     diag = merit.penalty_diagonal_at(spec, lp, z) + mu
     rhs = np.asarray(rhs, dtype=float)
-    k = base.shape[0]
-    if rhs.shape != (k,):
-        raise ValueError(f"rhs must have shape ({k},), got {rhs.shape}")
+    if rhs.shape != diag.shape:
+        raise ValueError(f"rhs must have shape {diag.shape}, got {rhs.shape}")
     n, p, t = lp.n, lp.n + lp.m, 2 * lp.n + lp.m  # the s block is [p, t)
+    coupled = slice(n, n + C.shape[0])  # the rows of K that meet s
     d_s = 1.0 + diag[p:t]
     if not (np.isfinite(d_s) & (d_s > 0.0)).all():
         raise FactorizationFailure("the s block is not finite and positive")
-    # the lam rows and any tau and kappa rows; the kappa row of C is zero
-    C = base[np.r_[n:p, t:k], p:t]
-    # R is symmetric, so its row-major copy by slices is its column-major form
-    order = p + k - t
-    R = np.empty((order, order))
-    R[:p, :p] = base[:p, :p]
-    R[:p, p:] = base[:p, t:]
-    R[p:, :p] = base[t:, :p]
-    R[p:, p:] = base[t:, t:]
-    R = R.T
-    R[np.diag_indices(order)] += np.concatenate([diag[:p], diag[t:]])
+    d = np.concatenate([diag[:p], diag[t:]])
+    # K is symmetric, so the transpose of its copy is the column-major form
+    R = K.copy().T
+    R[np.diag_indices_from(R)] += d
     G = C / np.sqrt(d_s)
-    R[n:, n:] -= G @ G.T
+    R[coupled, coupled] -= G @ G.T
     factor = _factor(R)
 
-    def eliminated_solve(r):
-        y = np.concatenate([r[:p], r[t:]])
-        y[n:] -= C @ (r[p:t] / d_s)
+    def eliminated_solve(r_y, r_s):
+        y = r_y.copy()
+        y[coupled] -= C @ (r_s / d_s)
         y = cho_solve(factor, y, check_finite=False)
-        return np.concatenate([y[:p], (r[p:t] - C.T @ y[n:]) / d_s, y[p:]])
+        return y, (r_s - C.T @ y[coupled]) / d_s
 
-    sol = eliminated_solve(rhs)
-    sol += eliminated_solve(rhs - (base @ sol + diag * sol))
-    return sol
+    r_y, r_s = np.concatenate([rhs[:p], rhs[t:]]), rhs[p:t]
+    y, w = eliminated_solve(r_y, r_s)
+    res_y = r_y - (K @ y + d * y)
+    res_y[coupled] -= C @ w
+    dy, dw = eliminated_solve(res_y, r_s - (C.T @ y[coupled] + d_s * w))
+    y += dy
+    return np.concatenate([y[:p], w + dw, y[p:]])
 
 
 def _factor(M: np.ndarray):

@@ -20,8 +20,10 @@ pairs: the merit at nu = 0 and the merit of the given spec, which differ only
 for a HOMOTOPY spec with nu > 0.  ``value_at`` and ``gradient_at`` reuse the
 same code.  Every hinge power max(-t, 0)**p, and the nu-weighted max(t, 0)**p,
 comes from one helper over the sign-constrained coordinates.  The Hessian
-splits into an iterate-independent base matrix (cached per problem) plus a
-nonnegative diagonal that is recomputed per point.
+is an iterate-independent base plus a nonnegative diagonal recomputed per
+point.  The base's s block is the identity, coupled through A and -c only, so
+``hessian_base`` caches just the block over (x, lam[, tau, kappa]) per
+problem and ``s_coupling`` gives the rest.
 """
 
 from __future__ import annotations
@@ -197,56 +199,62 @@ def penalty_diagonal_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> n
 _BASE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _build_primal_dual_base(lp: StandardFormLp, border: int = 0) -> np.ndarray:
-    """The primal-dual base, as the leading block of a zero matrix with
-    ``border`` further rows and columns."""
+def _build_base(spec: MeritSpec, lp: StandardFormLp) -> np.ndarray:
+    """The base over (x, lam[, tau, kappa]); the homogeneous block borders
+    the primal-dual one."""
     A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
-    t = 2 * n + m
-    H = np.zeros((t + border, t + border))
+    p = n + m
+    k = p + 2 if spec.kind is MeritKind.HOMOGENEOUS else p
+    H = np.zeros((k, k))
     H[:n, :n] = np.outer(c, c) + lp.gram
-    H[:n, n : n + m] = -np.outer(c, b)
-    H[n : n + m, :n] = -np.outer(b, c)
-    H[n : n + m, n : n + m] = np.outer(b, b) + A @ A.T
-    H[n : n + m, n + m : t] = A
-    H[n + m : t, n : n + m] = A.T
-    H[n + m : t, n + m : t] = np.eye(n)
-    return H
-
-
-def _build_homogeneous_base(lp: StandardFormLp) -> np.ndarray:
-    A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
-    H = _build_primal_dual_base(lp, border=2)
-    it, ik = 2 * n + m, 2 * n + m + 1
-    H[:n, it] = -(A.T @ b)
-    H[it, :n] = H[:n, it]
-    H[n : n + m, it] = -(A @ c)
-    H[it, n : n + m] = H[n : n + m, it]
-    H[n + m : 2 * n + m, it] = -c
-    H[it, n + m : 2 * n + m] = -c
-    H[it, it] = float(b @ b + c @ c)
-    H[:n, ik] = c
-    H[ik, :n] = c
-    H[n : n + m, ik] = -b
-    H[ik, n : n + m] = -b
-    H[ik, ik] = 1.0
+    H[:n, n:p] = -np.outer(c, b)
+    H[n:p, :n] = -np.outer(b, c)
+    H[n:p, n:p] = np.outer(b, b) + A @ A.T
+    if k > p:  # the tau column is p, the kappa column p + 1
+        H[:n, p] = -(A.T @ b)
+        H[n:p, p] = -(A @ c)
+        H[p, p] = float(b @ b + c @ c)
+        H[:n, p + 1] = c
+        H[n:p, p + 1] = -b
+        H[p + 1, p + 1] = 1.0
+        H[p:, :p] = H[:p, p:].T
     return H
 
 
 def hessian_base(spec: MeritSpec, lp: StandardFormLp) -> np.ndarray:
-    """The iterate-independent Hessian block, cached per problem and read-only."""
+    """The iterate-independent Hessian block over (x, lam[, tau, kappa]), of
+    order n+m, or n+m+2 for HOMOGENEOUS: the full base without its s rows and
+    columns, which ``s_coupling`` describes.  Cached per problem and read-only."""
     key = "homogeneous" if spec.kind is MeritKind.HOMOGENEOUS else "primal_dual"
-    per_problem = _BASE_CACHE.get(lp)
-    if per_problem is None:
-        per_problem = {}
-        _BASE_CACHE[lp] = per_problem
+    per_problem = _BASE_CACHE.setdefault(lp, {})
     H = per_problem.get(key)
     if H is None:
-        builder = (
-            _build_homogeneous_base if key == "homogeneous" else _build_primal_dual_base
-        )
-        H = builder(lp)
+        H = _build_base(spec, lp)
         H.flags.writeable = False
         per_problem[key] = H
+    return H
+
+
+def s_coupling(spec: MeritSpec, lp: StandardFormLp) -> np.ndarray:
+    """The s columns of the full base on the rows of ``hessian_base`` that
+    meet them: A on the lam rows and, for HOMOGENEOUS, -c on the tau row.  The
+    s block itself is the identity, and every other row is zero there."""
+    if spec.kind is MeritKind.HOMOGENEOUS:
+        return np.vstack([lp.A, -lp.c])
+    return lp.A
+
+
+def _full_base(spec, lp):
+    """The full base in the layout of the flat iterate, assembled uncached."""
+    K, C = hessian_base(spec, lp), s_coupling(spec, lp)
+    n, p, size = lp.n, lp.n + lp.m, K.shape[0] + lp.n
+    rows = np.r_[0:p, p + n : size]  # where the rows of K sit
+    H = np.zeros((size, size))
+    H[np.ix_(rows, rows)] = K
+    H[p : p + n, p : p + n] = np.eye(n)
+    coupled = rows[n : n + C.shape[0]]
+    H[coupled, p : p + n] = C
+    H[p : p + n, coupled] = C.T
     return H
 
 
@@ -275,6 +283,4 @@ def eval_gradient(spec: MeritSpec, lp: StandardFormLp, point) -> np.ndarray:
 
 def eval_hessian(spec: MeritSpec, lp: StandardFormLp, point) -> HessianParts:
     z = _point_vector(spec, point)
-    return HessianParts(
-        base=hessian_base(spec, lp), diag_add=penalty_diagonal_at(spec, lp, z)
-    )
+    return HessianParts(base=_full_base(spec, lp), diag_add=penalty_diagonal_at(spec, lp, z))

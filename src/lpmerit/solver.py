@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import merit
-from .errors import FactorizationFailure, InvalidConfig, NotDescentDirection
+from .errors import DimensionMismatch, FactorizationFailure, InvalidConfig, NotDescentDirection
 from .linsys import build_reduced, solve_dense, solve_structured
 from .merit import MeritKind, MeritSpec
 from .problems import HomogeneousPoint, PrimalDualPoint, StandardFormLp, residuals
@@ -42,6 +42,12 @@ NO_OPTIMUM_TOL = 1e-8
 #: Escalation ladder for failed factorizations: mu <- max(10 mu, 1e-12),
 #: at most this many times; the last failure ends the run.
 _MAX_MU_ESCALATIONS = 20
+
+#: Armijo line search: sufficient-decrease constant, step shrink factor and
+#: number of backtracks from the full step.
+_C1 = 1e-4
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 60
 
 
 class Algorithm(Enum):
@@ -141,34 +147,23 @@ class SolveOutcome:
     trace: list[IterationRecord] = field(default_factory=list)
 
 
-def armijo_search(
-    objective,
-    p,
-    delta,
-    slope: float,
-    f0: float,
-    *,
-    alpha0: float = 1.0,
-    c1: float = 1e-4,
-    shrink: float = 0.5,
-    max_backtracks: int = 60,
-):
+def armijo_search(objective, p, delta, slope: float, f0: float):
     """Backtracking line search with the sufficient-decrease condition.
 
-    Probes alpha0 * shrink**j for j = 0..max_backtracks and returns the first
-    (hence largest) step with objective(p + alpha*delta) <= f0 + c1*alpha*slope,
+    Probes _SHRINK**j for j = 0.._MAX_BACKTRACKS and returns the first (hence
+    largest) step with objective(p + alpha*delta) <= f0 + _C1*alpha*slope,
     where ``f0`` is objective(p) and ``slope`` the directional derivative at ``p``.
     Returns (alpha, stagnated); when every probe fails, the last probe is
     returned with stagnated=True.  Raises NotDescentDirection if slope >= 0.
     """
     if not slope < 0.0:
         raise NotDescentDirection(f"directional derivative must be negative, got {slope}")
-    alpha = alpha0
-    for j in range(max_backtracks + 1):
-        if objective(p + alpha * delta) <= f0 + c1 * alpha * slope:
+    alpha = 1.0
+    for j in range(_MAX_BACKTRACKS + 1):
+        if objective(p + alpha * delta) <= f0 + _C1 * alpha * slope:
             return alpha, False
-        if j < max_backtracks:
-            alpha *= shrink
+        if j < _MAX_BACKTRACKS:
+            alpha *= _SHRINK
     return alpha, True
 
 
@@ -299,6 +294,8 @@ def solve(
     tol_no_opt = NO_OPTIMUM_TOL * scale2
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
+        if x_star.shape != (n,):
+            raise DimensionMismatch(f"x_star must have shape ({n},), got {x_star.shape}")
         x_star_norm = float(np.linalg.norm(x_star))
 
     def stop(f, g_inf):

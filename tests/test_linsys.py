@@ -1,5 +1,7 @@
 """Structured Newton solves against the dense reference path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -8,6 +10,7 @@ from helpers import random_homogeneous, random_primal_dual
 from lpmerit import linsys
 from lpmerit import (
     FactorizationFailure,
+    HomogeneousPoint,
     KindMismatch,
     MeritKind,
     MeritSpec,
@@ -229,6 +232,24 @@ class TestSolveDense:
         order = 9 + 4 + (2 if spec.kind is MeritKind.HOMOGENEOUS else 0)
         assert factored == [(order, order)]
         assert solved == [(order,), (order,)]
+
+    def test_first_call_allocates_less_than_one_full_base(self):
+        """The first solve on a fresh problem builds and caches the base of
+        order n+m+2 only: its traced peak stays below the size of one
+        (2n+m+2)^2 float64 matrix.  A'A, the problem's own cached Gram matrix
+        that the structured solve shares, is formed before tracing starts."""
+        m, n = 150, 450
+        lp = generate_unbounded_lp(m, n, 0).lp
+        point = HomogeneousPoint.ones(n, m)
+        g = eval_gradient(HOMOGENEOUS3, lp, point)
+        lp.gram
+        tracemalloc.start()
+        try:
+            solve_dense(HOMOGENEOUS3, lp, point.as_vector(), 1e-9, -g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * n + m + 2) ** 2 * 8
 
 
 def _structured_vs_dense(spec, lp, point, mu):

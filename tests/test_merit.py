@@ -373,18 +373,15 @@ def test_homogeneous_base_borders_the_primal_dual_base():
     its leading block must be the primal-dual base bit for bit."""
     for m, n, seed in [(4, 7, 18), (150, 450, 0)]:
         lp = generate_optimal_lp(m, n, seed).lp
-        k = 2 * n + m
-        H = merit._build_homogeneous_base(lp)
+        k = n + m
+        H = merit.hessian_base(MeritSpec(MeritKind.HOMOGENEOUS, q=3.0), lp)
         assert H.shape == (k + 2, k + 2)
-        assert np.array_equal(H[:k, :k], merit._build_primal_dual_base(lp))
+        assert np.array_equal(H[:k, :k], merit.hessian_base(BASE3, lp))
 
 
 def test_hessian_base_is_cached_per_problem():
     prob = generate_optimal_lp(3, 6, 16)
-    rng = np.random.default_rng(17)
-    p1 = random_primal_dual(rng, 6, 3)
-    p2 = random_primal_dual(rng, 6, 3)
-    h1 = eval_hessian(BASE3, prob.lp, p1)
-    h2 = eval_hessian(MeritSpec(MeritKind.HOMOTOPY, q=3.0, nu=0.2), prob.lp, p2)
-    assert h1.base is h2.base
-    assert not h1.base.flags.writeable
+    h1 = merit.hessian_base(BASE3, prob.lp)
+    h2 = merit.hessian_base(MeritSpec(MeritKind.HOMOTOPY, q=3.0, nu=0.2), prob.lp)
+    assert h1 is h2
+    assert not h1.flags.writeable

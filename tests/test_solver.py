@@ -10,6 +10,7 @@ import lpmerit.solver as solver_module
 from lpmerit import (
     Algorithm,
     Classification,
+    DimensionMismatch,
     FactorizationFailure,
     HomogeneousPoint,
     HomogeneousStatus,
@@ -41,9 +42,11 @@ class TestArmijo:
         assert alpha == 0.5 and not stagnated
 
     def test_stagnation_on_flat_objective(self):
-        alpha, stagnated = armijo_search(lambda t: 1.0, 0.0, -1.0, -1.0, 1.0, max_backtracks=10)
+        # flat at zero: at f0 = 1 the bound f0 + c1*alpha*slope rounds to f0
+        # once alpha < 1e-12, and the flat probe would pass
+        alpha, stagnated = armijo_search(lambda t: 0.0, 0.0, -1.0, -1.0, 0.0)
         assert stagnated
-        assert alpha == 0.5**10
+        assert alpha == 0.5**60
 
     def test_rejects_non_descent_direction(self):
         with pytest.raises(NotDescentDirection):
@@ -154,6 +157,15 @@ class TestSolve:
         out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT), x_star=prob.known_optimum.x)
         assert all(r.rel_err_x is not None for r in out.trace)
         assert out.trace[-1].rel_err_x < out.trace[0].rel_err_x
+
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_wrong_length_reference_is_rejected_before_iterating(self, trace, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(merit_module, "evaluate", lambda *args: evaluated.append(args))
+        lp = generate_optimal_lp(3, 6, 0).lp
+        with pytest.raises(DimensionMismatch):
+            solve(lp, SolverConfig(Algorithm.HOMOTOPY, trace=trace), x_star=np.ones(7))
+        assert evaluated == []
 
     def test_final_point_meets_value_implied_bounds(self):
         """Every residual is bounded by the merit value: the three norms by
