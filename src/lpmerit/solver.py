@@ -8,8 +8,10 @@ Two regularization policies are provided.  ``LM_ADAPTIVE`` sets
 mu_k = sqrt(L * ||grad||_2 / 2) and takes full steps, the setting with a
 global worst-case guarantee for q = 3.  ``LM_CONSTANT`` keeps a small fixed
 mu and backtracks with Armijo.  ``HOMOTOPY`` runs the constant-mu scheme on
-the nu-modified merit while decaying nu by theta each iteration, so the
-surrogate approaches the base merit.
+the nu-modified merit while decaying nu after every step, so the surrogate
+approaches the base merit: by theta_full after a full step, where the Newton
+model fitted the iterate, and by the slower theta after a backtracked one.
+theta_full = theta gives the fixed schedule nu_k = nu0 * theta**k.
 
 Termination is always measured on the base merit: its value certifies the
 optimality residuals, and a vanishing gradient with a value bounded away from
@@ -84,7 +86,9 @@ class SolverConfig:
     number must be finite.  Stopping thresholds are scale-relative: optimal
     needs value <= tol_f * scale^2 and grad <= tol_grad * scale^2; a certified
     no-optimum needs the same gradient bound with value >= NO_OPTIMUM_TOL * scale^2.
-    ``max_iter`` must be a nonnegative integer.
+    ``max_iter`` must be a nonnegative integer.  HOMOTOPY multiplies nu by
+    ``theta_full`` after a full step and by ``theta`` after a backtracked one;
+    both lie in (0, 1).
     """
 
     algorithm: Algorithm
@@ -92,6 +96,7 @@ class SolverConfig:
     mu_const: float = 1e-9
     hessian_lipschitz: float = 1.0
     theta: float = 0.8
+    theta_full: float = 0.4
     nu0: float = 1.0
     max_iter: int = 500
     tol_grad: float = 1e-10
@@ -105,8 +110,10 @@ class SolverConfig:
             )
         if not (math.isfinite(self.q) and self.q > 2.0):
             raise InvalidConfig(f"q must be finite and exceed 2, got {self.q}")
-        if not 0.0 < self.theta < 1.0:
-            raise InvalidConfig(f"theta must lie in (0, 1), got {self.theta}")
+        for name in ("theta", "theta_full"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise InvalidConfig(f"{name} must lie in (0, 1), got {value}")
         for name in ("mu_const", "hessian_lipschitz", "nu0", "tol_grad", "tol_f"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -153,6 +160,8 @@ def armijo_search(objective, p, delta, slope: float, f0: float):
     Probes _SHRINK**j for j = 0.._MAX_BACKTRACKS and returns the first (hence
     largest) step with objective(p + alpha*delta) <= f0 + _C1*alpha*slope,
     where ``f0`` is objective(p) and ``slope`` the directional derivative at ``p``.
+    The probe must also lie strictly below f0: once _C1*alpha*|slope| is under
+    half an ulp of f0 the bound rounds to f0, and a flat probe would pass.
     Returns (alpha, stagnated); when every probe fails, the last probe is
     returned with stagnated=True.  Raises NotDescentDirection if slope >= 0.
     """
@@ -160,7 +169,8 @@ def armijo_search(objective, p, delta, slope: float, f0: float):
         raise NotDescentDirection(f"directional derivative must be negative, got {slope}")
     alpha = 1.0
     for j in range(_MAX_BACKTRACKS + 1):
-        if objective(p + alpha * delta) <= f0 + _C1 * alpha * slope:
+        f = objective(p + alpha * delta)
+        if f < f0 and f <= f0 + _C1 * alpha * slope:
             return alpha, False
         if j < _MAX_BACKTRACKS:
             alpha *= _SHRINK
@@ -225,9 +235,10 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
 
     Minimizes the merit ``spec`` from the point ``start``.  While ``nu`` > 0,
     steps are taken on the HOMOTOPY surrogate of weight nu, which decays by
-    theta per step; one ``merit.evaluate`` call gives it with the merit of
-    ``spec``.  ``stop(f, g_inf)`` returns the status that ends the run at an
-    iterate, or None.  ``record``, if given, returns the trace row of an
+    theta_full after a full step and by theta after a backtracked one; one
+    ``merit.evaluate`` call gives it with the merit of ``spec``.
+    ``stop(f, g_inf)`` returns the status that ends the run at an iterate, or
+    None.  ``record``, if given, returns the trace row of an
     iterate from its residuals; its alpha is set once the step is taken.  Returns
     (z, k, f, g_inf, status) at the last finite iterate; f is the last merit
     value and g_inf the last finite gradient max-norm.
@@ -269,7 +280,7 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
         if row is not None:
             row.alpha = alpha
         z = z_next
-        nu *= config.theta
+        nu *= config.theta_full if alpha == 1.0 else config.theta
 
 
 def solve(

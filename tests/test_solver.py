@@ -48,6 +48,13 @@ class TestArmijo:
         assert stagnated
         assert alpha == 0.5**60
 
+    def test_stagnation_on_flat_objective_at_a_nonzero_level(self):
+        # at f0 = 1 the bound f0 + c1*alpha*slope rounds to f0 once
+        # c1*alpha is under half an ulp of 1; a flat probe must still fail
+        alpha, stagnated = armijo_search(lambda t: 1.0, 0.0, -1.0, -1.0, 1.0)
+        assert stagnated
+        assert alpha == 0.5**60
+
     def test_rejects_non_descent_direction(self):
         with pytest.raises(NotDescentDirection):
             armijo_search(lambda t: t * t, 1.0, 1.0, 2.0, 1.0)
@@ -62,6 +69,7 @@ class TestConfig:
             assert cfg.q == 2.1
             assert cfg.mu_const == 1e-9
         assert SolverConfig(Algorithm.HOMOTOPY).theta == 0.8
+        assert SolverConfig(Algorithm.HOMOTOPY).theta_full == 0.4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -69,6 +77,9 @@ class TestConfig:
             {"q": 2.0},
             {"theta": 1.0},
             {"theta": 0.0},
+            {"theta_full": 0.0},
+            {"theta_full": 1.0},
+            {"theta_full": math.inf},
             {"nu0": 0.0},
             {"mu_const": 0.0},
             {"tol_grad": 0.0},
@@ -116,12 +127,26 @@ class TestSolve:
 
     def test_homotopy_schedule_is_exact(self):
         prob = generate_optimal_lp(3, 6, 1)
-        cfg = SolverConfig(Algorithm.HOMOTOPY, theta=0.8, nu0=1.0)
+        cfg = SolverConfig(Algorithm.HOMOTOPY, theta=0.8, theta_full=0.8, nu0=1.0)
         out = solve(prob.lp, cfg)
         nu = 1.0
         for record in out.trace:
             assert record.nu == nu
             nu *= 0.8
+
+    def test_homotopy_decay_follows_the_step_length(self):
+        """nu falls by theta_full after a full step and by theta after a
+        backtracked one; the run takes both kinds of step."""
+        prob = generate_optimal_lp(5, 10, 0)
+        cfg = SolverConfig(Algorithm.HOMOTOPY)
+        out = solve(prob.lp, cfg)
+        assert out.status is SolveStatus.OPTIMAL
+        steps = list(zip(out.trace, out.trace[1:]))
+        for row, following in steps:
+            factor = cfg.theta_full if row.alpha == 1.0 else cfg.theta
+            assert following.nu == factor * row.nu
+        alphas = {row.alpha == 1.0 for row, _ in steps}
+        assert alphas == {True, False}
 
     def test_adaptive_mu_follows_the_gradient_norm(self):
         prob = generate_optimal_lp(3, 6, 2)
@@ -510,12 +535,39 @@ class TestIterates:
         ],
     )
     def test_homotopy_iteration_counts_are_pinned(self, m, n, expected):
+        """The fixed schedule nu_k = 0.8**k, reached with theta_full = theta."""
+        config = SolverConfig(Algorithm.HOMOTOPY, theta_full=0.8)
+        outcomes = [
+            solve(generate_optimal_lp(m, n, seed).lp, config)
+            for seed in range(len(expected))
+        ]
+        assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * len(expected)
+        assert [out.iterations for out in outcomes] == expected
+
+    @pytest.mark.parametrize(
+        "m,n,expected",
+        [
+            (5, 10, [29, 24, 27, 23, 28, 26, 23, 22, 23, 23]),
+            (50, 75, [31, 35, 30]),
+        ],
+    )
+    def test_default_homotopy_iteration_counts_are_pinned(self, m, n, expected):
         outcomes = [
             solve(generate_optimal_lp(m, n, seed).lp, self.HOMOTOPY)
             for seed in range(len(expected))
         ]
         assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * len(expected)
         assert [out.iterations for out in outcomes] == expected
+
+    @pytest.mark.parametrize("m,n,seeds", [(5, 10, 60), (20, 30, 20)])
+    def test_default_decay_takes_no_more_iterations_than_the_fixed_one(self, m, n, seeds):
+        default = SolverConfig(Algorithm.HOMOTOPY, trace=False)
+        fixed = SolverConfig(Algorithm.HOMOTOPY, theta_full=default.theta, trace=False)
+        for seed in range(seeds):
+            lp = generate_optimal_lp(m, n, seed).lp
+            out, reference = solve(lp, default), solve(lp, fixed)
+            assert out.status is SolveStatus.OPTIMAL, seed
+            assert out.iterations <= reference.iterations, seed
 
     def test_constant_mu_iteration_counts_are_pinned(self):
         expected = [11, 11, 11, 10, 14, 9, 9, 11, 12, 11]
