@@ -138,7 +138,6 @@ def cmd_solve(args) -> int:
             q=args.q,
             mu_const=args.mu,
             theta=args.theta,
-            theta_full=args.theta_full,
             nu0=args.nu0,
             max_iter=args.max_iter,
             tol_grad=args.tol_grad,
@@ -271,13 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta",
         type=float,
         default=0.8,
-        help="homotopy decay factor of nu after a backtracked step",
-    )
-    slv.add_argument(
-        "--theta-full",
-        type=float,
-        default=0.4,
-        help="homotopy decay factor of nu after a full step",
+        help="homotopy decay factor of nu after a backtracked step; half of it after a full step",
     )
     slv.add_argument("--mu", type=float, default=1e-9, help="constant regularization")
     slv.add_argument("--nu0", type=float, default=1.0, help="initial homotopy weight")

@@ -9,9 +9,9 @@ mu_k = sqrt(L * ||grad||_2 / 2) and takes full steps, the setting with a
 global worst-case guarantee for q = 3.  ``LM_CONSTANT`` keeps a small fixed
 mu and backtracks with Armijo.  ``HOMOTOPY`` runs the constant-mu scheme on
 the nu-modified merit while decaying nu after every step, so the surrogate
-approaches the base merit: by theta_full after a full step, where the Newton
-model fitted the iterate, and by the slower theta after a backtracked one.
-theta_full = theta gives the fixed schedule nu_k = nu0 * theta**k.
+approaches the base merit: by theta after a backtracked step, and by
+theta * _FULL_STEP_SHRINK after a full one, where the Newton model fitted the
+iterate.
 
 Termination is always measured on the base merit: its value certifies the
 optimality residuals, and a vanishing gradient with a value bounded away from
@@ -51,6 +51,10 @@ _C1 = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 
+#: HOMOTOPY decays nu by theta after a backtracked step and by
+#: theta * _FULL_STEP_SHRINK after a full one; 1.0 gives nu_k = nu0 * theta**k.
+_FULL_STEP_SHRINK = 0.5
+
 
 class Algorithm(Enum):
     LM_ADAPTIVE = "lm-adaptive"
@@ -87,8 +91,8 @@ class SolverConfig:
     needs value <= tol_f * scale^2 and grad <= tol_grad * scale^2; a certified
     no-optimum needs the same gradient bound with value >= NO_OPTIMUM_TOL * scale^2.
     ``max_iter`` must be a nonnegative integer.  HOMOTOPY multiplies nu by
-    ``theta_full`` after a full step and by ``theta`` after a backtracked one;
-    both lie in (0, 1).
+    ``theta``, in (0, 1), after a backtracked step and by half of it after a
+    full one.
     """
 
     algorithm: Algorithm
@@ -96,7 +100,6 @@ class SolverConfig:
     mu_const: float = 1e-9
     hessian_lipschitz: float = 1.0
     theta: float = 0.8
-    theta_full: float = 0.4
     nu0: float = 1.0
     max_iter: int = 500
     tol_grad: float = 1e-10
@@ -110,10 +113,8 @@ class SolverConfig:
             )
         if not (math.isfinite(self.q) and self.q > 2.0):
             raise InvalidConfig(f"q must be finite and exceed 2, got {self.q}")
-        for name in ("theta", "theta_full"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise InvalidConfig(f"{name} must lie in (0, 1), got {value}")
+        if not 0.0 < self.theta < 1.0:
+            raise InvalidConfig(f"theta must lie in (0, 1), got {self.theta}")
         for name in ("mu_const", "hessian_lipschitz", "nu0", "tol_grad", "tol_f"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -235,8 +236,8 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
 
     Minimizes the merit ``spec`` from the point ``start``.  While ``nu`` > 0,
     steps are taken on the HOMOTOPY surrogate of weight nu, which decays by
-    theta_full after a full step and by theta after a backtracked one; one
-    ``merit.evaluate`` call gives it with the merit of ``spec``.
+    theta after a backtracked step and by theta * _FULL_STEP_SHRINK after a
+    full one; one ``merit.evaluate`` call gives it with the merit of ``spec``.
     ``stop(f, g_inf)`` returns the status that ends the run at an iterate, or
     None.  ``record``, if given, returns the trace row of an
     iterate from its residuals; its alpha is set once the step is taken.  Returns
@@ -280,7 +281,7 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
         if row is not None:
             row.alpha = alpha
         z = z_next
-        nu *= config.theta_full if alpha == 1.0 else config.theta
+        nu *= config.theta * _FULL_STEP_SHRINK if alpha == 1.0 else config.theta
 
 
 def solve(

@@ -83,7 +83,6 @@ class TestSolve:
         assert final_rel_err <= 1e-8
         assert doc["config"]["algorithm"] == "homotopy"
         assert doc["config"]["theta"] == 0.8
-        assert doc["config"]["theta_full"] == 0.4
         assert abs(doc["objective_primal"] - doc["objective_dual"]) <= 1e-6
 
     def test_large_problem_homotopy_solve(self, tmp_path):
@@ -181,8 +180,8 @@ class TestSolve:
         assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
         config = json.loads(report.read_text())["config"]
         assert list(config) == [
-            "algorithm", "q", "mu_const", "hessian_lipschitz", "theta", "theta_full",
-            "nu0", "max_iter", "tol_grad", "tol_f",
+            "algorithm", "q", "mu_const", "hessian_lipschitz", "theta", "nu0",
+            "max_iter", "tol_grad", "tol_f",
         ]
         assert config["algorithm"] == "homotopy"
         assert config["max_iter"] == 500

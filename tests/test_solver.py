@@ -69,7 +69,6 @@ class TestConfig:
             assert cfg.q == 2.1
             assert cfg.mu_const == 1e-9
         assert SolverConfig(Algorithm.HOMOTOPY).theta == 0.8
-        assert SolverConfig(Algorithm.HOMOTOPY).theta_full == 0.4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -77,9 +76,6 @@ class TestConfig:
             {"q": 2.0},
             {"theta": 1.0},
             {"theta": 0.0},
-            {"theta_full": 0.0},
-            {"theta_full": 1.0},
-            {"theta_full": math.inf},
             {"nu0": 0.0},
             {"mu_const": 0.0},
             {"tol_grad": 0.0},
@@ -125,9 +121,10 @@ class TestSolve:
         values = [r.f for r in out.trace]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_homotopy_schedule_is_exact(self):
+    def test_homotopy_schedule_is_exact(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_FULL_STEP_SHRINK", 1.0)
         prob = generate_optimal_lp(3, 6, 1)
-        cfg = SolverConfig(Algorithm.HOMOTOPY, theta=0.8, theta_full=0.8, nu0=1.0)
+        cfg = SolverConfig(Algorithm.HOMOTOPY, theta=0.8, nu0=1.0)
         out = solve(prob.lp, cfg)
         nu = 1.0
         for record in out.trace:
@@ -135,15 +132,15 @@ class TestSolve:
             nu *= 0.8
 
     def test_homotopy_decay_follows_the_step_length(self):
-        """nu falls by theta_full after a full step and by theta after a
-        backtracked one; the run takes both kinds of step."""
+        """nu falls by theta after a backtracked step and by half of it after
+        a full one; the run takes both kinds of step."""
         prob = generate_optimal_lp(5, 10, 0)
         cfg = SolverConfig(Algorithm.HOMOTOPY)
         out = solve(prob.lp, cfg)
         assert out.status is SolveStatus.OPTIMAL
         steps = list(zip(out.trace, out.trace[1:]))
         for row, following in steps:
-            factor = cfg.theta_full if row.alpha == 1.0 else cfg.theta
+            factor = cfg.theta * 0.5 if row.alpha == 1.0 else cfg.theta
             assert following.nu == factor * row.nu
         alphas = {row.alpha == 1.0 for row, _ in steps}
         assert alphas == {True, False}
@@ -534,11 +531,11 @@ class TestIterates:
             (50, 75, [94, 93, 92]),
         ],
     )
-    def test_homotopy_iteration_counts_are_pinned(self, m, n, expected):
-        """The fixed schedule nu_k = 0.8**k, reached with theta_full = theta."""
-        config = SolverConfig(Algorithm.HOMOTOPY, theta_full=0.8)
+    def test_homotopy_iteration_counts_are_pinned(self, m, n, expected, monkeypatch):
+        """The fixed schedule nu_k = 0.8**k, with no extra shrink after a full step."""
+        monkeypatch.setattr(solver_module, "_FULL_STEP_SHRINK", 1.0)
         outcomes = [
-            solve(generate_optimal_lp(m, n, seed).lp, config)
+            solve(generate_optimal_lp(m, n, seed).lp, self.HOMOTOPY)
             for seed in range(len(expected))
         ]
         assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * len(expected)
@@ -560,14 +557,18 @@ class TestIterates:
         assert [out.iterations for out in outcomes] == expected
 
     @pytest.mark.parametrize("m,n,seeds", [(5, 10, 60), (20, 30, 20)])
-    def test_default_decay_takes_no_more_iterations_than_the_fixed_one(self, m, n, seeds):
-        default = SolverConfig(Algorithm.HOMOTOPY, trace=False)
-        fixed = SolverConfig(Algorithm.HOMOTOPY, theta_full=default.theta, trace=False)
-        for seed in range(seeds):
-            lp = generate_optimal_lp(m, n, seed).lp
-            out, reference = solve(lp, default), solve(lp, fixed)
-            assert out.status is SolveStatus.OPTIMAL, seed
-            assert out.iterations <= reference.iterations, seed
+    def test_default_decay_takes_no_more_iterations_than_the_fixed_one(
+        self, m, n, seeds, monkeypatch
+    ):
+        config = SolverConfig(Algorithm.HOMOTOPY, trace=False)
+        lps = [generate_optimal_lp(m, n, seed).lp for seed in range(seeds)]
+        outcomes = [solve(lp, config) for lp in lps]
+        monkeypatch.setattr(solver_module, "_FULL_STEP_SHRINK", 1.0)
+        fixed = [solve(lp, config).iterations for lp in lps]
+        assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * seeds
+        assert [
+            seed for seed, out in enumerate(outcomes) if out.iterations > fixed[seed]
+        ] == []
 
     def test_constant_mu_iteration_counts_are_pinned(self):
         expected = [11, 11, 11, 10, 14, 9, 9, 11, 12, 11]
