@@ -1,5 +1,9 @@
 """Command line front end: generate problems, run solves, check solutions.
 
+The front end restates nothing the library owns.  A ``solve`` flag that is
+left out keeps ``SolverConfig``'s default, the trace CSV has one column per
+``IterationRecord`` field, and points are written and read by ``serialize``.
+
 Exit codes separate mathematical outcomes from operational failures:
 
 * 0   success (solve: certified optimal)
@@ -27,20 +31,26 @@ from .errors import LpMeritError
 from .problems import (
     GeneratedProblem,
     HomogeneousPoint,
-    PrimalDualPoint,
     generate_optimal_lp,
     generate_unbounded_lp,
     residuals,
 )
 from .solver import (
     Algorithm,
+    IterationRecord,
     SolveStatus,
     SolverConfig,
     solve,
     solve_homogeneous,
 )
 
-TRACE_HEADER = "iter,f,grad_norm,mu,nu,alpha,gap,primal_res,dual_res,min_x,min_s,rel_err_x"
+#: The trace columns: the fields of IterationRecord, in declaration order.
+_TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(IterationRecord))
+TRACE_HEADER = ",".join("iter" if name == "k" else name for name in _TRACE_FIELDS)
+
+#: The solve flags that set a SolverConfig field, by field name; a flag that
+#: is not given leaves the field at SolverConfig's default.
+_CONFIG_FLAGS = ("q", "mu_const", "theta", "nu0", "max_iter", "tol_grad", "tol_f")
 
 _STATUS_EXIT = {
     SolveStatus.OPTIMAL: 0,
@@ -56,25 +66,17 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
 def _write_trace(path, trace) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for r in trace:
-            cells = [
-                str(r.k),
-                _fmt(r.f),
-                _fmt(r.grad_norm),
-                _fmt(r.mu),
-                _fmt(r.nu),
-                _fmt(r.alpha),
-                _fmt(r.gap),
-                _fmt(r.primal_res),
-                _fmt(r.dual_res),
-                _fmt(r.min_x),
-                _fmt(r.min_s),
-                "" if r.rel_err_x is None else _fmt(r.rel_err_x),
-            ]
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(_cell(getattr(r, name)) for name in _TRACE_FIELDS) + "\n")
 
 
 def _config_document(config: SolverConfig) -> dict:
@@ -125,28 +127,19 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args.input)
     if isinstance(problem, int):
         return problem
-    algorithm = Algorithm(args.alg)
-    if algorithm is Algorithm.LM_ADAPTIVE and args.q is not None and args.q != 3.0:
-        print(
-            f"warning: the unit Lipschitz bound backing the adaptive schedule "
-            f"holds for q = 3; running with q = {args.q} anyway",
-            file=sys.stderr,
-        )
+    given = {name: getattr(args, name) for name in _CONFIG_FLAGS}
+    given = {name: value for name, value in given.items() if value is not None}
     try:
-        config = SolverConfig(
-            algorithm=algorithm,
-            q=args.q,
-            mu_const=args.mu,
-            theta=args.theta,
-            nu0=args.nu0,
-            max_iter=args.max_iter,
-            tol_grad=args.tol_grad,
-            tol_f=args.tol_f,
-            trace=args.trace is not None,
-        )
+        config = SolverConfig(Algorithm(args.alg), trace=args.trace is not None, **given)
     except LpMeritError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if config.algorithm is Algorithm.LM_ADAPTIVE and config.q != 3.0:
+        print(
+            f"warning: the unit Lipschitz bound backing the adaptive schedule "
+            f"holds for q = 3; running with q = {config.q} anyway",
+            file=sys.stderr,
+        )
     x_star = problem.known_optimum.x if problem.known_optimum is not None else None
     outcome = solve(problem.lp, config, x_star=x_star)
 
@@ -160,11 +153,7 @@ def cmd_solve(args) -> int:
         "iterations": outcome.iterations,
         "objective_primal": float(problem.lp.c @ outcome.point.x),
         "objective_dual": float(problem.lp.b @ outcome.point.lam),
-        "point": {
-            "x": outcome.point.x,
-            "lambda": outcome.point.lam,
-            "s": outcome.point.s,
-        },
+        "point": serialize.point_document(outcome.point),
         "config": _config_document(config),
     }
     if args.homogeneous_escalate and outcome.status is SolveStatus.NO_OPTIMAL_SOLUTION:
@@ -198,21 +187,6 @@ def cmd_solve(args) -> int:
     return _STATUS_EXIT[outcome.status]
 
 
-def _solution_point(doc, n: int, m: int) -> PrimalDualPoint:
-    for key in ("point", "known_optimum"):
-        if isinstance(doc.get(key), dict):
-            doc = doc[key]
-            break
-    x = np.asarray(doc["x"], dtype=float)
-    lam = np.asarray(doc["lambda"], dtype=float)
-    s = np.asarray(doc["s"], dtype=float)
-    if x.shape != (n,) or lam.shape != (m,) or s.shape != (n,):
-        raise ValueError(
-            f"solution has sizes ({x.size}, {lam.size}, {s.size}), expected ({n}, {m}, {n})"
-        )
-    return PrimalDualPoint(x, lam, s)
-
-
 def cmd_check(args) -> int:
     problem = _load_problem(args.input)
     if isinstance(problem, int):
@@ -220,7 +194,12 @@ def cmd_check(args) -> int:
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        point = _solution_point(doc, problem.lp.n, problem.lp.m)
+        # a bare point, a solve report, or a problem file with its known optimum
+        for key in ("point", "known_optimum"):
+            if isinstance(doc.get(key), dict):
+                doc = doc[key]
+                break
+        point = serialize.point_from_document(doc, problem.lp.n, problem.lp.m, "solution")
     except OSError as exc:
         print(f"error: cannot read {args.solution}: {exc}", file=sys.stderr)
         return 3
@@ -265,18 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=Algorithm.HOMOTOPY.value,
         help="solver variant (default: homotopy)",
     )
-    slv.add_argument("--q", type=float, default=None, help="hinge power (default per variant)")
+    # no defaults here: a flag left out keeps SolverConfig's default
+    slv.add_argument("--q", type=float, help="hinge power (default per variant)")
     slv.add_argument(
         "--theta",
         type=float,
-        default=0.8,
         help="homotopy decay factor of nu after a backtracked step; half of it after a full step",
     )
-    slv.add_argument("--mu", type=float, default=1e-9, help="constant regularization")
-    slv.add_argument("--nu0", type=float, default=1.0, help="initial homotopy weight")
-    slv.add_argument("--max-iter", type=int, default=500)
-    slv.add_argument("--tol-grad", type=float, default=1e-10)
-    slv.add_argument("--tol-f", type=float, default=1e-16)
+    slv.add_argument("--mu", type=float, dest="mu_const", help="constant regularization")
+    slv.add_argument("--nu0", type=float, help="initial homotopy weight")
+    slv.add_argument("--max-iter", type=int)
+    slv.add_argument("--tol-grad", type=float)
+    slv.add_argument("--tol-f", type=float)
     slv.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
     slv.add_argument("--report", default=None, help="write outcome report JSON here")
     slv.add_argument(

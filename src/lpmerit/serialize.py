@@ -1,10 +1,12 @@
-"""Problem files and report rendering.
+"""Problem files, primal-dual points and report rendering.
 
-Problems are stored as a flat JSON object: "m", "n", row-major "A", "b", "c",
-optional "known_optimum" {"x", "lambda", "s"}, optional "known_ray" and
-"feasible_point", plus "kind", "seed" and "generator".  All numbers are
-written with 17 significant digits so that a read-back reproduces every
-double bit for bit.
+A primal-dual point is stored as {"x", "lambda", "s"}; ``point_document`` and
+``point_from_document`` are the only writer and reader of that layout, used
+for a problem's "known_optimum" and a solve report's "point".  Problems are
+stored as a flat JSON object: "m", "n", row-major "A", "b", "c", optional
+"known_optimum", optional "known_ray" and "feasible_point", plus "kind",
+"seed" and "generator".  All numbers are written with 17 significant digits
+so that a read-back reproduces every double bit for bit.
 """
 
 from __future__ import annotations
@@ -59,6 +61,23 @@ def dumps(document: dict) -> str:
     return _render(document, 0) + "\n"
 
 
+def point_document(point: PrimalDualPoint) -> dict:
+    return {"x": point.x, "lambda": point.lam, "s": point.s}
+
+
+def point_from_document(doc: dict, n: int, m: int, name: str) -> PrimalDualPoint:
+    """Read a point written by ``point_document``.
+
+    Raises DimensionMismatch, its message starting with ``name``, unless the
+    x, lambda and s blocks have sizes (n, m, n).
+    """
+    x, lam, s = (np.asarray(doc[key], dtype=float) for key in ("x", "lambda", "s"))
+    if x.shape != (n,) or lam.shape != (m,) or s.shape != (n,):
+        sizes = (x.size, lam.size, s.size)
+        raise DimensionMismatch(f"{name} has sizes {sizes}, expected ({n}, {m}, {n})")
+    return PrimalDualPoint(x, lam, s)
+
+
 def problem_document(problem: GeneratedProblem) -> dict:
     lp = problem.lp
     doc = {
@@ -72,8 +91,7 @@ def problem_document(problem: GeneratedProblem) -> dict:
         "generator": problem.generator,
     }
     if problem.known_optimum is not None:
-        opt = problem.known_optimum
-        doc["known_optimum"] = {"x": opt.x, "lambda": opt.lam, "s": opt.s}
+        doc["known_optimum"] = point_document(problem.known_optimum)
     if problem.known_ray is not None:
         doc["known_ray"] = problem.known_ray
     if problem.feasible_point is not None:
@@ -105,11 +123,7 @@ def problem_from_document(doc: dict, *, allow_square: bool = False) -> Generated
     lp = StandardFormLp(A.reshape(m, n), doc["b"], doc["c"], allow_square=allow_square)
     known_optimum = None
     if doc.get("known_optimum") is not None:
-        opt = doc["known_optimum"]
-        known_optimum = PrimalDualPoint(opt["x"], opt["lambda"], opt["s"])
-        if known_optimum.x.shape != (n,) or known_optimum.lam.shape != (m,):
-            sizes = (known_optimum.x.size, known_optimum.lam.size, known_optimum.s.size)
-            raise DimensionMismatch(f"known_optimum has sizes {sizes}, expected ({n}, {m}, {n})")
+        known_optimum = point_from_document(doc["known_optimum"], n, m, "known_optimum")
     known_ray = _certificate_array(doc, "known_ray", n)
     feasible_point = _certificate_array(doc, "feasible_point", n)
     return GeneratedProblem(

@@ -1,11 +1,20 @@
 """End-to-end command-line flows: gen, solve, check, exit codes, file formats."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from lpmerit import generate_optimal_lp, load_problem, save_problem
+from lpmerit import (
+    Algorithm,
+    IterationRecord,
+    SolverConfig,
+    generate_optimal_lp,
+    load_problem,
+    save_problem,
+)
+from lpmerit import cli
 from lpmerit.cli import TRACE_HEADER, main
 
 
@@ -242,3 +251,140 @@ class TestCheck:
         sol = tmp_path / "sol.json"
         sol.write_text(json.dumps({"x": [0.0] * 5, "lambda": [0.0] * 3, "s": [0.0] * 5}))
         assert main(["check", "--input", str(path), "--solution", str(sol)]) == 2
+
+
+def _capture_outcome(monkeypatch):
+    """Record every outcome that the CLI's ``solve`` returns."""
+    outcomes, cli_solve = [], cli.solve
+
+    def recording_solve(*args, **kwargs):
+        outcomes.append(cli_solve(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    return outcomes
+
+
+class TestSingleSources:
+    """The CLI restates no library decision: flag defaults are SolverConfig's,
+    trace columns are IterationRecord's fields, and a report's point is read
+    back by the same codec that wrote it."""
+
+    @pytest.mark.parametrize(
+        "flag,text,field,value",
+        [
+            ("--q", "2.5", "q", 2.5),
+            ("--mu", "3e-8", "mu_const", 3e-8),
+            ("--theta", "0.5", "theta", 0.5),
+            ("--nu0", "2.5", "nu0", 2.5),
+            ("--max-iter", "0", "max_iter", 0),
+            ("--tol-grad", "1e-9", "tol_grad", 1e-9),
+            ("--tol-f", "1e-15", "tol_f", 1e-15),
+        ],
+    )
+    def test_a_given_flag_reaches_its_config_field(self, tmp_path, flag, text, field, value):
+        assert getattr(SolverConfig(Algorithm.HOMOTOPY), field) != value
+        path = _gen(tmp_path, 3, 6)
+        report = tmp_path / "report.json"
+        code = main(["solve", "--input", str(path), flag, text, "--report", str(report)])
+        assert code in (0, 11)
+        config = json.loads(report.read_text())["config"]
+        assert config[field] == value
+
+    def test_flagless_solve_uses_the_config_defaults(self, tmp_path):
+        path = _gen(tmp_path, 3, 6)
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
+        config = json.loads(report.read_text())["config"]
+        assert config == cli._config_document(SolverConfig(Algorithm.HOMOTOPY))
+
+    def test_trace_header_is_the_record_fields(self):
+        names = [f.name for f in dataclasses.fields(IterationRecord)]
+        assert TRACE_HEADER.split(",") == ["iter" if name == "k" else name for name in names]
+
+    @pytest.mark.parametrize("kind", ["optimal", "unbounded"])
+    def test_trace_cells_parse_back_to_the_records(self, tmp_path, monkeypatch, kind):
+        """Every cell reads back to its record's value bit for bit; a missing
+        reference error (no known optimum) is an empty cell."""
+        outcomes = _capture_outcome(monkeypatch)
+        path = _gen(tmp_path, 3, 8, kind=kind)
+        trace = tmp_path / "trace.csv"
+        main(["solve", "--input", str(path), "--trace", str(trace)])
+        (outcome,) = outcomes
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+        assert len(rows) == len(outcome.trace) > 1
+        names = [f.name for f in dataclasses.fields(IterationRecord)]
+        for cells, record in zip(rows, outcome.trace):
+            assert int(cells[0]) == record.k
+            for name, cell in zip(names[1:], cells[1:]):
+                value = getattr(record, name)
+                if value is None:
+                    assert cell == ""
+                else:
+                    assert float(cell) == value
+        assert (rows[0][-1] == "") == (kind == "unbounded")
+
+    def test_check_reads_back_the_reported_point_bit_for_bit(self, tmp_path, monkeypatch):
+        outcomes = _capture_outcome(monkeypatch)
+        checked, cli_residuals = [], cli.residuals
+
+        def recording_residuals(lp, point):
+            checked.append(point)
+            return cli_residuals(lp, point)
+
+        monkeypatch.setattr(cli, "residuals", recording_residuals)
+        path = _gen(tmp_path, 4, 9)
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
+        assert main(["check", "--input", str(path), "--solution", str(report)]) == 0
+        (outcome,), (point,) = outcomes, checked
+        for name in ("x", "lam", "s"):
+            assert getattr(point, name).tobytes() == getattr(outcome.point, name).tobytes()
+
+    def test_report_point_of_the_wrong_length_exits_2(self, tmp_path, capsys):
+        path = _gen(tmp_path, 3, 6)
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["point"]["x"] = doc["point"]["x"][:-1]
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", "--input", str(path), "--solution", str(report)]) == 2
+        assert f"invalid solution file {report}: solution has sizes (5, 3, 6)" in (
+            capsys.readouterr().err
+        )
+
+
+class TestFailurePaths:
+    """Each exit for bad input or a failed write, reached once."""
+
+    def test_non_integer_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LPMERIT_SEED", "seven")
+        code = main(["gen", "--m", "3", "--n", "6", "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "LPMERIT_SEED must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--trace", "--report"])
+    def test_unwritable_solve_output_exits_3(self, tmp_path, capsys, flag):
+        path = _gen(tmp_path, 3, 6)
+        code = main(["solve", "--input", str(path), flag, str(tmp_path / "no" / "out")])
+        assert code == 3
+        assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["--input", "--solution"])
+    def test_check_with_an_unreadable_file_exits_3(self, tmp_path, capsys, missing):
+        path = _gen(tmp_path, 3, 6)
+        paths = {"--input": str(path), "--solution": str(path)}
+        paths[missing] = str(tmp_path / "absent.json")
+        code = main(["check", "--input", paths["--input"], "--solution", paths["--solution"]])
+        assert code == 3
+        assert f"cannot read {tmp_path / 'absent.json'}" in capsys.readouterr().err
+
+    def test_matrix_with_the_wrong_entry_count_exits_2(self, tmp_path, capsys):
+        path = _gen(tmp_path, 3, 6)
+        doc = json.loads(path.read_text())
+        doc["A"] = doc["A"][:-1]
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(path)]) == 2
+        assert "A has 17 entries, expected m*n = 18" in capsys.readouterr().err

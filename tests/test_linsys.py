@@ -439,3 +439,15 @@ class TestSolveStructured:
         g = eval_gradient(BASE3, prob.lp, point)
         solve_structured(build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert np.array_equal(prob.lp.gram, before)
+
+
+class TestInputGuards:
+    def test_solve_dense_rejects_a_rhs_of_the_wrong_shape(self):
+        lp = generate_optimal_lp(3, 6, 0).lp
+        z = np.zeros(2 * lp.n + lp.m)
+        with pytest.raises(ValueError, match="rhs must have shape"):
+            solve_dense(BASE3, lp, z, 1e-3, np.zeros(z.size + 1))
+
+    def test_rank_one_update_rejects_inconsistent_sizes(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            cholesky_rank_one_update(np.eye(3), np.ones(2))

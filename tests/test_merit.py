@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import central_gradient, central_jacobian, random_homogeneous, random_primal_dual
 
 from lpmerit import (
+    DimensionMismatch,
     HomogeneousPoint,
     InvalidConfig,
     KindMismatch,
@@ -385,3 +386,13 @@ def test_hessian_base_is_cached_per_problem():
     h2 = merit.hessian_base(MeritSpec(MeritKind.HOMOTOPY, q=3.0, nu=0.2), prob.lp)
     assert h1 is h2
     assert not h1.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "spec,size", [(BASE3, 15), (MeritSpec(MeritKind.HOMOGENEOUS, q=3.0), 17)]
+)
+@pytest.mark.parametrize("function", [merit.value_at, merit.evaluate])
+def test_flat_point_of_the_wrong_length_is_rejected(spec, size, function):
+    lp = generate_optimal_lp(3, 6, 0).lp
+    with pytest.raises(DimensionMismatch, match=f"expected point of length {size}"):
+        function(spec, lp, np.zeros(size - 1))

@@ -5,6 +5,7 @@ import pytest
 
 from lpmerit import (
     DimensionMismatch,
+    HomogeneousPoint,
     InstanceTooLarge,
     NonFiniteEntry,
     PrimalDualPoint,
@@ -237,3 +238,43 @@ class TestRenderArrays:
         doc = serialize.problem_document(generate_unbounded_lp(4, 9, 3))
         per_value = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
         assert serialize.dumps(doc) == serialize.dumps(per_value)
+
+
+class TestInputGuards:
+    """Each rejection of a malformed problem, point or document."""
+
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch, match="2-d matrix"):
+            StandardFormLp([1.0, 1.0], [1.0], [1.0, 0.0])
+
+    def test_problem_without_constraints_rejected(self):
+        with pytest.raises(ShapeViolation, match="m >= 1"):
+            StandardFormLp(np.zeros((0, 3)), [], np.zeros(3))
+
+    @pytest.mark.parametrize("cls", [PrimalDualPoint, HomogeneousPoint])
+    @pytest.mark.parametrize(
+        "x,lam,s,error",
+        [
+            (np.ones((2, 2)), np.ones(1), np.ones(4), DimensionMismatch),
+            ([1.0, np.nan], [1.0], [1.0, 1.0], NonFiniteEntry),
+            ([1.0, 1.0], [1.0], [1.0, 1.0, 1.0], DimensionMismatch),
+        ],
+    )
+    def test_malformed_point_blocks_rejected(self, cls, x, lam, s, error):
+        scaling = (1.0, 1.0) if cls is HomogeneousPoint else ()
+        with pytest.raises(error):
+            cls(x, lam, s, *scaling)
+
+    @pytest.mark.parametrize("cls,extra", [(PrimalDualPoint, 0), (HomogeneousPoint, 2)])
+    def test_flat_vector_of_the_wrong_length_rejected(self, cls, extra):
+        with pytest.raises(DimensionMismatch, match=f"expected length {2 * 4 + 2 + extra}"):
+            cls.from_vector(np.zeros(2 * 4 + 2 + extra + 1), 4, 2)
+
+    @pytest.mark.parametrize("tau,kappa", [(np.nan, 1.0), (1.0, np.inf)])
+    def test_non_finite_scaling_pair_rejected(self, tau, kappa):
+        with pytest.raises(NonFiniteEntry, match="tau and kappa"):
+            HomogeneousPoint(np.ones(2), np.ones(1), np.ones(2), tau, kappa)
+
+    def test_unsupported_value_cannot_be_rendered(self):
+        with pytest.raises(TypeError, match="cannot render object as JSON"):
+            serialize.dumps({"value": object()})

@@ -576,3 +576,44 @@ class TestIterates:
         outcomes = [solve(generate_optimal_lp(5, 10, seed).lp, config) for seed in range(10)]
         assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * len(expected)
         assert [out.iterations for out in outcomes] == expected
+
+
+class TestNonFiniteGuards:
+    """The two finiteness exits of the iteration loop that no real input is
+    known to reach, each reached by a fake merit evaluation."""
+
+    def test_non_finite_surrogate_with_a_finite_base_merit(self, monkeypatch):
+        """The run ends at that iterate, reporting its base merit value and
+        the max-norm of its base gradient."""
+        lp = generate_optimal_lp(3, 6, 0).lp
+        g_base = np.full(2 * lp.n + lp.m, 0.5)
+        g_base[0] = -0.75
+
+        def fake_evaluate(spec, lp, z):
+            return (1.0, g_base), (math.nan, np.zeros(z.size)), residuals(
+                lp, PrimalDualPoint.from_vector(z, lp.n, lp.m)
+            )
+
+        monkeypatch.setattr(merit_module, "evaluate", fake_evaluate)
+        out = solve(lp, SolverConfig(Algorithm.HOMOTOPY))
+        assert out.status is SolveStatus.NUMERICAL_FAILURE
+        assert out.iterations == 0
+        assert out.final_f == 1.0
+        assert out.final_grad_norm == 0.75
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_full_step_keeps_the_last_finite_iterate(self, monkeypatch):
+        """An lm-adaptive full step of 1e308 from a start at 1e308 overflows;
+        the run ends there instead of building a point from inf."""
+        lp = generate_optimal_lp(3, 6, 0).lp
+        size = 2 * lp.n + lp.m
+        g = np.full(size, -1e-3)
+        monkeypatch.setattr(merit_module, "evaluate", lambda spec, lp, z: ((1.0, g), (1.0, g), None))
+        monkeypatch.setattr(
+            solver_module, "_newton_step", lambda spec, lp, z, mu, g: np.full(z.size, 1e308)
+        )
+        start = PrimalDualPoint.from_vector(np.full(size, 1e308), lp.n, lp.m)
+        out = solve(lp, SolverConfig(Algorithm.LM_ADAPTIVE, trace=False), start)
+        assert out.status is SolveStatus.NUMERICAL_FAILURE
+        assert out.iterations == 0
+        np.testing.assert_array_equal(out.point.as_vector(), np.full(size, 1e308))
