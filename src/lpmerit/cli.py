@@ -151,6 +151,7 @@ def cmd_solve(args) -> int:
         "final_f": outcome.final_f,
         "final_grad_norm": outcome.final_grad_norm,
         "iterations": outcome.iterations,
+        "polished": outcome.polished,
         "objective_primal": float(problem.lp.c @ outcome.point.x),
         "objective_dual": float(problem.lp.b @ outcome.point.lam),
         "point": serialize.point_document(outcome.point),
@@ -178,6 +179,7 @@ def cmd_solve(args) -> int:
     print(
         f"{outcome.status.value}: iterations={outcome.iterations} "
         f"f={outcome.final_f:.3e} grad_inf={outcome.final_grad_norm:.3e}"
+        + (" stopped-by=polished-vertex" if outcome.polished else "")
         + (
             f" classification={outcome.classification.value}"
             if outcome.classification is not None

@@ -16,6 +16,16 @@ iterate.
 Termination is always measured on the base merit: its value certifies the
 optimality residuals, and a vanishing gradient with a value bounded away from
 zero certifies that no primal-dual optimum exists.
+
+``solve`` also tries to polish each iterate onto a vertex before that test.
+The partition B = {j : x_j > s_j} of the iterate names a basis; when it has
+m columns, equals the previous iterate's and has not been tried before, one
+LU factorization of A_B gives the vertex x_B = A_B^{-1} b, x_N = 0,
+lam = A_B^{-T} c_B, s = c - A'lam with s_B = 0 (the optimal-face projection
+of Mehrotra & Ye, Math. Prog. 1993, on a square basis).  The vertex is
+accepted only when x >= 0 and s >= 0 exactly, every entry is finite and the
+same stopping test returns Optimal at it; it then becomes the final iterate.
+A vertex that fails leaves the iterates as they were.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from . import merit
 from .errors import DimensionMismatch, FactorizationFailure, InvalidConfig, NotDescentDirection
@@ -153,6 +164,8 @@ class SolveOutcome:
     iterations: int
     classification: Classification | None = None
     trace: list[IterationRecord] = field(default_factory=list)
+    #: Whether the run stopped at a polished vertex, its final iterate.
+    polished: bool = False
 
 
 def armijo_search(objective, p, delta, slope: float, f0: float):
@@ -231,7 +244,70 @@ def _step(spec, lp, config, z, f, g, mu):
     return alpha, z_next, None
 
 
-def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
+def _basic_vertex(lp, basis):
+    """The vertex of the square basis ``basis`` as a flat iterate, or None.
+
+    x_B = A_B^{-1} b and lam = A_B^{-T} c_B from one LU factorization, with
+    x_N = 0 and s = c - A'lam but s_B = 0 exactly.  None when A_B has an
+    exactly zero pivot, or the vertex has a non-finite entry or a negative x
+    or s; an ill-conditioned A_B is left to those tests and the caller's.
+    """
+    A_B = lp.A[:, basis]
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (A_B,))
+    lu, piv, info = getrf(A_B)
+    if info != 0:
+        return None
+    x_B, _ = getrs(lu, piv, lp.b)
+    lam, _ = getrs(lu, piv, lp.c[basis], trans=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = lp.c - lp.A.T @ lam
+    s[basis] = 0.0
+    z = np.concatenate([np.zeros(lp.n), lam, s])
+    z[basis] = x_B
+    if not (np.isfinite(z).all() and x_B.min() >= 0.0 and s.min() >= 0.0):
+        return None
+    return z
+
+
+class _Polish:
+    """The polish attempt of ``solve`` at each iterate.
+
+    Keeps the previous iterate's partition and every basis already tried:
+    the vertex depends on the basis alone, so each is tried at most once.
+    """
+
+    def __init__(self, lp, stop):
+        self.lp, self.stop = lp, stop
+        self.previous = np.empty(0, dtype=np.intp)
+        self.tried = set()
+        self.verified = False
+
+    def __call__(self, z, spec):
+        """(vertex, its ``merit.evaluate`` at ``spec``) if the partition of
+        ``z`` has m columns, equals the previous iterate's and is new, and
+        the vertex passes the stopping test as Optimal on the base merit;
+        otherwise None."""
+        n, m = self.lp.n, self.lp.m
+        basis = np.flatnonzero(z[:n] > z[n + m :])
+        previous, self.previous = self.previous, basis
+        if basis.size != m or not np.array_equal(basis, previous):
+            return None
+        key = basis.tobytes()
+        if key in self.tried:
+            return None
+        self.tried.add(key)
+        vertex = _basic_vertex(self.lp, basis)
+        if vertex is None:
+            return None
+        evaluation = merit.evaluate(spec, self.lp, vertex)
+        (f, g), _, _ = evaluation
+        if self.stop(f, float(np.abs(g).max())) is not SolveStatus.OPTIMAL:
+            return None
+        self.verified = True
+        return vertex, evaluation
+
+
+def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None, polish=None):
     """The iteration loop of ``solve`` and ``solve_homogeneous``.
 
     Minimizes the merit ``spec`` from the point ``start``.  While ``nu`` > 0,
@@ -240,9 +316,13 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
     full one; one ``merit.evaluate`` call gives it with the merit of ``spec``.
     ``stop(f, g_inf)`` returns the status that ends the run at an iterate, or
     None.  ``record``, if given, returns the trace row of an
-    iterate from its residuals; its alpha is set once the step is taken.  Returns
-    (z, k, f, g_inf, status) at the last finite iterate; f is the last merit
-    value and g_inf the last finite gradient max-norm.
+    iterate from its residuals; its alpha is set once the step is taken.
+    ``polish``, if given, is a ``_Polish`` tried at each iterate below
+    ``max_iter`` before ``stop``; a vertex it returns is the next iterate,
+    with the evaluation it returns, and ``stop`` ends the run there.  Its
+    row keeps alpha 0, and nu decays by theta, as after a backtracked step.
+    Returns (z, k, f, g_inf, status) at the last finite iterate; f is the
+    last merit value and g_inf the last finite gradient max-norm.
     """
     n, m = lp.n, lp.m
     if start.x.shape != (n,) or start.lam.shape != (m,):
@@ -250,11 +330,16 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
             f"start has sizes (n={start.x.size}, m={start.lam.size}), "
             f"problem has (n={n}, m={m})"
         )
+
+    def spec_at(weight):
+        return MeritSpec(MeritKind.HOMOTOPY, q=spec.q, nu=weight) if weight > 0.0 else spec
+
     z = start.as_vector()
     g_inf = math.inf
+    pending = None  # the evaluation of a verified vertex, the next iterate
     for k in range(config.max_iter + 1):
-        cur_spec = MeritSpec(MeritKind.HOMOTOPY, q=spec.q, nu=nu) if nu > 0.0 else spec
-        (f, g), (f_cur, g_cur), res = merit.evaluate(cur_spec, lp, z)
+        cur_spec = spec_at(nu)
+        (f, g), (f_cur, g_cur), res = pending or merit.evaluate(cur_spec, lp, z)
         if not (math.isfinite(f) and np.isfinite(g).all()):
             return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
         g_inf = float(np.abs(g).max())
@@ -268,6 +353,12 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None):
             mu = config.mu_const
 
         row = record(k, z, res, f_cur, g_cur_norm, mu, nu) if record is not None else None
+        if polish is not None and k < config.max_iter:
+            verified = polish(z, spec_at(nu * config.theta))
+            if verified is not None:
+                z, pending = verified
+                nu *= config.theta
+                continue
         status = stop(f, g_inf)
         # mu = 0 only at a zero gradient whose value ``stop`` leaves undecided
         if status is None and (k == config.max_iter or mu <= 0.0):
@@ -346,9 +437,10 @@ def solve(
 
     start = PrimalDualPoint.zeros(n, m) if start is None else start
     nu = config.nu0 if config.algorithm is Algorithm.HOMOTOPY else 0.0
+    polish = _Polish(lp, stop)
     z, iterations, f, g_inf, status = _minimize(
         lp, config, MeritSpec(MeritKind.BASE, q=config.q), start, stop, nu=nu,
-        record=record if config.trace else None,
+        record=record if config.trace else None, polish=polish,
     )
     point = PrimalDualPoint.from_vector(z, n, m)
     classification = None
@@ -368,6 +460,7 @@ def solve(
         iterations=iterations,
         classification=classification,
         trace=trace,
+        polished=polish.verified,
     )
 
 

@@ -201,9 +201,22 @@ class TestSolve:
         assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         for key in ("status", "classification", "final_f", "final_grad_norm",
-                    "iterations", "objective_primal", "objective_dual", "point", "config"):
+                    "iterations", "polished", "objective_primal", "objective_dual", "point",
+                    "config"):
             assert key in doc
         assert set(doc["point"]) == {"x", "lambda", "s"}
+
+    @pytest.mark.parametrize(
+        "kind,alg,polished", [("optimal", "homotopy", True), ("unbounded", "lm-const", False)]
+    )
+    def test_report_and_summary_say_whether_the_polish_stopped_the_run(
+        self, tmp_path, capsys, kind, alg, polished
+    ):
+        path = _gen(tmp_path, 3, 8, kind=kind)
+        report = tmp_path / "report.json"
+        main(["solve", "--input", str(path), "--alg", alg, "--report", str(report)])
+        assert json.loads(report.read_text())["polished"] is polished
+        assert ("stopped-by=polished-vertex" in capsys.readouterr().out) is polished
 
 
 class TestCheck:

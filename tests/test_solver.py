@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import relative_kkt
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpmerit.merit as merit_module
 import lpmerit.solver as solver_module
@@ -15,6 +18,8 @@ from lpmerit import (
     HomogeneousPoint,
     HomogeneousStatus,
     InvalidConfig,
+    MeritKind,
+    MeritSpec,
     NotDescentDirection,
     PrimalDualPoint,
     SolverConfig,
@@ -28,6 +33,26 @@ from lpmerit import (
     solve,
     solve_homogeneous,
 )
+
+
+def no_vertex(lp, basis):
+    """A stand-in for solver._basic_vertex that finds no vertex, so that no
+    polish is attempted and a run keeps the loop's own iterates."""
+    return None
+
+
+def log_vertex_calls(monkeypatch):
+    """(basis, whether a vertex was found) for every call of solver._basic_vertex."""
+    log = []
+    basic_vertex = solver_module._basic_vertex
+
+    def logging_vertex(lp, basis):
+        vertex = basic_vertex(lp, basis)
+        log.append((list(basis), vertex is not None))
+        return vertex
+
+    monkeypatch.setattr(solver_module, "_basic_vertex", logging_vertex)
+    return log
 
 
 class TestArmijo:
@@ -161,7 +186,8 @@ class TestSolve:
         assert out.final_f >= 1e-8 * s2
         assert out.classification is Classification.PRIMAL_FEASIBLE_DUAL_INFEASIBLE
 
-    def test_iteration_limit_and_trace_length(self):
+    def test_iteration_limit_and_trace_length(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         prob = generate_optimal_lp(3, 6, 4)
         out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT, max_iter=3))
         assert out.status is SolveStatus.ITERATION_LIMIT
@@ -323,7 +349,8 @@ class TestFailurePathsOnRealInputs:
         calls = self._count_attempts(monkeypatch)
         out = solve(self._scaled(1e3), SolverConfig(Algorithm.HOMOTOPY, trace=False))
         assert out.iterations >= 1
-        assert calls["structured"] > out.iterations
+        # a polished run's last iterate is the vertex, not a Newton step
+        assert calls["structured"] > out.iterations - out.polished
         assert calls["dense"] == 0
 
     def test_exhausted_ladder_is_a_numerical_failure(self, monkeypatch):
@@ -398,8 +425,9 @@ class TestNonFiniteSteps:
 
 
 class TestOneEvaluationPerIterate:
-    """merit.evaluate runs once per iterate, gradient_at never runs, value_at
-    runs only as an Armijo probe, and the point is built only at exit."""
+    """merit.evaluate runs once per iterate and once per polish vertex that
+    fails the stopping test, gradient_at never runs, value_at runs only as an
+    Armijo probe, and the point is built only at exit."""
 
     @staticmethod
     def _instrument(monkeypatch):
@@ -446,18 +474,33 @@ class TestOneEvaluationPerIterate:
         monkeypatch.setattr(cls, "from_vector", classmethod(counting))
         return calls
 
-    @pytest.mark.parametrize("alg", [Algorithm.HOMOTOPY, Algorithm.LM_CONSTANT])
-    def test_solve(self, alg, monkeypatch):
+    def _assert_counts(self, config, status, monkeypatch):
         counts = self._instrument(monkeypatch)
+        calls = log_vertex_calls(monkeypatch)
         built = self._count_from_vector(monkeypatch, PrimalDualPoint)
-        out = solve(generate_optimal_lp(5, 10, 0).lp, SolverConfig(alg, trace=False))
-        assert out.status is SolveStatus.OPTIMAL
+        out = solve(generate_optimal_lp(5, 10, 0).lp, config)
+        assert out.status is status
+        assert out.polished is (status is SolveStatus.OPTIMAL)
+        # each basis is tried once, and each vertex found is evaluated once
+        assert len({tuple(basis) for basis, _ in calls}) == len(calls)
+        vertices = sum(found for _, found in calls)
+        assert vertices >= 1
         assert counts == {
-            "evaluate": out.iterations + 1,
+            "evaluate": out.iterations + 1 + vertices - out.polished,
             "gradient_at": 0,
             "value_at_outside_armijo": 0,
         }
         assert len(built) == 1
+
+    @pytest.mark.parametrize("alg", [Algorithm.HOMOTOPY, Algorithm.LM_CONSTANT])
+    def test_solve(self, alg, monkeypatch):
+        self._assert_counts(SolverConfig(alg, trace=False), SolveStatus.OPTIMAL, monkeypatch)
+
+    @pytest.mark.parametrize("alg", [Algorithm.HOMOTOPY, Algorithm.LM_CONSTANT])
+    def test_each_failed_vertex_costs_one_evaluation(self, alg, monkeypatch):
+        """No vertex passes this stopping test, so each one evaluated fails."""
+        config = SolverConfig(alg, trace=False, tol_f=1e-300, tol_grad=1e-300, max_iter=40)
+        self._assert_counts(config, SolveStatus.ITERATION_LIMIT, monkeypatch)
 
     @pytest.mark.parametrize("alg", list(Algorithm))
     def test_traced_solve_reads_rows_from_the_iterate(self, alg, monkeypatch):
@@ -532,8 +575,10 @@ class TestIterates:
         ],
     )
     def test_homotopy_iteration_counts_are_pinned(self, m, n, expected, monkeypatch):
-        """The fixed schedule nu_k = 0.8**k, with no extra shrink after a full step."""
+        """The fixed schedule nu_k = 0.8**k, with no extra shrink after a full
+        step, and no polish."""
         monkeypatch.setattr(solver_module, "_FULL_STEP_SHRINK", 1.0)
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         outcomes = [
             solve(generate_optimal_lp(m, n, seed).lp, self.HOMOTOPY)
             for seed in range(len(expected))
@@ -548,7 +593,10 @@ class TestIterates:
             (50, 75, [31, 35, 30]),
         ],
     )
-    def test_default_homotopy_iteration_counts_are_pinned(self, m, n, expected):
+    def test_default_homotopy_iteration_counts_are_pinned(self, m, n, expected, monkeypatch):
+        """The loop's own iterates: with no vertex to try, every run ends on
+        the merit test."""
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         outcomes = [
             solve(generate_optimal_lp(m, n, seed).lp, self.HOMOTOPY)
             for seed in range(len(expected))
@@ -570,7 +618,8 @@ class TestIterates:
             seed for seed, out in enumerate(outcomes) if out.iterations > fixed[seed]
         ] == []
 
-    def test_constant_mu_iteration_counts_are_pinned(self):
+    def test_constant_mu_iteration_counts_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         expected = [11, 11, 11, 10, 14, 9, 9, 11, 12, 11]
         config = SolverConfig(Algorithm.LM_CONSTANT, trace=False)
         outcomes = [solve(generate_optimal_lp(5, 10, seed).lp, config) for seed in range(10)]
@@ -617,3 +666,156 @@ class TestNonFiniteGuards:
         assert out.status is SolveStatus.NUMERICAL_FAILURE
         assert out.iterations == 0
         np.testing.assert_array_equal(out.point.as_vector(), np.full(size, 1e308))
+
+
+class TestPolish:
+    """The polish step of solve: a stable square partition is tried once as
+    a basic vertex, which ends the run only when it verifies, and leaves the
+    iterates untouched otherwise."""
+
+    HOMOTOPY = SolverConfig(Algorithm.HOMOTOPY)
+
+    @staticmethod
+    def _rows(out):
+        return [tuple(vars(row).values()) for row in out.trace]
+
+    def _assert_same_run(self, lp, config, monkeypatch):
+        """The run with the polish ends exactly as the run without it."""
+        polished = solve(lp, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_basic_vertex", no_vertex)
+            plain = solve(lp, config)
+        assert not polished.polished
+        assert (polished.status, polished.iterations) == (plain.status, plain.iterations)
+        assert polished.point.as_vector().tobytes() == plain.point.as_vector().tobytes()
+        assert self._rows(polished) == self._rows(plain)
+
+    @pytest.mark.parametrize(
+        "alg,m,n,expected",
+        [
+            (Algorithm.HOMOTOPY, 5, 10, [17, 7, 8, 9, 20, 5, 4, 6, 9, 5]),
+            (Algorithm.HOMOTOPY, 50, 75, [9, 16, 9]),
+            (Algorithm.LM_CONSTANT, 5, 10, [8, 8, 8, 5, 10, 3, 3, 4, 7, 5]),
+        ],
+    )
+    def test_polished_iteration_counts_are_pinned(self, alg, m, n, expected):
+        config = SolverConfig(alg, trace=False)
+        outcomes = [
+            solve(generate_optimal_lp(m, n, seed).lp, config) for seed in range(len(expected))
+        ]
+        assert [(out.status, out.polished) for out in outcomes] == [
+            (SolveStatus.OPTIMAL, True)
+        ] * len(expected)
+        assert [out.iterations for out in outcomes] == expected
+
+    def test_polished_vertex_is_the_last_row(self):
+        """The vertex is iterate k + 1; its row comes from the evaluation
+        that verified it, at nu decayed by theta, and the row before it
+        took no Newton step."""
+        prob = generate_optimal_lp(5, 10, 6)
+        out = solve(prob.lp, self.HOMOTOPY, x_star=prob.known_optimum.x)
+        assert out.polished and out.status is SolveStatus.OPTIMAL
+        assert len(out.trace) == out.iterations + 1
+        before, last = out.trace[-2:]
+        assert before.alpha == 0.0 and last.alpha == 0.0
+        assert last.nu == before.nu * self.HOMOTOPY.theta
+        surrogate = MeritSpec(MeritKind.HOMOTOPY, q=self.HOMOTOPY.q, nu=last.nu)
+        assert last.f == merit_module.value_at(surrogate, prob.lp, out.point.as_vector())
+        assert max(last.gap, last.primal_res, last.dual_res, last.rel_err_x) < 1e-12
+        assert last.min_x == last.min_s == 0.0
+        assert out.final_f <= self.HOMOTOPY.tol_f * prob.lp.scale**2
+
+    def test_polish_is_not_attempted_at_the_iteration_limit(self, monkeypatch):
+        log = log_vertex_calls(monkeypatch)
+        lp = generate_optimal_lp(5, 10, 6).lp
+        first = solve(lp, self.HOMOTOPY)
+        assert first.polished and len(log) == 1
+        log.clear()
+        out = solve(lp, SolverConfig(Algorithm.HOMOTOPY, max_iter=first.iterations - 1))
+        assert log == []
+        assert out.status is SolveStatus.ITERATION_LIMIT and not out.polished
+        assert out.iterations == first.iterations - 1
+
+    def test_singular_basis_leaves_the_run_as_it_was(self, monkeypatch):
+        """Column 6 duplicates column 1, which is basic at the optimum; the
+        iterates keep the two alike, so the partition {1, 2, 6} is tried, and
+        LU finds an exactly zero pivot in it, quietly."""
+        lp = generate_optimal_lp(3, 6, 1).lp
+        A = np.column_stack([lp.A, lp.A[:, 1]])
+        dup = StandardFormLp(A, lp.b, np.append(lp.c, lp.c[1]))
+        log = log_vertex_calls(monkeypatch)
+        self._assert_same_run(dup, self.HOMOTOPY, monkeypatch)
+        assert ([1, 2, 6], False) in log
+        assert solver_module._basic_vertex(dup, np.array([1, 2, 6])) is None
+
+    def test_ill_conditioned_basis_is_rejected_quietly(self):
+        """Column 2 is column 1 plus 1e-13 times a fixed vector: A_B is
+        nonsingular with condition number about 2e13, and its vertex has
+        entries near +-5e12."""
+        lp = generate_optimal_lp(3, 6, 1).lp
+        A = lp.A.copy()
+        A[:, 2] = A[:, 1] + 1e-13 * np.array([1.0, -2.0, 0.5])
+        basis = np.array([1, 2, 3])
+        assert np.linalg.cond(A[:, basis]) > 1e12
+        x_B = np.linalg.solve(A[:, basis], lp.b)
+        assert x_B.max() > 1e12 and x_B.min() < -1e12
+        assert solver_module._basic_vertex(StandardFormLp(A, lp.b, lp.c), basis) is None
+
+    def test_sign_infeasible_vertex_leaves_the_run_as_it_was(self, monkeypatch):
+        """On (5, 10, 4) the first partition tried has a vertex with x_B < 0
+        or s_N < 0; the second one verifies.  Stopped before the second
+        attempt, the run is the run without the polish."""
+        prob = generate_optimal_lp(5, 10, 4)
+        log = log_vertex_calls(monkeypatch)
+        out = solve(prob.lp, self.HOMOTOPY)
+        assert out.polished
+        assert [found for _, found in log] == [False, True]
+        lp, basis = prob.lp, log[0][0]
+        x_B = np.linalg.solve(lp.A[:, basis], lp.b)
+        s = lp.c - lp.A.T @ np.linalg.solve(lp.A[:, basis].T, lp.c[basis])
+        s[basis] = 0.0
+        assert min(x_B.min(), s.min()) < 0.0
+        config = SolverConfig(Algorithm.HOMOTOPY, max_iter=out.iterations - 1)
+        self._assert_same_run(prob.lp, config, monkeypatch)
+
+    def test_scaled_problem_is_solved_to_machine_precision(self):
+        """A and b x 1e4 loosen tol_f * scale^2 by 1e8: the merit test alone
+        stopped at relative x error 0.158."""
+        prob = generate_optimal_lp(20, 30, 0)
+        lp = StandardFormLp(prob.lp.A * 1e4, prob.lp.b * 1e4, prob.lp.c)
+        out = solve(lp, self.HOMOTOPY)
+        assert out.status is SolveStatus.OPTIMAL and out.polished
+        x_star = prob.known_optimum.x
+        assert np.linalg.norm(out.point.x - x_star) <= 1e-12 * np.linalg.norm(x_star)
+
+    @pytest.mark.parametrize("m,n", [(5, 10), (20, 30)])
+    def test_adaptive_mu_reaches_a_verified_optimum(self, m, n):
+        """LM_ADAPTIVE within the default max_iter, where the merit test alone
+        ended at the iteration limit."""
+        config = SolverConfig(Algorithm.LM_ADAPTIVE, trace=False)
+        for seed in range(10):
+            lp = generate_optimal_lp(m, n, seed).lp
+            out = solve(lp, config)
+            assert out.status is SolveStatus.OPTIMAL, seed
+            assert max(relative_kkt(lp, out.point).values()) <= 1e-12, seed
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        extra=st.integers(1, 12),
+        seed=st.integers(0, 10_000),
+        alg=st.sampled_from([Algorithm.HOMOTOPY, Algorithm.LM_CONSTANT]),
+    )
+    def test_polished_point_is_an_exact_vertex(self, m, extra, seed, alg):
+        lp = generate_optimal_lp(m, m + extra, seed).lp
+        out = solve(lp, SolverConfig(alg, trace=False))
+        if not out.polished:
+            return
+        x, s = out.point.x, out.point.s
+        assert out.status is SolveStatus.OPTIMAL
+        assert x.min() >= 0.0 and s.min() >= 0.0
+        # x_N = 0 and s_B = 0 for a basis B of m columns
+        assert np.count_nonzero(s == 0.0) >= m
+        assert np.all(x[s != 0.0] == 0.0)
+        assert np.count_nonzero(x) <= m
+        assert max(relative_kkt(lp, out.point).values()) <= 1e-12
