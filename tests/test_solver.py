@@ -1,6 +1,7 @@
 """Iteration drivers: line search, schedules, termination, classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -787,6 +788,23 @@ class TestPolish:
         assert out.status is SolveStatus.OPTIMAL and out.polished
         x_star = prob.known_optimum.x
         assert np.linalg.norm(out.point.x - x_star) <= 1e-12 * np.linalg.norm(x_star)
+
+    def test_refined_vertex_has_rounding_level_residuals(self):
+        """On (300, 450, 114), c.x* = -0.069 against terms of size 1e3, so
+        the gap is relative to about 1.  The plain LU solves left primal and
+        dual residuals of 4e-15 and an exact gap c.x - b.lam of 1.4e-12; the
+        refinement step takes them to 3e-16, 2e-16 and 1e-14."""
+        lp = generate_optimal_lp(300, 450, 114).lp
+        out = solve(lp, SolverConfig(Algorithm.HOMOTOPY, trace=False))
+        assert out.status is SolveStatus.OPTIMAL and out.polished
+        kkt = relative_kkt(lp, out.point)
+        assert max(kkt["primal"], kkt["dual"]) <= 1e-15
+        # the exact gap reaches 1e-14 only with a long double wider than double
+        if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+            x, lam = out.point.x, out.point.lam
+            cx = sum(Fraction(ci) * Fraction(xi) for ci, xi in zip(lp.c, x))
+            blam = sum(Fraction(bi) * Fraction(li) for bi, li in zip(lp.b, lam))
+            assert abs(float(cx - blam)) / (1.0 + abs(float(cx)) + abs(float(blam))) <= 1e-13
 
     @pytest.mark.parametrize("m,n", [(5, 10), (20, 30)])
     def test_adaptive_mu_reaches_a_verified_optimum(self, m, n):
