@@ -1,20 +1,19 @@
-"""Regularized Newton systems: a structured block solve and a solve on the Hessian base.
+"""Regularized Newton systems: one solve for each merit kind.
 
-The system (hessian + mu*I) delta = -gradient has a rank-one-plus-structured
-matrix: after eliminating the s block it reduces to a block-diagonal matrix
+For the primal-dual merit, the system (hessian + mu*I) delta = -gradient has
+a rank-one-plus-structured matrix: after eliminating the s block it reduces to a block-diagonal matrix
 diag(A'A + D1, A*W*A' + D2) with W = D3 (I + D3)^{-1}, corrected by the
 rank-one term v v' with v = (c; -b).  Only n x n and m x m Cholesky
 factorizations are required: A'A is cached per problem, A*W*A' is formed by a
 symmetric rank-k update, and both factors are kept in LAPACK's column-major
 layout.  The rank-one term is absorbed by a Sherman-Morrison correction whose
 two right-hand sides are solved together, followed by one step of iterative
-refinement on the reduced system.
+refinement on the reduced system; build_reduced and solve_structured do this.
 
-solve_dense covers every merit, the homogeneous one included, on the cached
-Hessian base over (x, lam[, tau, kappa]) and its s coupling.  It eliminates
-only the s block, whose diagonal is exact, and forms and factors one dense
-matrix, the remainder of order n+m(+2); the full (2n+m(+2))^2 Hessian is
-never built.
+solve_dense is the Newton solve of the homogeneous merit, on the cached
+Hessian block over (x, lam, tau, kappa).  It eliminates only the s block,
+whose diagonal is exact, and forms and factors one dense matrix, the
+remainder of order n+m+2; the full (2n+m+2)^2 Hessian is never built.
 The homogeneous merit does not take the structured path: with the (tau, kappa)
 rows as a border, a Sherman-Morrison correction through A'A + mu*I, which is
 nearly singular along null(A) at small mu, cancels catastrophically.
@@ -62,7 +61,7 @@ def build_reduced(
     this elimination; use solve_dense there.
     """
     if spec.kind is MeritKind.HOMOGENEOUS:
-        raise KindMismatch("the reduced system covers only primal-dual merits")
+        raise KindMismatch("the reduced system covers only the primal-dual merit")
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
     diag = merit.penalty_diagonal_at(spec, lp, z)
@@ -161,31 +160,32 @@ def solve_structured(system: ReducedSystem, lp: StandardFormLp):
 def solve_dense(
     spec: MeritSpec, lp: StandardFormLp, z: np.ndarray, mu: float, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve (hessian + mu*I) delta = ``rhs`` at ``z`` on the cached Hessian base.
+    """Solve (hessian + mu*I) delta = ``rhs`` at ``z`` for the homogeneous merit.
 
-    The Newton solve of the homogeneous merit, and the reference that the
-    structured solve is tested against.  The full Hessian's s block is the
-    identity, coupled only to the lam rows (and, in the homogeneous merit,
-    the tau row) through C = ``merit.s_coupling``, so it is eliminated
-    exactly: with d_s = 1 + diag[s], the remainder over (x, lam[, tau,
-    kappa]) is R = K + diag - (C/sqrt(d_s)) (C/sqrt(d_s))', where K is
-    ``merit.hessian_base``, of order n+m or n+m+2, the only matrix formed and
+    The full Hessian's s block is the identity, coupled only to the lam and
+    tau rows, through C = [A; -c], so it is eliminated exactly: with
+    d_s = 1 + diag[s], the remainder over (x, lam, tau, kappa) is
+    R = K + diag - (C/sqrt(d_s)) (C/sqrt(d_s))', where K is
+    ``merit.hessian_base``, of order n+m+2, the only matrix formed and
     factored; s is recovered as (r_s - C'y) / d_s.  Cholesky is backward
     stable under this symmetric reordering.  One step of iterative
     refinement, with the residual of the full system applied blockwise from
-    K, C and the diagonal, keeps it near round-off.  Raises
+    K, C and the diagonal, keeps it near round-off.  Raises KindMismatch for
+    a primal-dual spec, whose solve is solve_structured, and
     FactorizationFailure when R is not numerically SPD or not finite, or d_s
     is not finite and positive.
     """
+    if spec.kind is not MeritKind.HOMOGENEOUS:
+        raise KindMismatch("solve_dense covers only the homogeneous merit")
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
-    K, C = merit.hessian_base(spec, lp), merit.s_coupling(spec, lp)
+    K, C = merit.hessian_base(lp), np.vstack([lp.A, -lp.c])
     diag = merit.penalty_diagonal_at(spec, lp, z) + mu
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != diag.shape:
         raise ValueError(f"rhs must have shape {diag.shape}, got {rhs.shape}")
     n, p, t = lp.n, lp.n + lp.m, 2 * lp.n + lp.m  # the s block is [p, t)
-    coupled = slice(n, n + C.shape[0])  # the rows of K that meet s
+    coupled = slice(n, p + 1)  # the lam and tau rows of K, which meet s
     d_s = 1.0 + diag[p:t]
     if not (np.isfinite(d_s) & (d_s > 0.0)).all():
         raise FactorizationFailure("the s block is not finite and positive")

@@ -1,29 +1,28 @@
 """Merit functions measuring primal-dual optimality violation, with exact derivatives.
 
-Three variants share one interface:
+Two kinds share one interface:
 
-* ``BASE``: half the squared duality gap plus half the squared primal and dual
-  residuals, plus hinge penalties max(-x_j, 0)**q and max(-s_j, 0)**q scaled
-  by 1/(q(q-1)).  Convex, twice continuously differentiable for q > 2, and
-  zero exactly on the primal-dual optimal set.
-* ``HOMOTOPY``: the base function plus nu*||lam||^2 and nu-weighted hinge
-  penalties on the positive parts of x and s.  For nu > 0 the Hessian gains a
-  positive diagonal away from coordinate zeros; at nu = 0 it coincides with
-  ``BASE`` exactly.
-* ``HOMOGENEOUS``: the same construction applied to the self-dual embedding in
-  (x, lam, s, tau, kappa), whose residuals are c.x - b.lam + kappa,
-  b*tau - A x and c*tau - A'lam - s.
+* ``PRIMAL_DUAL`` with weight nu >= 0: half the squared duality gap plus half
+  the squared primal and dual residuals, plus hinge penalties
+  max(-x_j, 0)**q and max(-s_j, 0)**q scaled by 1/(q(q-1)); for nu > 0 also
+  nu*||lam||^2 and nu-weighted hinge penalties on the positive parts of x
+  and s, which give the Hessian a positive diagonal away from coordinate
+  zeros.  At nu = 0 it is the base merit: convex, twice continuously
+  differentiable for q > 2, and zero exactly on the primal-dual optimal set.
+* ``HOMOGENEOUS``: the base construction applied to the self-dual embedding
+  in (x, lam, s, tau, kappa), whose residuals are c.x - b.lam + kappa,
+  b*tau - A x and c*tau - A'lam - s.  It takes no nu.
 
 The solver works on flat iterates.  ``evaluate`` computes the residuals
 (gamma, rho, sigma) once and returns them together with two value-gradient
 pairs: the merit at nu = 0 and the merit of the given spec, which differ only
-for a HOMOTOPY spec with nu > 0.  ``value_at`` and ``gradient_at`` reuse the
-same code.  Every hinge power max(-t, 0)**p, and the nu-weighted max(t, 0)**p,
-comes from one helper over the sign-constrained coordinates.  The Hessian
-is an iterate-independent base plus a nonnegative diagonal recomputed per
-point.  The base's s block is the identity, coupled through A and -c only, so
-``hessian_base`` caches just the block over (x, lam[, tau, kappa]) per
-problem and ``s_coupling`` gives the rest.
+when nu > 0.  ``value_at`` and ``gradient_at`` reuse the same code.  Every
+hinge power max(-t, 0)**p, and the nu-weighted max(t, 0)**p, comes from one
+helper over the sign-constrained coordinates.  The residuals are affine, so
+the Hessian is J'J for their constant Jacobian J plus a nonnegative diagonal
+recomputed per point.  ``eval_hessian`` forms J'J from an explicit J; the
+homogeneous Newton solve needs only the block of J'J over
+(x, lam, tau, kappa), which ``hessian_base`` caches per problem.
 """
 
 from __future__ import annotations
@@ -44,14 +43,13 @@ OVERFLOW_LIMIT = 1e300
 
 
 class MeritKind(Enum):
-    BASE = "base"
-    HOMOTOPY = "homotopy"
+    PRIMAL_DUAL = "primal-dual"
     HOMOGENEOUS = "homogeneous"
 
 
 @dataclass(frozen=True)
 class MeritSpec:
-    """Which merit function to evaluate; ``nu`` is honoured only by HOMOTOPY."""
+    """Which merit function to evaluate; ``nu`` > 0 only for PRIMAL_DUAL."""
 
     kind: MeritKind
     q: float = 3.0
@@ -64,11 +62,13 @@ class MeritSpec:
             )
         if not (math.isfinite(self.nu) and self.nu >= 0.0):
             raise InvalidConfig(f"nu must be finite and nonnegative, got {self.nu}")
+        if self.kind is MeritKind.HOMOGENEOUS and self.nu > 0.0:
+            raise InvalidConfig(f"the homogeneous merit takes no nu, got {self.nu}")
 
 
 @dataclass(frozen=True)
 class HessianParts:
-    """Hessian as iterate-independent ``base`` plus diag(``diag_add``)."""
+    """Hessian as iterate-independent ``base`` = J'J plus diag(``diag_add``)."""
 
     base: np.ndarray
     diag_add: np.ndarray
@@ -90,13 +90,13 @@ def _expect_length(lp, spec, z):
 def _hinge_powers(spec, lp, z, p):
     """(max(-t, 0)**p, max(t, 0)**p) in the layout of ``z``, where t is ``z``
     with the sign-free lam block set to zero; both come from one power of |t|.
-    The second is None unless ``spec`` is HOMOTOPY with nu > 0."""
+    The second is None unless ``spec`` has nu > 0."""
     t = z.copy()
     t[lp.n : lp.n + lp.m] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.power(np.abs(t), p)
     neg = np.where(t < 0, a, 0.0)
-    if spec.kind is MeritKind.HOMOTOPY and spec.nu > 0.0:
+    if spec.nu > 0.0:
         return neg, np.where(t > 0, a, 0.0)
     return neg, None
 
@@ -155,8 +155,8 @@ def _gradients(spec, lp, z, gamma, rho, sigma, Ax, ATlam):
 
 def evaluate(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray):
     """``((f0, g0), (f, g), (gamma, rho, sigma))`` at the flat iterate ``z``,
-    from one residual computation: the value and gradient at nu = 0 (the BASE
-    merit for a HOMOTOPY spec, ``spec`` itself otherwise) and of ``spec``,
+    from one residual computation: the value and gradient at nu = 0 (the base
+    merit for a PRIMAL_DUAL spec) and of ``spec``,
     each pair equal to value_at and gradient_at of its spec bit for bit, and
     the residuals both were built on."""
     gamma, rho, sigma, Ax, ATlam = _residuals(spec, lp, z)
@@ -199,18 +199,20 @@ def penalty_diagonal_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> n
 _BASE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _build_base(spec: MeritSpec, lp: StandardFormLp) -> np.ndarray:
-    """The base over (x, lam[, tau, kappa]); the homogeneous block borders
-    the primal-dual one."""
-    A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
-    p = n + m
-    k = p + 2 if spec.kind is MeritKind.HOMOGENEOUS else p
-    H = np.zeros((k, k))
-    H[:n, :n] = np.outer(c, c) + lp.gram
-    H[:n, n:p] = -np.outer(c, b)
-    H[n:p, :n] = -np.outer(b, c)
-    H[n:p, n:p] = np.outer(b, b) + A @ A.T
-    if k > p:  # the tau column is p, the kappa column p + 1
+def hessian_base(lp: StandardFormLp) -> np.ndarray:
+    """The block of the homogeneous merit's J'J over (x, lam, tau, kappa), of
+    order n+m+2.  The s block left out is the identity, coupled to the lam
+    rows through A and to the tau row through -c.  Cached per problem and
+    read-only."""
+    H = _BASE_CACHE.get(lp)
+    if H is None:
+        A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
+        p = n + m  # the tau column is p, the kappa column p + 1
+        H = np.zeros((p + 2, p + 2))
+        H[:n, :n] = np.outer(c, c) + lp.gram
+        H[:n, n:p] = -np.outer(c, b)
+        H[n:p, :n] = -np.outer(b, c)
+        H[n:p, n:p] = np.outer(b, b) + A @ A.T
         H[:n, p] = -(A.T @ b)
         H[n:p, p] = -(A @ c)
         H[p, p] = float(b @ b + c @ c)
@@ -218,44 +220,26 @@ def _build_base(spec: MeritSpec, lp: StandardFormLp) -> np.ndarray:
         H[n:p, p + 1] = -b
         H[p + 1, p + 1] = 1.0
         H[p:, :p] = H[:p, p:].T
-    return H
-
-
-def hessian_base(spec: MeritSpec, lp: StandardFormLp) -> np.ndarray:
-    """The iterate-independent Hessian block over (x, lam[, tau, kappa]), of
-    order n+m, or n+m+2 for HOMOGENEOUS: the full base without its s rows and
-    columns, which ``s_coupling`` describes.  Cached per problem and read-only."""
-    key = "homogeneous" if spec.kind is MeritKind.HOMOGENEOUS else "primal_dual"
-    per_problem = _BASE_CACHE.setdefault(lp, {})
-    H = per_problem.get(key)
-    if H is None:
-        H = _build_base(spec, lp)
         H.flags.writeable = False
-        per_problem[key] = H
+        _BASE_CACHE[lp] = H
     return H
 
 
-def s_coupling(spec: MeritSpec, lp: StandardFormLp) -> np.ndarray:
-    """The s columns of the full base on the rows of ``hessian_base`` that
-    meet them: A on the lam rows and, for HOMOGENEOUS, -c on the tau row.  The
-    s block itself is the identity, and every other row is zero there."""
+def _jacobian(spec, lp):
+    """The constant Jacobian of (gamma, rho, sigma) in the layout of the flat
+    iterate: one row for gamma, then m for rho and n for sigma."""
+    A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
+    p, t = n + m, 2 * n + m  # the s block is [p, t), tau and kappa follow
+    J = np.zeros((1 + m + n, t + 2 if spec.kind is MeritKind.HOMOGENEOUS else t))
+    J[0, :n], J[0, n:p] = c, -b
+    J[1 : 1 + m, :n] = -A
+    J[1 + m :, n:p] = -A.T
+    J[1 + m :, p:t] = -np.eye(n)
     if spec.kind is MeritKind.HOMOGENEOUS:
-        return np.vstack([lp.A, -lp.c])
-    return lp.A
-
-
-def _full_base(spec, lp):
-    """The full base in the layout of the flat iterate, assembled uncached."""
-    K, C = hessian_base(spec, lp), s_coupling(spec, lp)
-    n, p, size = lp.n, lp.n + lp.m, K.shape[0] + lp.n
-    rows = np.r_[0:p, p + n : size]  # where the rows of K sit
-    H = np.zeros((size, size))
-    H[np.ix_(rows, rows)] = K
-    H[p : p + n, p : p + n] = np.eye(n)
-    coupled = rows[n : n + C.shape[0]]
-    H[coupled, p : p + n] = C
-    H[p : p + n, coupled] = C.T
-    return H
+        J[1 : 1 + m, t] = b
+        J[1 + m :, t] = c
+        J[0, t + 1] = 1.0
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -283,4 +267,5 @@ def eval_gradient(spec: MeritSpec, lp: StandardFormLp, point) -> np.ndarray:
 
 def eval_hessian(spec: MeritSpec, lp: StandardFormLp, point) -> HessianParts:
     z = _point_vector(spec, point)
-    return HessianParts(base=_full_base(spec, lp), diag_add=penalty_diagonal_at(spec, lp, z))
+    J = _jacobian(spec, lp)
+    return HessianParts(base=J.T @ J, diag_add=penalty_diagonal_at(spec, lp, z))

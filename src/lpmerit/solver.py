@@ -31,6 +31,7 @@ A vertex that fails leaves the iterates as they were.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -195,7 +196,7 @@ def armijo_search(objective, p, delta, slope: float, f0: float):
 def _newton_step(spec, lp, z, mu, g):
     """Solve (hessian + mu*I) delta = -g at ``z``, escalating mu on factorization failure.
 
-    The merit kind picks the one solve: primal-dual merits take the
+    The merit kind picks the one solve: the primal-dual merit takes the
     structured solve; the homogeneous merit takes solve_dense, which
     eliminates only the s block, since its two border rows fall outside the
     reduced system.  Each failure sets mu <- max(10 mu, 1e-12); the
@@ -318,13 +319,14 @@ class _Polish:
         return vertex, evaluation
 
 
-def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None, polish=None):
+def _minimize(lp, config, spec, start, stop, *, record=None, polish=None):
     """The iteration loop of ``solve`` and ``solve_homogeneous``.
 
-    Minimizes the merit ``spec`` from the point ``start``.  While ``nu`` > 0,
-    steps are taken on the HOMOTOPY surrogate of weight nu, which decays by
-    theta after a backtracked step and by theta * _FULL_STEP_SHRINK after a
-    full one; one ``merit.evaluate`` call gives it with the merit of ``spec``.
+    Minimizes the merit ``spec`` at nu = 0 from the point ``start``.  While
+    nu > 0, starting from ``spec.nu``, steps are taken on the nu-surrogate,
+    whose nu decays by theta after a backtracked step and by
+    theta * _FULL_STEP_SHRINK after a full one; one ``merit.evaluate`` call
+    gives it with the merit at nu = 0.
     ``stop(f, g_inf)`` returns the status that ends the run at an iterate, or
     None.  ``record``, if given, returns the trace row of an
     iterate from its residuals; its alpha is set once the step is taken.
@@ -343,8 +345,9 @@ def _minimize(lp, config, spec, start, stop, *, nu=0.0, record=None, polish=None
         )
 
     def spec_at(weight):
-        return MeritSpec(MeritKind.HOMOTOPY, q=spec.q, nu=weight) if weight > 0.0 else spec
+        return dataclasses.replace(spec, nu=weight)
 
+    nu = spec.nu
     z = start.as_vector()
     g_inf = math.inf
     pending = None  # the evaluation of a verified vertex, the next iterate
@@ -450,7 +453,7 @@ def solve(
     nu = config.nu0 if config.algorithm is Algorithm.HOMOTOPY else 0.0
     polish = _Polish(lp, stop)
     z, iterations, f, g_inf, status = _minimize(
-        lp, config, MeritSpec(MeritKind.BASE, q=config.q), start, stop, nu=nu,
+        lp, config, MeritSpec(MeritKind.PRIMAL_DUAL, q=config.q, nu=nu), start, stop,
         record=record if config.trace else None, polish=polish,
     )
     point = PrimalDualPoint.from_vector(z, n, m)

@@ -32,12 +32,11 @@ from lpmerit import (
     recover_primal_dual,
     residuals,
     solve,
-    solve_dense,
     solve_homogeneous,
     solve_structured,
 )
 
-BASE3 = MeritSpec(MeritKind.BASE, q=3.0)
+BASE3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0)
 
 #: Tolerances tight enough that no stopping rule fires; used where a criterion
 #: quantifies behavior across a fixed number of iterations.
@@ -73,9 +72,8 @@ def test_criterion_1_merit_vanishes_at_known_optima():
 def _derivative_specs():
     specs = []
     for q in (2.1, 3.0):
-        specs.append(MeritSpec(MeritKind.BASE, q=q))
         for nu in (0.0, 0.1):
-            specs.append(MeritSpec(MeritKind.HOMOTOPY, q=q, nu=nu))
+            specs.append(MeritSpec(MeritKind.PRIMAL_DUAL, q=q, nu=nu))
         specs.append(MeritSpec(MeritKind.HOMOGENEOUS, q=q))
     return specs
 
@@ -165,7 +163,7 @@ def test_criterion_5_structured_solve_matches_dense(monkeypatch):
         if i % 10 == 0:
             c = lp.c * (1e3 / np.linalg.norm(lp.c))
             lp = StandardFormLp(lp.A, lp.b, c)
-        spec = MeritSpec(MeritKind.HOMOTOPY, q=2.1, nu=0.3) if i % 3 else BASE3
+        spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=2.1, nu=0.3) if i % 3 else BASE3
         point = PrimalDualPoint.from_vector(2.0 * rng.standard_normal(2 * n + m), n, m)
         # mu below ~1e-6 pushes cond(hessian + mu I) past 1e10 at random points,
         # where forward agreement of two backward-stable solvers is no longer
@@ -176,7 +174,10 @@ def test_criterion_5_structured_solve_matches_dense(monkeypatch):
         dx, dlam, ds = solve_structured(system, lp)
         orders = list(factored)
         delta = np.concatenate([dx, dlam, ds])
-        dense = solve_dense(spec, lp, point.as_vector(), mu, -eval_gradient(spec, lp, point))
+        # the oracle: the explicit J'J + diag + mu*I, with no block eliminated
+        H = eval_hessian(spec, lp, point).full()
+        H[np.diag_indices_from(H)] += mu
+        dense = np.linalg.solve(H, -eval_gradient(spec, lp, point))
         if not np.linalg.norm(delta - dense) <= 1e-8 * (1.0 + np.linalg.norm(dense)):
             failures.append(f"instance {i} at ({m},{n})")
         if orders != [n, m]:

@@ -1,4 +1,4 @@
-"""Structured Newton solves against the dense reference path."""
+"""Both Newton solves against an explicit-Hessian oracle."""
 
 import tracemalloc
 
@@ -28,13 +28,29 @@ from lpmerit import (
     solve_structured,
 )
 
-BASE3 = MeritSpec(MeritKind.BASE, q=3.0)
+BASE3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0)
+HOMOTOPY3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=2.1, nu=0.3)
 HOMOGENEOUS3 = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
 
 
 def _random_point(spec, rng, n, m, scale=1.0):
     draw = random_homogeneous if spec.kind is MeritKind.HOMOGENEOUS else random_primal_dual
     return draw(rng, n, m, scale=scale)
+
+
+def _oracle(spec, lp, point, mu, rhs):
+    """np.linalg.solve on eval_hessian's full J'J + diag + mu*I: no block is
+    eliminated, and no code is shared with either Newton solve."""
+    H = eval_hessian(spec, lp, point).full()
+    H[np.diag_indices_from(H)] += mu
+    return np.linalg.solve(H, rhs)
+
+
+def _newton_solve(spec, lp, z, mu, rhs):
+    """The Newton solve of the merit kind, as the solver picks it."""
+    if spec.kind is MeritKind.HOMOGENEOUS:
+        return solve_dense(spec, lp, z, mu, rhs)
+    return np.concatenate(solve_structured(build_reduced(spec, lp, z, mu, -rhs), lp))
 
 
 class TestBuildReduced:
@@ -54,7 +70,7 @@ class TestBuildReduced:
 
     def test_homotopy_adds_two_nu_to_the_lambda_block(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-        spec = MeritSpec(MeritKind.HOMOTOPY, q=3.0, nu=0.1)
+        spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0, nu=0.1)
         p = PrimalDualPoint([0.0, 0.0], [0.7], [0.0, 0.0])
         system = build_reduced(spec, lp, p.as_vector(), 1e-9, eval_gradient(spec, lp, p))
         np.testing.assert_allclose(system.d2, [1e-9 + 0.2], rtol=0, atol=0)
@@ -119,27 +135,47 @@ class TestRankOneUpdate:
 
 class TestSolveDense:
     def test_desk_3x3_system(self):
-        """(H + I) delta = (1,1,1) on the 1x1 desk problem at the origin; the
-        system matrix is [[3,-1,0],[-1,3,1],[0,1,2]] with determinant 13, so
-        delta = (6, 5, 4)/13 (recomputed independently)."""
+        """(H + I) delta = ones on the 1x1 desk problem at the origin.  For
+        the primal-dual merit the matrix is [[3,-1,0],[-1,3,1],[0,1,2]] with
+        determinant 13, so delta = (6, 5, 4)/13: the oracle and the
+        structured solve give it, and solve_dense rejects the spec.  For the
+        homogeneous merit it is [[3,-1,0,-1,1],[-1,3,1,-1,-1],[0,1,2,-1,0],
+        [-1,-1,-1,3,0],[1,-1,0,0,2]] with determinant 35, so
+        delta = (6, 7, 4, 8, 4)/7 (both recomputed independently)."""
         lp = StandardFormLp([[1.0]], [1.0], [1.0], allow_square=True)
-        delta = solve_dense(BASE3, lp, PrimalDualPoint.zeros(1, 1).as_vector(), 1.0, np.ones(3))
-        np.testing.assert_allclose(delta, np.array([6.0, 5.0, 4.0]) / 13.0, rtol=1e-12)
+        origin = PrimalDualPoint.zeros(1, 1)
+        expected = np.array([6.0, 5.0, 4.0]) / 13.0
+        np.testing.assert_allclose(_oracle(BASE3, lp, origin, 1.0, np.ones(3)), expected, rtol=1e-12)
+        delta = _newton_solve(BASE3, lp, origin.as_vector(), 1.0, np.ones(3))
+        np.testing.assert_allclose(delta, expected, rtol=1e-12)
+        with pytest.raises(KindMismatch):
+            solve_dense(BASE3, lp, origin.as_vector(), 1.0, np.ones(3))
+        z = HomogeneousPoint([0.0], [0.0], [0.0], 0.0, 0.0).as_vector()
+        delta = solve_dense(HOMOGENEOUS3, lp, z, 1.0, np.ones(5))
+        np.testing.assert_allclose(delta, np.array([6.0, 7.0, 4.0, 8.0, 4.0]) / 7.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("spec", [BASE3, HOMOTOPY3], ids=["base", "homotopy"])
+    def test_rejects_primal_dual_spec(self, spec):
+        lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+        with pytest.raises(KindMismatch, match="only the homogeneous merit"):
+            solve_dense(spec, lp, PrimalDualPoint.zeros(2, 1).as_vector(), 1.0, np.zeros(5))
 
     def test_zero_rhs_gives_zero(self):
         prob = generate_optimal_lp(3, 6, 1)
-        delta = solve_dense(BASE3, prob.lp, PrimalDualPoint.zeros(6, 3).as_vector(), 1e-2, np.zeros(15))
-        np.testing.assert_array_equal(delta, np.zeros(15))
+        z = HomogeneousPoint.ones(6, 3).as_vector()
+        delta = solve_dense(HOMOGENEOUS3, prob.lp, z, 1e-2, np.zeros(17))
+        np.testing.assert_array_equal(delta, np.zeros(17))
 
     def test_residual_is_tiny(self):
+        """The primal-dual case, which solve_dense no longer serves, checked
+        on the structured solve against the explicit Hessian; the homogeneous
+        residual is checked at tiny mu below."""
         rng = np.random.default_rng(4)
         for seed in range(10):
             prob = generate_optimal_lp(4, 9, seed)
             p = random_primal_dual(rng, 9, 4)
             rhs = rng.standard_normal(22)
-            delta = solve_dense(BASE3, prob.lp, p.as_vector(), 1e-3, rhs)
-            from lpmerit import eval_hessian
-
+            delta = _newton_solve(BASE3, prob.lp, p.as_vector(), 1e-3, rhs)
             H = eval_hessian(BASE3, prob.lp, p).full()
             H[np.diag_indices_from(H)] += 1e-3
             res = np.linalg.norm(H @ delta - rhs)
@@ -148,7 +184,7 @@ class TestSolveDense:
     def test_requires_positive_mu(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         with pytest.raises(NonPositiveRegularization):
-            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1).as_vector(), -1.0, np.zeros(5))
+            solve_dense(HOMOGENEOUS3, lp, HomogeneousPoint.ones(2, 1).as_vector(), -1.0, np.zeros(7))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_raises_factorization_failure(self, bad, monkeypatch):
@@ -157,7 +193,7 @@ class TestSolveDense:
             linsys.merit, "penalty_diagonal_at", lambda spec, lp, z: np.full(z.size, bad)
         )
         with pytest.raises(FactorizationFailure):
-            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1).as_vector(), 1.0, np.zeros(5))
+            solve_dense(HOMOGENEOUS3, lp, HomogeneousPoint.ones(2, 1).as_vector(), 1.0, np.zeros(7))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
     def test_bad_s_block_raises_factorization_failure(self, bad, monkeypatch):
@@ -172,26 +208,24 @@ class TestSolveDense:
 
         monkeypatch.setattr(linsys.merit, "penalty_diagonal_at", s_block_only)
         with pytest.raises(FactorizationFailure):
-            solve_dense(BASE3, lp, PrimalDualPoint.zeros(2, 1).as_vector(), 1.0, np.zeros(5))
+            solve_dense(HOMOGENEOUS3, lp, HomogeneousPoint.ones(2, 1).as_vector(), 1.0, np.zeros(7))
 
     @pytest.mark.parametrize(
-        "spec",
-        [BASE3, MeritSpec(MeritKind.HOMOTOPY, q=2.1, nu=0.3), HOMOGENEOUS3],
-        ids=lambda spec: spec.kind.name,
+        "spec", [BASE3, HOMOTOPY3, HOMOGENEOUS3], ids=["BASE", "HOMOTOPY", "HOMOGENEOUS"]
     )
     def test_matches_an_independent_dense_solve(self, spec):
         """Oracle: np.linalg.solve on the full hessian + mu*I, with no block
-        eliminated.  Points with negative entries make every block of the
+        eliminated, against the Newton solve of each merit: solve_dense for
+        the homogeneous one, solve_structured for the base merit and its
+        nu-surrogate.  Points with negative entries make every block of the
         penalty diagonal, tau and kappa included, nonzero."""
         rng = np.random.default_rng(31)
         for seed in range(5):
             prob = generate_optimal_lp(4, 9, seed)
             point = _random_point(spec, rng, 9, 4, scale=2.0)
-            H = eval_hessian(spec, prob.lp, point).full()
-            H[np.diag_indices_from(H)] += 1e-3
-            rhs = rng.standard_normal(H.shape[0])
-            expected = np.linalg.solve(H, rhs)
-            delta = solve_dense(spec, prob.lp, point.as_vector(), 1e-3, rhs)
+            rhs = rng.standard_normal(point.as_vector().size)
+            expected = _oracle(spec, prob.lp, point, 1e-3, rhs)
+            delta = _newton_solve(spec, prob.lp, point.as_vector(), 1e-3, rhs)
             assert np.linalg.norm(delta - expected) <= 1e-8 * np.linalg.norm(expected)
 
     def test_homogeneous_full_system_residual_at_tiny_mu(self):
@@ -209,9 +243,8 @@ class TestSolveDense:
             res = np.linalg.norm(H @ delta + g)
             assert res <= 1e-12 * (1.0 + np.linalg.norm(g))
 
-    @pytest.mark.parametrize("spec", [BASE3, HOMOGENEOUS3], ids=lambda spec: spec.kind.name)
-    def test_one_factorization_without_the_s_block(self, spec, monkeypatch):
-        """Only the remainder over (x, lam[, tau, kappa]) is factored, and the
+    def test_one_factorization_without_the_s_block(self, monkeypatch):
+        """Only the remainder over (x, lam, tau, kappa) is factored, and the
         solve and its refinement take one triangular solve each."""
         factored, solved = [], []
 
@@ -226,10 +259,10 @@ class TestSolveDense:
         monkeypatch.setattr(linsys, "cho_factor", counting_factor)
         monkeypatch.setattr(linsys, "cho_solve", counting_solve)
         prob = generate_optimal_lp(4, 9, 2)
-        point = _random_point(spec, np.random.default_rng(5), 9, 4)
-        g = eval_gradient(spec, prob.lp, point)
-        solve_dense(spec, prob.lp, point.as_vector(), 1e-6, -g)
-        order = 9 + 4 + (2 if spec.kind is MeritKind.HOMOGENEOUS else 0)
+        point = random_homogeneous(np.random.default_rng(5), 9, 4)
+        g = eval_gradient(HOMOGENEOUS3, prob.lp, point)
+        solve_dense(HOMOGENEOUS3, prob.lp, point.as_vector(), 1e-6, -g)
+        order = 9 + 4 + 2
         assert factored == [(order, order)]
         assert solved == [(order,), (order,)]
 
@@ -252,13 +285,12 @@ class TestSolveDense:
         assert peak < (2 * n + m + 2) ** 2 * 8
 
 
-def _structured_vs_dense(spec, lp, point, mu):
+def _structured_vs_oracle(spec, lp, point, mu):
     g = eval_gradient(spec, lp, point)
     system = build_reduced(spec, lp, point.as_vector(), mu, g)
-    dx, dlam, ds = solve_structured(system, lp)
-    delta = np.concatenate([dx, dlam, ds])
-    dense = solve_dense(spec, lp, point.as_vector(), mu, -g)
-    assert np.linalg.norm(delta - dense) <= 1e-8 * (1.0 + np.linalg.norm(dense))
+    delta = np.concatenate(solve_structured(system, lp))
+    expected = _oracle(spec, lp, point, mu, -g)
+    assert np.linalg.norm(delta - expected) <= 1e-8 * (1.0 + np.linalg.norm(expected))
 
 
 def _reduced_reference(system, lp, reference):
@@ -285,7 +317,7 @@ class TestSolveStructured:
     @pytest.mark.parametrize("reference", ["cholesky-update", "sherman-morrison"])
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 6), (5, 8), (10, 30)])
     def test_matches_dense_solve(self, m, n, reference):
-        """The structured step matches the dense full-system solve, and its
+        """The structured step matches the oracle's full-system solve, and its
         (dx, dlam) part matches a reduced-system solve that absorbs the
         rank-one coupling by ``reference``."""
         rng = np.random.default_rng(100 * m + n)
@@ -293,10 +325,8 @@ class TestSolveStructured:
             prob = generate_optimal_lp(m, n, seed)
             point = random_primal_dual(rng, n, m, scale=2.0)
             mu = 10.0 ** rng.uniform(-6, -1)
-            spec = (
-                MeritSpec(MeritKind.HOMOTOPY, q=2.1, nu=0.3) if seed % 2 else BASE3
-            )
-            _structured_vs_dense(spec, prob.lp, point, mu)
+            spec = HOMOTOPY3 if seed % 2 else BASE3
+            _structured_vs_oracle(spec, prob.lp, point, mu)
             system = build_reduced(
                 spec, prob.lp, point.as_vector(), mu, eval_gradient(spec, prob.lp, point)
             )
@@ -309,8 +339,6 @@ class TestSolveStructured:
         """At mu = 1e-9 the system is too ill-conditioned for forward
         comparison, but the structured solution must still satisfy the full
         system to a small relative residual."""
-        from lpmerit import eval_hessian
-
         rng = np.random.default_rng(21)
         for seed in range(10):
             prob = generate_optimal_lp(8, 20, seed)
@@ -332,7 +360,7 @@ class TestSolveStructured:
         rng = np.random.default_rng(10)
         for _ in range(2):
             point = random_primal_dual(rng, 8, 5)
-            _structured_vs_dense(BASE3, lp, point, 1e-4)
+            _structured_vs_oracle(BASE3, lp, point, 1e-4)
 
     def test_decoupled_when_v_is_zero(self):
         """With b = 0 and c = 0 the rank-one coupling vanishes; the structured
@@ -444,9 +472,9 @@ class TestSolveStructured:
 class TestInputGuards:
     def test_solve_dense_rejects_a_rhs_of_the_wrong_shape(self):
         lp = generate_optimal_lp(3, 6, 0).lp
-        z = np.zeros(2 * lp.n + lp.m)
+        z = np.zeros(2 * lp.n + lp.m + 2)
         with pytest.raises(ValueError, match="rhs must have shape"):
-            solve_dense(BASE3, lp, z, 1e-3, np.zeros(z.size + 1))
+            solve_dense(HOMOGENEOUS3, lp, z, 1e-3, np.zeros(z.size + 1))
 
     def test_rank_one_update_rejects_inconsistent_sizes(self):
         with pytest.raises(ValueError, match="inconsistent"):

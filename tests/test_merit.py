@@ -1,5 +1,6 @@
 """Merit function values, derivatives, and structural properties."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,10 +22,11 @@ from lpmerit import (
     eval_hessian,
     eval_value,
     generate_optimal_lp,
+    residuals,
 )
 from lpmerit import merit
 
-BASE3 = MeritSpec(MeritKind.BASE, q=3.0)
+BASE3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0)
 
 
 @pytest.fixture
@@ -72,14 +74,22 @@ class TestDeskValues:
 def _spec_grid():
     specs = []
     for q in (2.1, 3.0):
-        specs.append(MeritSpec(MeritKind.BASE, q=q))
         for nu in (0.0, 0.1):
-            specs.append(MeritSpec(MeritKind.HOMOTOPY, q=q, nu=nu))
+            specs.append(MeritSpec(MeritKind.PRIMAL_DUAL, q=q, nu=nu))
         specs.append(MeritSpec(MeritKind.HOMOGENEOUS, q=q))
     return specs
 
 
-@pytest.mark.parametrize("spec", _spec_grid(), ids=lambda s: f"{s.kind.value}-q{s.q}-nu{s.nu}")
+def _spec_id(spec):
+    """base (nu = 0) and homotopy (nu > 0) for the primal-dual merit."""
+    if spec.kind is MeritKind.HOMOGENEOUS:
+        label = "homogeneous"
+    else:
+        label = "homotopy" if spec.nu > 0.0 else "base"
+    return f"{label}-q{spec.q}-nu{spec.nu}"
+
+
+@pytest.mark.parametrize("spec", _spec_grid(), ids=_spec_id)
 def test_gradient_matches_finite_differences(spec):
     prob = generate_optimal_lp(3, 5, 42)
     rng = np.random.default_rng(7)
@@ -93,7 +103,7 @@ def test_gradient_matches_finite_differences(spec):
         assert err <= 1e-5
 
 
-@pytest.mark.parametrize("spec", _spec_grid(), ids=lambda s: f"{s.kind.value}-q{s.q}-nu{s.nu}")
+@pytest.mark.parametrize("spec", _spec_grid(), ids=_spec_id)
 def test_hessian_matches_finite_differences(spec):
     prob = generate_optimal_lp(3, 5, 43)
     rng = np.random.default_rng(8)
@@ -186,7 +196,7 @@ class TestInvariants:
 
     def test_homotopy_hessian_positive_definite_off_boundary(self):
         prob = generate_optimal_lp(3, 6, 12)
-        spec = MeritSpec(MeritKind.HOMOTOPY, q=2.1, nu=0.5)
+        spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=2.1, nu=0.5)
         rng = np.random.default_rng(13)
         for _ in range(10):
             z = rng.standard_normal(15)
@@ -195,43 +205,45 @@ class TestInvariants:
             assert np.linalg.eigvalsh(full)[0] > 0.0
 
     def test_homotopy_at_nu_zero_equals_base(self):
+        """At nu = 0 the primal-dual merit is the base merit: its value is
+        the closed form over the residuals, evaluate's two pairs coincide,
+        and the Hessian diagonal holds only the hinge terms."""
         prob = generate_optimal_lp(3, 6, 14)
-        base = MeritSpec(MeritKind.BASE, q=2.1)
-        hom0 = MeritSpec(MeritKind.HOMOTOPY, q=2.1, nu=0.0)
+        spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=2.1)
         rng = np.random.default_rng(15)
         for _ in range(10):
             point = random_primal_dual(rng, 6, 3, scale=2.0)
-            assert eval_value(hom0, prob.lp, point) == eval_value(base, prob.lp, point)
-            np.testing.assert_array_equal(
-                eval_gradient(hom0, prob.lp, point), eval_gradient(base, prob.lp, point)
-            )
-            np.testing.assert_array_equal(
-                eval_hessian(hom0, prob.lp, point).diag_add,
-                eval_hessian(base, prob.lp, point).diag_add,
-            )
+            gamma, rho, sigma = residuals(prob.lp, point)
+            t = np.concatenate([point.x, point.s])
+            closed = 0.5 * (gamma**2 + rho @ rho + sigma @ sigma)
+            closed += (np.maximum(-t, 0.0) ** spec.q).sum() / (spec.q * (spec.q - 1.0))
+            assert eval_value(spec, prob.lp, point) == pytest.approx(closed, rel=1e-13)
+            (f0, g0), (f, g), _ = merit.evaluate(spec, prob.lp, point.as_vector())
+            assert f0 == f and np.array_equal(g0, g)
+            diag = eval_hessian(spec, prob.lp, point).diag_add
+            assert np.array_equal(diag[6:9], np.zeros(3))
+            assert np.array_equal(np.delete(diag, range(6, 9)), np.maximum(-t, 0.0) ** (spec.q - 2.0))
 
 
 def _assert_evaluate_matches(spec, lp, z):
     """Both pairs of merit.evaluate equal (value_at, gradient_at) of their
     specs bit for bit: the first that of the merit at nu = 0, the second that
     of ``spec``."""
-    at_nu_zero = spec
-    if spec.kind is MeritKind.HOMOTOPY:
-        at_nu_zero = MeritSpec(MeritKind.BASE, q=spec.q)
+    at_nu_zero = dataclasses.replace(spec, nu=0.0)
     for (f, g), of in zip(merit.evaluate(spec, lp, z)[:2], (at_nu_zero, spec)):
         assert np.float64(f).tobytes() == np.float64(merit.value_at(of, lp, z)).tobytes()
         assert g.tobytes() == merit.gradient_at(of, lp, z).tobytes()
 
 
 class TestHomotopyFromBase:
-    """merit.evaluate of a HOMOTOPY spec builds the nu-surrogate on the BASE
-    value and gradient; both of its pairs equal value_at and gradient_at of
-    their specs bit for bit, and so do the pairs of a BASE spec."""
+    """merit.evaluate of a spec with nu > 0 builds the nu-surrogate on the
+    base value and gradient; both of its pairs equal value_at and gradient_at
+    of their specs bit for bit, and so do the pairs of the base spec."""
 
     @staticmethod
     def _check(lp, z, q, nu):
-        base = MeritSpec(MeritKind.BASE, q=q)
-        spec = MeritSpec(MeritKind.HOMOTOPY, q=q, nu=nu)
+        base = MeritSpec(MeritKind.PRIMAL_DUAL, q=q)
+        spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=q, nu=nu)
         _, (f, g), _ = merit.evaluate(spec, lp, z)
         assert f == merit.value_at(spec, lp, z)
         assert np.array_equal(g, merit.gradient_at(spec, lp, z))
@@ -252,8 +264,8 @@ class TestHomotopyFromBase:
 
     def test_overflowing_nu_terms_saturate_the_value_only(self):
         """Column 3 and the second row of A are zero, so x_3 and lam_2 enter
-        only the nu terms: the BASE value stays finite, the HOMOTOPY value
-        saturates, and the gradient is still returned."""
+        only the nu terms: the base value stays finite, the nu-surrogate's
+        value saturates, and the gradient is still returned."""
         lp = StandardFormLp([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 0.0], [1.0, 1.0, 0.0])
         for x3, lam2 in ((1e110, 0.0), (0.0, 1e151), (0.0, 1e155)):
             z = np.array([0.5, 0.5, x3, 0.2, lam2, 0.1, 0.1, 0.3])
@@ -297,7 +309,7 @@ class TestGuards:
 
     def test_fractional_q_handles_negative_coordinates(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-        spec = MeritSpec(MeritKind.BASE, q=2.1)
+        spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=2.1)
         p = PrimalDualPoint([-0.5, 0.3], [0.2], [-0.1, 0.0])
         assert math.isfinite(eval_value(spec, lp, p))
         assert np.isfinite(eval_gradient(spec, lp, p)).all()
@@ -305,11 +317,16 @@ class TestGuards:
 
     def test_q_must_exceed_two(self):
         with pytest.raises(InvalidConfig):
-            MeritSpec(MeritKind.BASE, q=2.0)
+            MeritSpec(MeritKind.PRIMAL_DUAL, q=2.0)
 
     def test_negative_nu_rejected(self):
         with pytest.raises(InvalidConfig):
-            MeritSpec(MeritKind.HOMOTOPY, q=3.0, nu=-0.1)
+            MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0, nu=-0.1)
+
+    def test_homogeneous_merit_takes_no_nu(self):
+        with pytest.raises(InvalidConfig, match="homogeneous merit takes no nu"):
+            MeritSpec(MeritKind.HOMOGENEOUS, q=3.0, nu=0.1)
+        assert MeritSpec(MeritKind.HOMOGENEOUS, q=3.0, nu=0.0).nu == 0.0
 
     @pytest.mark.parametrize(
         "q,nu", [(math.inf, 0.0), (3.0, math.inf), (math.nan, 0.0), (3.0, math.nan)]
@@ -317,7 +334,7 @@ class TestGuards:
     def test_non_finite_numbers_rejected(self, q, nu):
         """nu = inf would give an infinite value with a non-finite gradient."""
         with pytest.raises(InvalidConfig):
-            MeritSpec(MeritKind.HOMOTOPY, q=q, nu=nu)
+            MeritSpec(MeritKind.PRIMAL_DUAL, q=q, nu=nu)
 
     def test_kind_mismatch(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
@@ -334,29 +351,35 @@ _COORDINATES = st.one_of(
 )
 
 
+_Q = st.floats(min_value=2.01, max_value=4.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from(list(MeritKind)),
-    q=st.floats(min_value=2.01, max_value=4.0),
-    nu=st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0)),
+    spec=st.one_of(
+        st.builds(
+            MeritSpec,
+            st.just(MeritKind.PRIMAL_DUAL),
+            _Q,
+            st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1.0)),
+        ),
+        st.builds(MeritSpec, st.just(MeritKind.HOMOGENEOUS), _Q),
+    ),
     coords=st.lists(_COORDINATES, min_size=10, max_size=10),
 )
-@example(
-    kind=MeritKind.HOMOGENEOUS, q=2.1, nu=0.0, coords=[1.0] * 8 + [-0.5, -0.43]
-)
-def test_penalty_diagonal_matches_its_closed_form(kind, q, nu, coords):
+@example(spec=MeritSpec(MeritKind.HOMOGENEOUS, q=2.1), coords=[1.0] * 8 + [-0.5, -0.43])
+def test_penalty_diagonal_matches_its_closed_form(spec, coords):
     """max(-t, 0)**(q-2) + nu*max(t, 0)**(q-2) on the sign-constrained
-    coordinates t, tau and kappa included, and 2 nu on lam, exactly; nu
-    counts only for HOMOTOPY."""
+    coordinates t, tau and kappa included, and 2 nu on lam, exactly."""
     m, n = 2, 3
     lp = generate_optimal_lp(m, n, 0).lp
-    z = np.array(coords[: 2 * n + m + (2 if kind is MeritKind.HOMOGENEOUS else 0)])
-    nu_in_effect = nu if kind is MeritKind.HOMOTOPY else 0.0
+    z = np.array(coords[: 2 * n + m + (2 if spec.kind is MeritKind.HOMOGENEOUS else 0)])
+    q, nu = spec.q, spec.nu
     t = np.concatenate([z[:n], z[n + m :]])
-    expected = np.maximum(-t, 0) ** (q - 2) + nu_in_effect * np.maximum(t, 0) ** (q - 2)
-    d = merit.penalty_diagonal_at(MeritSpec(kind, q=q, nu=nu), lp, z)
+    expected = np.maximum(-t, 0) ** (q - 2) + nu * np.maximum(t, 0) ** (q - 2)
+    d = merit.penalty_diagonal_at(spec, lp, z)
     assert np.array_equal(np.concatenate([d[:n], d[n + m :]]), expected)
-    assert np.array_equal(d[n : n + m], np.full(m, 2.0 * nu_in_effect))
+    assert np.array_equal(d[n : n + m], np.full(m, 2.0 * nu))
 
 
 def test_base_matrices_are_symmetric():
@@ -369,23 +392,41 @@ def test_base_matrices_are_symmetric():
     np.testing.assert_array_equal(Hh, Hh.T)
 
 
+def _tau_kappa_block(H, n, m):
+    """The rows and columns (x, lam, tau, kappa) of a homogeneous J'J."""
+    keep = np.r_[0 : n + m, 2 * n + m : 2 * n + m + 2]
+    return H[np.ix_(keep, keep)]
+
+
+@pytest.mark.parametrize("m,n,seed", [(4, 7, 18), (150, 450, 0)])
+def test_hessian_base_is_the_jtj_block(m, n, seed):
+    """The cached block equals the (x, lam, tau, kappa) block of J'J formed
+    from the explicit Jacobian, to rounding."""
+    lp = generate_optimal_lp(m, n, seed).lp
+    H = merit.hessian_base(lp)
+    JtJ = eval_hessian(MeritSpec(MeritKind.HOMOGENEOUS), lp, HomogeneousPoint.ones(n, m)).base
+    reference = _tau_kappa_block(JtJ, n, m)
+    assert H.shape == (n + m + 2, n + m + 2)
+    assert np.abs(H - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
 def test_homogeneous_base_borders_the_primal_dual_base():
-    """The homogeneous base is built around the primal-dual blocks in place;
-    its leading block must be the primal-dual base bit for bit."""
+    """The leading (x, lam) block of the homogeneous base is the (x, lam)
+    block of the primal-dual merit's J'J: the embedding only borders it."""
     for m, n, seed in [(4, 7, 18), (150, 450, 0)]:
         lp = generate_optimal_lp(m, n, seed).lp
         k = n + m
-        H = merit.hessian_base(MeritSpec(MeritKind.HOMOGENEOUS, q=3.0), lp)
-        assert H.shape == (k + 2, k + 2)
-        assert np.array_equal(H[:k, :k], merit.hessian_base(BASE3, lp))
+        H = merit.hessian_base(lp)
+        primal_dual = eval_hessian(BASE3, lp, PrimalDualPoint.zeros(n, m)).base[:k, :k]
+        assert np.abs(H[:k, :k] - primal_dual).max() <= 1e-14 * np.abs(primal_dual).max()
 
 
 def test_hessian_base_is_cached_per_problem():
     prob = generate_optimal_lp(3, 6, 16)
-    h1 = merit.hessian_base(BASE3, prob.lp)
-    h2 = merit.hessian_base(MeritSpec(MeritKind.HOMOTOPY, q=3.0, nu=0.2), prob.lp)
-    assert h1 is h2
+    h1 = merit.hessian_base(prob.lp)
+    assert merit.hessian_base(prob.lp) is h1
     assert not h1.flags.writeable
+    assert merit.hessian_base(generate_optimal_lp(3, 6, 16).lp) is not h1
 
 
 @pytest.mark.parametrize(

@@ -720,7 +720,7 @@ class TestPolish:
         before, last = out.trace[-2:]
         assert before.alpha == 0.0 and last.alpha == 0.0
         assert last.nu == before.nu * self.HOMOTOPY.theta
-        surrogate = MeritSpec(MeritKind.HOMOTOPY, q=self.HOMOTOPY.q, nu=last.nu)
+        surrogate = MeritSpec(MeritKind.PRIMAL_DUAL, q=self.HOMOTOPY.q, nu=last.nu)
         assert last.f == merit_module.value_at(surrogate, prob.lp, out.point.as_vector())
         assert max(last.gap, last.primal_res, last.dual_res, last.rel_err_x) < 1e-12
         assert last.min_x == last.min_s == 0.0
