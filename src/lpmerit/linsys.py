@@ -167,10 +167,12 @@ def solve_dense(
     d_s = 1 + diag[s], the remainder over (x, lam, tau, kappa) is
     R = K + diag - (C/sqrt(d_s)) (C/sqrt(d_s))', where K is
     ``merit.hessian_base``, of order n+m+2, the only matrix formed and
-    factored; s is recovered as (r_s - C'y) / d_s.  Cholesky is backward
-    stable under this symmetric reordering.  One step of iterative
-    refinement, with the residual of the full system applied blockwise from
-    K, C and the diagonal, keeps it near round-off.  Raises KindMismatch for
+    factored; s is recovered as (r_s - C'y) / d_s.  C is stacked only once,
+    as G = C/sqrt(d_s) scaled in place; elsewhere C and C' are applied
+    through A and c.  Cholesky is backward stable under this symmetric
+    reordering.  One step of iterative refinement, with the residual of the
+    full system applied blockwise from K, C and the diagonal, keeps it near
+    round-off.  Raises KindMismatch for
     a primal-dual spec, whose solve is solve_structured, and
     FactorizationFailure when R is not numerically SPD or not finite, or d_s
     is not finite and positive.
@@ -179,7 +181,7 @@ def solve_dense(
         raise KindMismatch("solve_dense covers only the homogeneous merit")
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
-    K, C = merit.hessian_base(lp), np.vstack([lp.A, -lp.c])
+    A, c, K = lp.A, lp.c, merit.hessian_base(lp)
     diag = merit.penalty_diagonal_at(spec, lp, z) + mu
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != diag.shape:
@@ -193,21 +195,28 @@ def solve_dense(
     # K is symmetric, so the transpose of its copy is the column-major form
     R = K.copy().T
     R[np.diag_indices_from(R)] += d
-    G = C / np.sqrt(d_s)
+    G = np.vstack([A, -c])
+    G /= np.sqrt(d_s)
     R[coupled, coupled] -= G @ G.T
     factor = _factor(R)
 
+    def apply_c(w):  # C w, on the lam and tau rows
+        return np.append(A @ w, -(c @ w))
+
+    def apply_c_t(u):  # C'u, for u on the lam and tau rows
+        return A.T @ u[:-1] - c * u[-1]
+
     def eliminated_solve(r_y, r_s):
         y = r_y.copy()
-        y[coupled] -= C @ (r_s / d_s)
+        y[coupled] -= apply_c(r_s / d_s)
         y = cho_solve(factor, y, check_finite=False)
-        return y, (r_s - C.T @ y[coupled]) / d_s
+        return y, (r_s - apply_c_t(y[coupled])) / d_s
 
     r_y, r_s = np.concatenate([rhs[:p], rhs[t:]]), rhs[p:t]
     y, w = eliminated_solve(r_y, r_s)
     res_y = r_y - (K @ y + d * y)
-    res_y[coupled] -= C @ w
-    dy, dw = eliminated_solve(res_y, r_s - (C.T @ y[coupled] + d_s * w))
+    res_y[coupled] -= apply_c(w)
+    dy, dw = eliminated_solve(res_y, r_s - (apply_c_t(y[coupled]) + d_s * w))
     y += dy
     return np.concatenate([y[:p], w + dw, y[p:]])
 
