@@ -6,7 +6,10 @@ for a problem's "known_optimum" and a solve report's "point".  Problems are
 stored as a flat JSON object: "m", "n", row-major "A", "b", "c", optional
 "known_optimum", optional "known_ray" and "feasible_point", plus "kind",
 "seed" and "generator".  All numbers are written with 17 significant digits
-so that a read-back reproduces every double bit for bit.
+so that a read-back reproduces every double bit for bit.  A float outside a
+list keeps a decimal point when its value is integral ("2.0", not "2"), so
+that it reads back as a float; list and array entries carry none, since
+arrays are read back with dtype=float.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ from .problems import (
 )
 
 
+def _number(value) -> str:
+    """A float at 17 significant digits, or null when it is not finite."""
+    value = float(value)
+    return format(value, ".17g") if math.isfinite(value) else "null"
+
+
 def _render(value, indent: int) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
@@ -37,18 +46,22 @@ def _render(value, indent: int) -> str:
     if isinstance(value, np.ndarray):
         if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():
             # one format call for the whole array; "%.17g" renders a float
-            # exactly as format(value, ".17g") does below
+            # exactly as _number does
             return "[" + ", ".join(["%.17g"] * value.size) % tuple(value.tolist()) + "]"
         value = value.tolist()
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v, indent) for v in value) + "]"
+        items = (
+            _number(v) if isinstance(v, (float, np.floating)) else _render(v, indent)
+            for v in value
+        )
+        return "[" + ", ".join(items) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return format(value, ".17g") if math.isfinite(value) else "null"
+        text = _number(value)
+        return text + ".0" if text.lstrip("-").isdigit() else text
     if value is None:
         return "null"
     if isinstance(value, str):

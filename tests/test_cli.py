@@ -304,6 +304,14 @@ class TestSingleSources:
         config = json.loads(report.read_text())["config"]
         assert config[field] == value
 
+    def test_integral_float_flag_reads_back_as_a_float(self, tmp_path):
+        path = _gen(tmp_path, 3, 6)
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--nu0", "2", "--report", str(report)]) == 0
+        assert '"nu0": 2.0,' in report.read_text()
+        nu0 = json.loads(report.read_text())["config"]["nu0"]
+        assert type(nu0) is float and nu0 == 2.0
+
     def test_flagless_solve_uses_the_config_defaults(self, tmp_path):
         path = _gen(tmp_path, 3, 6)
         report = tmp_path / "report.json"

@@ -1,5 +1,7 @@
 """Problem construction, synthetic generators, the enumeration oracle, and file I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,20 @@ class TestRenderArrays:
     def test_non_finite_entries_are_written_as_null(self):
         arr = np.array([1.5, np.nan, -np.inf, -0.0])
         assert serialize._render(arr, 0) == "[1.5, null, null, -0]"
+
+    def test_integral_scalar_floats_keep_a_decimal_point(self):
+        """A float outside a list reads back as a float, integral or not, at
+        17 significant digits; ints and list entries are written as before."""
+        doc = {"a": 2.0, "b": -0.0, "c": np.float64(3.0), "d": 1e20, "e": 0.1, "f": 2,
+               "g": [2.0, -0.0], "h": np.array([2.0])}
+        text = serialize.dumps(doc)
+        assert '"a": 2.0,' in text and '"b": -0.0,' in text and '"c": 3.0,' in text
+        assert '"d": 1e+20,' in text and '"e": 0.10000000000000001,' in text
+        assert '"g": [2, -0],' in text and '"h": [2]' in text
+        back = json.loads(text)
+        assert all(type(back[k]) is float for k in "abcde")
+        assert type(back["f"]) is int
+        assert [back[k] for k in "abcde"] == [2.0, -0.0, 3.0, 1e20, 0.1]
 
     def test_problem_document_renders_as_before(self):
         doc = serialize.problem_document(generate_unbounded_lp(4, 9, 3))
