@@ -196,6 +196,8 @@ def cmd_check(args) -> int:
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError("the top level is not a JSON object")
         # a bare point, a solve report, or a problem file with its known optimum
         for key in ("point", "known_optimum"):
             if isinstance(doc.get(key), dict):

@@ -265,6 +265,16 @@ class TestCheck:
         sol.write_text(json.dumps({"x": [0.0] * 5, "lambda": [0.0] * 3, "s": [0.0] * 5}))
         assert main(["check", "--input", str(path), "--solution", str(sol)]) == 2
 
+    @pytest.mark.parametrize("top", ["[1, 2]", "null", "3.5", '"x"'])
+    def test_solution_that_is_not_an_object_exits_2(self, tmp_path, capsys, top):
+        path = _gen(tmp_path, 3, 6)
+        sol = tmp_path / "sol.json"
+        sol.write_text(top)
+        assert main(["check", "--input", str(path), "--solution", str(sol)]) == 2
+        assert f"invalid solution file {sol}: the top level is not a JSON object" in (
+            capsys.readouterr().err
+        )
+
 
 def _capture_outcome(monkeypatch):
     """Record every outcome that the CLI's ``solve`` returns."""
