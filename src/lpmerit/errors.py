@@ -22,7 +22,8 @@ class InstanceTooLarge(LpMeritError, ValueError):
 
 
 class KindMismatch(LpMeritError, TypeError):
-    """Point type does not match the selected merit function."""
+    """A point, or a Newton solve, does not match the merit kind: build_reduced
+    takes only the primal-dual merit, solve_dense only the homogeneous one."""
 
 
 class NonPositiveRegularization(LpMeritError, ValueError):

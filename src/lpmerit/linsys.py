@@ -1,14 +1,15 @@
 """Regularized Newton systems: one solve for each merit kind.
 
 For the primal-dual merit, the system (hessian + mu*I) delta = -gradient has
-a rank-one-plus-structured matrix: after eliminating the s block it reduces to a block-diagonal matrix
-diag(A'A + D1, A*W*A' + D2) with W = D3 (I + D3)^{-1}, corrected by the
-rank-one term v v' with v = (c; -b).  Only n x n and m x m Cholesky
-factorizations are required: A'A is cached per problem, A*W*A' is formed by a
-symmetric rank-k update, and both factors are kept in LAPACK's column-major
-layout.  The rank-one term is absorbed by a Sherman-Morrison correction whose
-two right-hand sides are solved together, followed by one step of iterative
-refinement on the reduced system; build_reduced and solve_structured do this.
+a rank-one-plus-structured matrix: after eliminating the s block it reduces
+to a block-diagonal matrix diag(A'A + D1, A*W*A' + D2) with
+W = D3 (I + D3)^{-1}, corrected by the rank-one term v v' with v = (c; -b).
+Only n x n and m x m Cholesky factorizations are required: A'A is cached per
+problem, A*W*A' is formed by a symmetric rank-k update, and both factors are
+kept in LAPACK's column-major layout.  The rank-one term is absorbed by a
+Sherman-Morrison correction whose two right-hand sides are solved together,
+followed by one step of iterative refinement on the reduced system;
+build_reduced and solve_structured do this.
 
 solve_dense is the Newton solve of the homogeneous merit, on the cached
 Hessian block over (x, lam, tau, kappa).  It eliminates only the s block,
@@ -167,15 +168,13 @@ def solve_dense(
     d_s = 1 + diag[s], the remainder over (x, lam, tau, kappa) is
     R = K + diag - (C/sqrt(d_s)) (C/sqrt(d_s))', where K is
     ``merit.hessian_base``, of order n+m+2, the only matrix formed and
-    factored; s is recovered as (r_s - C'y) / d_s.  C is stacked only once,
-    as G = C/sqrt(d_s) scaled in place; elsewhere C and C' are applied
-    through A and c.  Cholesky is backward stable under this symmetric
+    factored; s is recovered as (r_s - C'y) / d_s.  C is stacked once, for
+    G = C/sqrt(d_s), and otherwise applied through A and c.  Cholesky is backward stable under this symmetric
     reordering.  One step of iterative refinement, with the residual of the
     full system applied blockwise from K, C and the diagonal, keeps it near
-    round-off.  Raises KindMismatch for
-    a primal-dual spec, whose solve is solve_structured, and
-    FactorizationFailure when R is not numerically SPD or not finite, or d_s
-    is not finite and positive.
+    round-off.  Raises KindMismatch for a primal-dual spec, whose solve is
+    solve_structured, and FactorizationFailure when R is not numerically SPD
+    or not finite, or d_s is not finite and positive.
     """
     if spec.kind is not MeritKind.HOMOGENEOUS:
         raise KindMismatch("solve_dense covers only the homogeneous merit")
@@ -200,23 +199,19 @@ def solve_dense(
     R[coupled, coupled] -= G @ G.T
     factor = _factor(R)
 
-    def apply_c(w):  # C w, on the lam and tau rows
-        return np.append(A @ w, -(c @ w))
-
-    def apply_c_t(u):  # C'u, for u on the lam and tau rows
-        return A.T @ u[:-1] - c * u[-1]
-
     def eliminated_solve(r_y, r_s):
-        y = r_y.copy()
-        y[coupled] -= apply_c(r_s / d_s)
+        y, v = r_y.copy(), r_s / d_s
+        y[n:p] -= A @ v  # y[coupled] -= C v, with C = [A; -c]
+        y[p] += c @ v
         y = cho_solve(factor, y, check_finite=False)
-        return y, (r_s - apply_c_t(y[coupled])) / d_s
+        return y, (r_s - (A.T @ y[n:p] - c * y[p])) / d_s
 
     r_y, r_s = np.concatenate([rhs[:p], rhs[t:]]), rhs[p:t]
     y, w = eliminated_solve(r_y, r_s)
     res_y = r_y - (K @ y + d * y)
-    res_y[coupled] -= apply_c(w)
-    dy, dw = eliminated_solve(res_y, r_s - (apply_c_t(y[coupled]) + d_s * w))
+    res_y[n:p] -= A @ w
+    res_y[p] += c @ w
+    dy, dw = eliminated_solve(res_y, r_s - (A.T @ y[n:p] - c * y[p] + d_s * w))
     y += dy
     return np.concatenate([y[:p], w + dw, y[p:]])
 

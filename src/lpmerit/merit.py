@@ -156,9 +156,9 @@ def _gradients(spec, lp, z, gamma, rho, sigma, Ax, ATlam):
 def evaluate(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray):
     """``((f0, g0), (f, g), (gamma, rho, sigma))`` at the flat iterate ``z``,
     from one residual computation: the value and gradient at nu = 0 (the base
-    merit for a PRIMAL_DUAL spec) and of ``spec``,
-    each pair equal to value_at and gradient_at of its spec bit for bit, and
-    the residuals both were built on."""
+    merit for a PRIMAL_DUAL spec) and of ``spec``, each pair equal to
+    value_at and gradient_at of its spec bit for bit, and the residuals both
+    were built on."""
     gamma, rho, sigma, Ax, ATlam = _residuals(spec, lp, z)
     f0, f = _values(spec, lp, z, gamma, rho, sigma)
     g0, g = _gradients(spec, lp, z, gamma, rho, sigma, Ax, ATlam)
@@ -248,12 +248,9 @@ def _jacobian(spec, lp):
 
 
 def _point_vector(spec, point):
-    if spec.kind is MeritKind.HOMOGENEOUS:
-        if not isinstance(point, HomogeneousPoint):
-            raise KindMismatch("HOMOGENEOUS merit requires a HomogeneousPoint")
-    else:
-        if not isinstance(point, PrimalDualPoint):
-            raise KindMismatch(f"{spec.kind.name} merit requires a PrimalDualPoint")
+    expected = HomogeneousPoint if spec.kind is MeritKind.HOMOGENEOUS else PrimalDualPoint
+    if not isinstance(point, expected):
+        raise KindMismatch(f"{spec.kind.name} merit requires a {expected.__name__}")
     return point.as_vector()
 
 

@@ -28,13 +28,7 @@ from .problems import (
 )
 
 
-def _number(value) -> str:
-    """A float at 17 significant digits, or null when it is not finite."""
-    value = float(value)
-    return format(value, ".17g") if math.isfinite(value) else "null"
-
-
-def _render(value, indent: int) -> str:
+def _render(value, indent: int, in_list: bool = False) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -46,22 +40,19 @@ def _render(value, indent: int) -> str:
     if isinstance(value, np.ndarray):
         if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():
             # one format call for the whole array; "%.17g" renders a float
-            # exactly as _number does
+            # exactly as format(value, ".17g") does below
             return "[" + ", ".join(["%.17g"] * value.size) % tuple(value.tolist()) + "]"
         value = value.tolist()
     if isinstance(value, (list, tuple)):
-        items = (
-            _number(v) if isinstance(v, (float, np.floating)) else _render(v, indent)
-            for v in value
-        )
-        return "[" + ", ".join(items) + "]"
+        return "[" + ", ".join(_render(v, indent, in_list=True) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        text = _number(value)
-        return text + ".0" if text.lstrip("-").isdigit() else text
+        value = float(value)
+        text = format(value, ".17g") if math.isfinite(value) else "null"
+        return text + ".0" if not in_list and text.lstrip("-").isdigit() else text
     if value is None:
         return "null"
     if isinstance(value, str):

@@ -31,10 +31,9 @@ A vertex that fails leaves the iterates as they were.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -345,7 +344,7 @@ def _minimize(lp, config, spec, start, stop, *, record=None, polish=None):
         )
 
     def spec_at(weight):
-        return dataclasses.replace(spec, nu=weight)
+        return replace(spec, nu=weight)
 
     nu = spec.nu
     z = start.as_vector()

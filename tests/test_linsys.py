@@ -243,9 +243,20 @@ class TestSolveDense:
             res = np.linalg.norm(H @ delta + g)
             assert res <= 1e-12 * (1.0 + np.linalg.norm(g))
 
-    def test_one_factorization_without_the_s_block(self, monkeypatch):
-        """Only the remainder over (x, lam, tau, kappa) is factored, and the
-        solve and its refinement take one triangular solve each."""
+    @pytest.mark.parametrize(
+        "spec,factored_orders,solved_shapes",
+        [
+            pytest.param(BASE3, [(9, 9), (4, 4)], [(9, 2), (4, 2), (9,), (4,)], id="BASE"),
+            pytest.param(HOMOGENEOUS3, [(15, 15)], [(15,), (15,)], id="HOMOGENEOUS"),
+        ],
+    )
+    def test_one_factorization_without_the_s_block(
+        self, spec, factored_orders, solved_shapes, monkeypatch
+    ):
+        """Neither kind's Newton solve factors a matrix that holds the s
+        block.  solve_dense factors only the remainder over (x, lam, tau,
+        kappa), and the solve and its refinement take one triangular solve
+        each; the structured solve factors the n x n and m x m blocks."""
         factored, solved = [], []
 
         def counting_factor(M, **kwargs):
@@ -259,12 +270,11 @@ class TestSolveDense:
         monkeypatch.setattr(linsys, "cho_factor", counting_factor)
         monkeypatch.setattr(linsys, "cho_solve", counting_solve)
         prob = generate_optimal_lp(4, 9, 2)
-        point = random_homogeneous(np.random.default_rng(5), 9, 4)
-        g = eval_gradient(HOMOGENEOUS3, prob.lp, point)
-        solve_dense(HOMOGENEOUS3, prob.lp, point.as_vector(), 1e-6, -g)
-        order = 9 + 4 + 2
-        assert factored == [(order, order)]
-        assert solved == [(order,), (order,)]
+        point = _random_point(spec, np.random.default_rng(5), 9, 4)
+        g = eval_gradient(spec, prob.lp, point)
+        _newton_solve(spec, prob.lp, point.as_vector(), 1e-6, -g)
+        assert factored == factored_orders
+        assert solved == solved_shapes
 
     def test_first_call_allocates_less_than_one_full_base(self):
         """The first solve on a fresh problem builds and caches the base of
