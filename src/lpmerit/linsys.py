@@ -169,12 +169,13 @@ def solve_dense(
     R = K + diag - (C/sqrt(d_s)) (C/sqrt(d_s))', where K is
     ``merit.hessian_base``, of order n+m+2, the only matrix formed and
     factored; s is recovered as (r_s - C'y) / d_s.  C is stacked once, for
-    G = C/sqrt(d_s), and otherwise applied through A and c.  Cholesky is backward stable under this symmetric
-    reordering.  One step of iterative refinement, with the residual of the
-    full system applied blockwise from K, C and the diagonal, keeps it near
-    round-off.  Raises KindMismatch for a primal-dual spec, whose solve is
-    solve_structured, and FactorizationFailure when R is not numerically SPD
-    or not finite, or d_s is not finite and positive.
+    G = C/sqrt(d_s), and otherwise applied through A and c.  Cholesky is
+    backward stable under this symmetric reordering.  One step of iterative
+    refinement, with the residual of the full system applied blockwise from
+    K, C and the diagonal, keeps it near round-off.  Raises KindMismatch for
+    a primal-dual spec, whose solve is solve_structured, and
+    FactorizationFailure when R is not numerically SPD or not finite, or d_s
+    is not finite and positive.
     """
     if spec.kind is not MeritKind.HOMOGENEOUS:
         raise KindMismatch("solve_dense covers only the homogeneous merit")

@@ -31,6 +31,8 @@ from lpmerit import (
 BASE3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0)
 HOMOTOPY3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=2.1, nu=0.3)
 HOMOGENEOUS3 = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
+#: A homogeneous point of the (1, 2) problems below, as a flat iterate.
+ONES_2_1 = HomogeneousPoint.ones(2, 1).as_vector()
 
 
 def _random_point(spec, rng, n, m, scale=1.0):
@@ -145,7 +147,8 @@ class TestSolveDense:
         lp = StandardFormLp([[1.0]], [1.0], [1.0], allow_square=True)
         origin = PrimalDualPoint.zeros(1, 1)
         expected = np.array([6.0, 5.0, 4.0]) / 13.0
-        np.testing.assert_allclose(_oracle(BASE3, lp, origin, 1.0, np.ones(3)), expected, rtol=1e-12)
+        oracle = _oracle(BASE3, lp, origin, 1.0, np.ones(3))
+        np.testing.assert_allclose(oracle, expected, rtol=1e-12)
         delta = _newton_solve(BASE3, lp, origin.as_vector(), 1.0, np.ones(3))
         np.testing.assert_allclose(delta, expected, rtol=1e-12)
         with pytest.raises(KindMismatch):
@@ -184,7 +187,7 @@ class TestSolveDense:
     def test_requires_positive_mu(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         with pytest.raises(NonPositiveRegularization):
-            solve_dense(HOMOGENEOUS3, lp, HomogeneousPoint.ones(2, 1).as_vector(), -1.0, np.zeros(7))
+            solve_dense(HOMOGENEOUS3, lp, ONES_2_1, -1.0, np.zeros(7))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_raises_factorization_failure(self, bad, monkeypatch):
@@ -193,7 +196,7 @@ class TestSolveDense:
             linsys.merit, "penalty_diagonal_at", lambda spec, lp, z: np.full(z.size, bad)
         )
         with pytest.raises(FactorizationFailure):
-            solve_dense(HOMOGENEOUS3, lp, HomogeneousPoint.ones(2, 1).as_vector(), 1.0, np.zeros(7))
+            solve_dense(HOMOGENEOUS3, lp, ONES_2_1, 1.0, np.zeros(7))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
     def test_bad_s_block_raises_factorization_failure(self, bad, monkeypatch):
@@ -208,7 +211,7 @@ class TestSolveDense:
 
         monkeypatch.setattr(linsys.merit, "penalty_diagonal_at", s_block_only)
         with pytest.raises(FactorizationFailure):
-            solve_dense(HOMOGENEOUS3, lp, HomogeneousPoint.ones(2, 1).as_vector(), 1.0, np.zeros(7))
+            solve_dense(HOMOGENEOUS3, lp, ONES_2_1, 1.0, np.zeros(7))
 
     @pytest.mark.parametrize(
         "spec", [BASE3, HOMOTOPY3, HOMOGENEOUS3], ids=["BASE", "HOMOTOPY", "HOMOGENEOUS"]
