@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from enum import Enum
@@ -194,10 +193,7 @@ def cmd_check(args) -> int:
     if isinstance(problem, int):
         return problem
     try:
-        with open(args.solution, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise TypeError("the top level is not a JSON object")
+        doc = serialize.load_document(args.solution)
         # a bare point, a solve report, or a problem file with its known optimum
         for key in ("point", "known_optimum"):
             if isinstance(doc.get(key), dict):

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InstanceTooLarge,
+    InvalidConfig,
     NonFiniteEntry,
     ShapeViolation,
 )
@@ -221,6 +222,13 @@ class GeneratedProblem:
     generator: str = GENERATOR_NAME
 
 
+def _rng(seed: int) -> np.random.Generator:
+    # problem files hold integers to 64 bits, so a wider seed could not be saved
+    if not 0 <= seed < 2**64:
+        raise InvalidConfig(f"seed must be in [0, 2**64), got {seed}")
+    return np.random.default_rng(seed)
+
+
 def generate_optimal_lp(m: int, n: int, seed: int) -> GeneratedProblem:
     """Generate a random problem with an exactly known strictly complementary optimum.
 
@@ -233,7 +241,7 @@ def generate_optimal_lp(m: int, n: int, seed: int) -> GeneratedProblem:
     """
     if not 1 <= m < n:
         raise ShapeViolation(f"need 1 <= m < n, got ({m}, {n})")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     A = rng.standard_normal((m, n))
     support = rng.permutation(n)[:m]
     x = np.zeros(n)
@@ -265,7 +273,7 @@ def generate_unbounded_lp(m: int, n: int, seed: int) -> GeneratedProblem:
     """
     if not 1 <= m < n - 1:
         raise ShapeViolation(f"need 1 <= m < n - 1, got ({m}, {n})")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     A_head = rng.standard_normal((m, n - 1))
     d_head = rng.uniform(0.5, 1.5, size=n - 1)
     last_col = -(A_head @ d_head)

@@ -5,19 +5,18 @@ A primal-dual point is stored as {"x", "lambda", "s"}; ``point_document`` and
 for a problem's "known_optimum" and a solve report's "point".  Problems are
 stored as a flat JSON object: "m", "n", row-major "A", "b", "c", optional
 "known_optimum", optional "known_ray" and "feasible_point", plus "kind",
-"seed" and "generator".  All numbers are written with 17 significant digits
-so that a read-back reproduces every double bit for bit.  A float outside a
-list keeps a decimal point when its value is integral ("2.0", not "2"), so
-that it reads back as a float; list and array entries carry none, since
-arrays are read back with dtype=float.
+"seed" and "generator".  orjson is the one codec, writing compact JSON.  A
+float, alone or in a float64 array, is written as the shortest text that reads
+back to the same double bit for bit, ``-0.0`` included, and an integral one
+keeps its decimal point ("2.0").  NaN and infinities are written as null.
+Integers are held to 64 bits: a wider one cannot be written, and reads back as
+a float.
 """
 
 from __future__ import annotations
 
-import json
-import math
-
 import numpy as np
+import orjson
 
 from .errors import DimensionMismatch
 from .problems import (
@@ -27,42 +26,32 @@ from .problems import (
     StandardFormLp,
 )
 
+_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
-def _render(value, indent: int, in_list: bool = False) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_render(v, indent + 1)}" for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+
+def _array_as_list(value):
+    """orjson's fallback for an array it does not take itself: one that is not
+    C-contiguous, or of a dtype it lacks."""
     if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.dtype.kind == "f" and np.isfinite(value).all():
-            # one format call for the whole array; "%.17g" renders a float
-            # exactly as format(value, ".17g") does below
-            return "[" + ", ".join(["%.17g"] * value.size) % tuple(value.tolist()) + "]"
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v, indent, in_list=True) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        text = format(value, ".17g") if math.isfinite(value) else "null"
-        return text + ".0" if not in_list and text.lstrip("-").isdigit() else text
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+        return value.tolist()
+    raise TypeError
 
 
 def dumps(document: dict) -> str:
-    """Render a document as JSON with floats at 17 significant digits."""
-    return _render(document, 0) + "\n"
+    """Render a document as compact JSON, ending in a newline."""
+    return orjson.dumps(document, default=_array_as_list, option=_OPTIONS).decode()
+
+
+def _as_object(doc):
+    if not isinstance(doc, dict):
+        raise TypeError("the top level is not a JSON object")
+    return doc
+
+
+def load_document(path) -> dict:
+    """Read the JSON object in ``path``; TypeError if the top level is not one."""
+    with open(path, "rb") as fh:
+        return _as_object(orjson.loads(fh.read()))
 
 
 def point_document(point: PrimalDualPoint) -> dict:
@@ -119,8 +108,14 @@ def _certificate_array(doc: dict, key: str, length: int) -> np.ndarray | None:
 
 
 def problem_from_document(doc: dict, *, allow_square: bool = False) -> GeneratedProblem:
-    m = int(doc["m"])
-    n = int(doc["n"])
+    """Read a problem written by ``problem_document``; the error names what is malformed."""
+    missing = [key for key in ("m", "n", "A", "b", "c") if key not in _as_object(doc)]
+    if missing:
+        raise ValueError(f"missing required key(s) {', '.join(missing)}")
+    for key in ("m", "n", "seed"):
+        if type(doc.get(key, 0)) is not int:
+            raise ValueError(f"{key} must be a 64-bit integer, got {doc[key]!r}")
+    m, n = doc["m"], doc["n"]
     A = np.asarray(doc["A"], dtype=float)
     if A.size != m * n:
         raise ValueError(f"A has {A.size} entries, expected m*n = {m * n}")
@@ -135,13 +130,11 @@ def problem_from_document(doc: dict, *, allow_square: bool = False) -> Generated
         known_optimum=known_optimum,
         known_ray=known_ray,
         feasible_point=feasible_point,
-        seed=int(doc.get("seed", 0)),
+        seed=doc.get("seed", 0),
         kind=ProblemKind(doc.get("kind", "unknown")),
         generator=str(doc.get("generator", "unknown")),
     )
 
 
 def load_problem(path, *, allow_square: bool = False) -> GeneratedProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return problem_from_document(doc, allow_square=allow_square)
+    return problem_from_document(load_document(path), allow_square=allow_square)

@@ -149,6 +149,26 @@ class TestSolve:
         assert main(["solve", "--input", str(bad)]) == 2
 
     @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "the top level is not a JSON object"),
+            ('{"m": 1}', "missing required key(s) n, A, b, c"),
+            ('{"m": 1, "n": 3, "b": [1.0]}', "missing required key(s) A, c"),
+            ("{", "unexpected end of data"),
+            ('{"m": 2.9, "n": 4, "A": 0, "b": 0, "c": 0}', "m must be a 64-bit integer, got 2.9"),
+            ('{"m": 1, "n": true, "A": 0, "b": 0, "c": 0}',
+             "n must be a 64-bit integer, got True"),
+        ],
+    )
+    def test_malformed_problem_file_is_named_in_the_message(
+        self, tmp_path, capsys, text, message
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["solve", "--input", str(bad)]) == 2
+        assert f"invalid problem file {bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "kind,n,keys,length",
         [
             ("optimal", 6, ["known_optimum.x", "known_optimum.s"], 7),
@@ -276,6 +296,15 @@ class TestCheck:
         )
 
 
+    @pytest.mark.parametrize("text", ["{", "", '{"x": [1.0,]}'])
+    def test_solution_that_is_not_json_exits_2(self, tmp_path, capsys, text):
+        path = _gen(tmp_path, 3, 6)
+        sol = tmp_path / "sol.json"
+        sol.write_text(text)
+        assert main(["check", "--input", str(path), "--solution", str(sol)]) == 2
+        assert f"invalid solution file {sol}: " in capsys.readouterr().err
+
+
 def _capture_outcome(monkeypatch):
     """Record every outcome that the CLI's ``solve`` returns."""
     outcomes, cli_solve = [], cli.solve
@@ -318,7 +347,7 @@ class TestSingleSources:
         path = _gen(tmp_path, 3, 6)
         report = tmp_path / "report.json"
         assert main(["solve", "--input", str(path), "--nu0", "2", "--report", str(report)]) == 0
-        assert '"nu0": 2.0,' in report.read_text()
+        assert '"nu0":2.0,' in report.read_text()
         nu0 = json.loads(report.read_text())["config"]["nu0"]
         assert type(nu0) is float and nu0 == 2.0
 
@@ -388,6 +417,31 @@ class TestSingleSources:
 
 class TestFailurePaths:
     """Each exit for bad input or a failed write, reached once."""
+
+    @pytest.mark.parametrize("seed", [str(2**64), "1180591620717411303424", "-1"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        """Problem files hold integers to 64 bits, so a seed the file could
+        not hold exactly is rejected before anything is written."""
+        out = tmp_path / "p.json"
+        code = main(["gen", "--m", "3", "--n", "6", "--seed", seed, "--out", str(out)])
+        assert code == 2
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_is_written_and_read_back_exactly(self, tmp_path):
+        path = _gen(tmp_path, 3, 6, seed=2**64 - 1)
+        assert load_problem(path).seed == 2**64 - 1
+        assert main(["solve", "--input", str(path)]) == 0
+
+    def test_seed_too_wide_for_the_codec_is_not_rounded_on_load(self, tmp_path, capsys):
+        path = _gen(tmp_path, 3, 6)
+        doc = json.loads(path.read_text())
+        doc["seed"] = 1180591620717411303424
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--input", str(path)]) == 2
+        assert "seed must be a 64-bit integer, got 1.1805916207174113e+21" in (
+            capsys.readouterr().err
+        )
 
     def test_non_integer_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LPMERIT_SEED", "seven")

@@ -1,12 +1,15 @@
 """Problem construction, synthetic generators, the enumeration oracle, and file I/O."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 from lpmerit import (
     DimensionMismatch,
+    GeneratedProblem,
     HomogeneousPoint,
     InstanceTooLarge,
     NonFiniteEntry,
@@ -207,18 +210,58 @@ class TestProblemFiles:
         assert np.array_equal(back.feasible_point, prob.feasible_point)
         assert back.kind is ProblemKind.UNBOUNDED
 
-    def test_file_numbers_carry_17_significant_digits(self, tmp_path):
+    def test_file_numbers_are_the_shortest_text_that_round_trips(self, tmp_path):
         prob = generate_optimal_lp(2, 4, 11)
         path = tmp_path / "p.json"
         save_problem(path, prob)
-        text = path.read_text()
-        probe = format(float(prob.lp.A[0, 0]), ".17g")
-        assert probe in text
+        entries = re.search(r'"A":\[([^\]]*)\]', path.read_text()).group(1).split(",")
+        assert entries == [repr(v) for v in prob.lp.A.ravel().tolist()]
+
+    def test_roundtrip_is_bit_for_bit_at_the_edges_of_float64(self, tmp_path):
+        """Signed zeros, the smallest subnormal, the largest doubles and a
+        value with no short binary form read back bit for bit from every
+        array of a problem file."""
+        edges = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+        v = np.array(edges + [-0.0, 1.0, -5e-324])
+        lp = StandardFormLp(np.stack([v, v[::-1]]), v[:2], v)
+        prob = GeneratedProblem(
+            lp=lp,
+            known_optimum=PrimalDualPoint(v, v[:2], v[::-1]),
+            known_ray=-v,
+            feasible_point=v[::-1],
+            seed=2**64 - 1,
+            kind=ProblemKind.OPTIMAL,
+        )
+        path = tmp_path / "edges.json"
+        save_problem(path, prob)
+        back = load_problem(path)
+        pairs = [
+            (back.lp.A, prob.lp.A), (back.lp.b, prob.lp.b), (back.lp.c, prob.lp.c),
+            (back.known_optimum.x, prob.known_optimum.x),
+            (back.known_optimum.lam, prob.known_optimum.lam),
+            (back.known_optimum.s, prob.known_optimum.s),
+            (back.known_ray, prob.known_ray), (back.feasible_point, prob.feasible_point),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert back.seed == 2**64 - 1
+
+    def test_scalars_read_back_with_their_type_and_non_finite_values_as_null(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(serialize.dumps(
+            {"two": 2.0, "zero": -0.0, "nan": float("nan"), "inf": np.float64(-np.inf),
+             "array": np.array([np.inf, 2.0])}
+        ))
+        back = serialize.load_document(path)
+        assert type(back["two"]) is float and back["two"] == 2.0
+        assert math.copysign(1.0, back["zero"]) == -1.0
+        assert back["nan"] is None and back["inf"] is None
+        assert back["array"] == [None, 2.0]
 
 
 class TestRenderArrays:
-    """The one-call rendering of finite 1-D float arrays against the
-    per-value rendering of the same numbers as a list."""
+    """orjson's rendering of float64 arrays against its rendering of the same
+    numbers as a list of Python floats."""
 
     @pytest.mark.parametrize(
         "values",
@@ -230,21 +273,26 @@ class TestRenderArrays:
     )
     def test_matches_the_per_value_path(self, values):
         arr = np.array(values, dtype=float)
-        assert serialize._render(arr, 0) == serialize._render(arr.tolist(), 0)
+        assert serialize.dumps({"v": arr}) == serialize.dumps({"v": arr.tolist()})
 
     def test_non_finite_entries_are_written_as_null(self):
         arr = np.array([1.5, np.nan, -np.inf, -0.0])
-        assert serialize._render(arr, 0) == "[1.5, null, null, -0]"
+        assert serialize.dumps({"v": arr}) == '{"v":[1.5,null,null,-0.0]}\n'
+
+    def test_arrays_orjson_does_not_take_are_written_as_lists(self):
+        matrix = np.arange(12.0).reshape(3, 4)
+        for arr in (matrix[:, 1], matrix.T, np.array([1.5, None], dtype=object)):
+            assert serialize.dumps({"v": arr}) == serialize.dumps({"v": arr.tolist()})
 
     def test_integral_scalar_floats_keep_a_decimal_point(self):
-        """A float outside a list reads back as a float, integral or not, at
-        17 significant digits; ints and list entries are written as before."""
+        """A float reads back as a float, integral or not, written as the
+        shortest text that round-trips; ints are written as ints."""
         doc = {"a": 2.0, "b": -0.0, "c": np.float64(3.0), "d": 1e20, "e": 0.1, "f": 2,
                "g": [2.0, -0.0], "h": np.array([2.0])}
         text = serialize.dumps(doc)
-        assert '"a": 2.0,' in text and '"b": -0.0,' in text and '"c": 3.0,' in text
-        assert '"d": 1e+20,' in text and '"e": 0.10000000000000001,' in text
-        assert '"g": [2, -0],' in text and '"h": [2]' in text
+        assert '"a":2.0,' in text and '"b":-0.0,' in text and '"c":3.0,' in text
+        assert '"d":1e20,' in text and '"e":0.1,' in text
+        assert '"g":[2.0,-0.0],' in text and '"h":[2.0]' in text
         back = json.loads(text)
         assert all(type(back[k]) is float for k in "abcde")
         assert type(back["f"]) is int
@@ -292,5 +340,6 @@ class TestInputGuards:
             HomogeneousPoint(np.ones(2), np.ones(1), np.ones(2), tau, kappa)
 
     def test_unsupported_value_cannot_be_rendered(self):
-        with pytest.raises(TypeError, match="cannot render object as JSON"):
-            serialize.dumps({"value": object()})
+        for value in (object(), np.array([1 + 2j])):
+            with pytest.raises(TypeError, match="not JSON serializable: (object|complex)"):
+                serialize.dumps({"value": value})
