@@ -295,7 +295,6 @@ class TestCheck:
             capsys.readouterr().err
         )
 
-
     @pytest.mark.parametrize("text", ["{", "", '{"x": [1.0,]}'])
     def test_solution_that_is_not_json_exits_2(self, tmp_path, capsys, text):
         path = _gen(tmp_path, 3, 6)
