@@ -46,7 +46,6 @@ from .problems import (
     generate_optimal_lp,
     generate_unbounded_lp,
     residuals,
-    validate,
 )
 from .serialize import load_problem, save_problem
 from .solver import (
@@ -110,5 +109,4 @@ __all__ = [
     "solve_dense",
     "solve_homogeneous",
     "solve_structured",
-    "validate",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from enum import Enum
 
@@ -86,19 +85,11 @@ def _config_document(config: SolverConfig) -> dict:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed
-    env_seed = os.environ.get("LPMERIT_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"error: LPMERIT_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return 2
     try:
         if args.kind == "optimal":
-            problem = generate_optimal_lp(args.m, args.n, seed)
+            problem = generate_optimal_lp(args.m, args.n, args.seed)
         else:
-            problem = generate_unbounded_lp(args.m, args.n, seed)
+            problem = generate_unbounded_lp(args.m, args.n, args.seed)
     except LpMeritError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -107,7 +98,7 @@ def cmd_gen(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {args.kind} problem (m={args.m}, n={args.n}, seed={seed}) to {args.out}")
+    print(f"wrote {args.kind} problem (m={args.m}, n={args.n}, seed={args.seed}) to {args.out}")
     return 0
 
 
@@ -231,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a random problem file")
     gen.add_argument("--m", type=int, required=True, help="number of constraints")
     gen.add_argument("--n", type=int, required=True, help="number of variables")
-    gen.add_argument("--seed", type=int, default=0, help="PRNG seed (LPMERIT_SEED overrides)")
+    gen.add_argument("--seed", type=int, default=0, help="PRNG seed")
     gen.add_argument("--kind", choices=["optimal", "unbounded"], default="optimal")
     gen.add_argument("--out", required=True, help="output problem file (JSON)")
     gen.set_defaults(func=cmd_gen)

@@ -35,25 +35,6 @@ _BASIS_FEASIBILITY_SLACK = 1e-9
 _BASIS_SINGULARITY_CUTOFF = 1e-10
 
 
-def _check_problem_arrays(A, b, c, allow_square):
-    if A.ndim != 2:
-        raise DimensionMismatch(f"A must be a 2-d matrix, got ndim={A.ndim}")
-    m, n = A.shape
-    if b.shape != (m,):
-        raise DimensionMismatch(f"b must have shape ({m},), got {b.shape}")
-    if c.shape != (n,):
-        raise DimensionMismatch(f"c must have shape ({n},), got {c.shape}")
-    for name, arr in (("A", A), ("b", b), ("c", c)):
-        if not np.isfinite(arr).all():
-            raise NonFiniteEntry(f"{name} contains NaN or infinite entries")
-    if m < 1 or n < 1:
-        raise ShapeViolation(f"need m >= 1 and n >= 1, got ({m}, {n})")
-    if m > n or (m == n and not allow_square):
-        raise ShapeViolation(
-            f"need m < n (got m={m}, n={n}); pass allow_square=True to permit m == n"
-        )
-
-
 class StandardFormLp:
     """Immutable problem data (A, b, c) with m constraints and n variables.
 
@@ -65,13 +46,26 @@ class StandardFormLp:
         A = np.array(A, dtype=float, order="C")
         b = np.array(b, dtype=float)
         c = np.array(c, dtype=float)
-        _check_problem_arrays(A, b, c, allow_square)
+        if A.ndim != 2:
+            raise DimensionMismatch(f"A must be a 2-d matrix, got ndim={A.ndim}")
+        m, n = A.shape
+        if b.shape != (m,):
+            raise DimensionMismatch(f"b must have shape ({m},), got {b.shape}")
+        if c.shape != (n,):
+            raise DimensionMismatch(f"c must have shape ({n},), got {c.shape}")
+        for name, arr in (("A", A), ("b", b), ("c", c)):
+            if not np.isfinite(arr).all():
+                raise NonFiniteEntry(f"{name} contains NaN or infinite entries")
+        if m < 1 or n < 1:
+            raise ShapeViolation(f"need m >= 1 and n >= 1, got ({m}, {n})")
+        if m > n or (m == n and not allow_square):
+            raise ShapeViolation(f"need m < n (got m={m}, n={n})")
         for arr in (A, b, c):
             arr.flags.writeable = False
         self.A = A
         self.b = b
         self.c = c
-        self.m, self.n = A.shape
+        self.m, self.n = m, n
 
     @cached_property
     def scale(self) -> float:
@@ -93,22 +87,23 @@ class StandardFormLp:
         return f"StandardFormLp(m={self.m}, n={self.n})"
 
 
-def validate(lp: StandardFormLp, *, allow_square: bool = False) -> None:
-    """Re-check all StandardFormLp invariants, raising on the first violation.
+def _freeze_blocks(point) -> None:
+    """Check the x, lam and s blocks of a point and store them as read-only
+    float vectors.
 
-    Raises DimensionMismatch, NonFiniteEntry, or ShapeViolation.
+    Raises DimensionMismatch unless each block is 1-d and x and s match, and
+    NonFiniteEntry on a NaN or infinite entry.
     """
-    _check_problem_arrays(lp.A, lp.b, lp.c, allow_square)
-
-
-def _vector(v, length, name):
-    v = np.array(v, dtype=float)
-    if v.shape != (length,):
-        raise DimensionMismatch(f"{name} must have shape ({length},), got {v.shape}")
-    if not np.isfinite(v).all():
-        raise NonFiniteEntry(f"{name} contains NaN or infinite entries")
-    v.flags.writeable = False
-    return v
+    for name in ("x", "lam", "s"):
+        v = np.array(getattr(point, name), dtype=float)
+        if v.shape != (v.size,):
+            raise DimensionMismatch(f"{name} must have shape ({v.size},), got {v.shape}")
+        if not np.isfinite(v).all():
+            raise NonFiniteEntry(f"{name} contains NaN or infinite entries")
+        v.flags.writeable = False
+        object.__setattr__(point, name, v)
+    if point.x.shape != point.s.shape:
+        raise DimensionMismatch(f"x and s must match, got {point.x.shape} and {point.s.shape}")
 
 
 @dataclass(frozen=True)
@@ -120,14 +115,7 @@ class PrimalDualPoint:
     s: np.ndarray
 
     def __post_init__(self):
-        x = _vector(self.x, np.size(self.x), "x")
-        lam = _vector(self.lam, np.size(self.lam), "lam")
-        s = _vector(self.s, np.size(self.s), "s")
-        if x.shape != s.shape:
-            raise DimensionMismatch(f"x and s must match, got {x.shape} and {s.shape}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "s", s)
+        _freeze_blocks(self)
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.x, self.lam, self.s])
@@ -155,16 +143,9 @@ class HomogeneousPoint:
     kappa: float
 
     def __post_init__(self):
-        x = _vector(self.x, np.size(self.x), "x")
-        lam = _vector(self.lam, np.size(self.lam), "lam")
-        s = _vector(self.s, np.size(self.s), "s")
-        if x.shape != s.shape:
-            raise DimensionMismatch(f"x and s must match, got {x.shape} and {s.shape}")
+        _freeze_blocks(self)
         if not (np.isfinite(self.tau) and np.isfinite(self.kappa)):
             raise NonFiniteEntry("tau and kappa must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "s", s)
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "kappa", float(self.kappa))
 

@@ -107,7 +107,7 @@ def _certificate_array(doc: dict, key: str, length: int) -> np.ndarray | None:
     return v
 
 
-def problem_from_document(doc: dict, *, allow_square: bool = False) -> GeneratedProblem:
+def problem_from_document(doc: dict) -> GeneratedProblem:
     """Read a problem written by ``problem_document``; the error names what is malformed."""
     missing = [key for key in ("m", "n", "A", "b", "c") if key not in _as_object(doc)]
     if missing:
@@ -119,7 +119,7 @@ def problem_from_document(doc: dict, *, allow_square: bool = False) -> Generated
     A = np.asarray(doc["A"], dtype=float)
     if A.size != m * n:
         raise ValueError(f"A has {A.size} entries, expected m*n = {m * n}")
-    lp = StandardFormLp(A.reshape(m, n), doc["b"], doc["c"], allow_square=allow_square)
+    lp = StandardFormLp(A.reshape(m, n), doc["b"], doc["c"])
     known_optimum = None
     if doc.get("known_optimum") is not None:
         known_optimum = point_from_document(doc["known_optimum"], n, m, "known_optimum")
@@ -136,5 +136,5 @@ def problem_from_document(doc: dict, *, allow_square: bool = False) -> Generated
     )
 
 
-def load_problem(path, *, allow_square: bool = False) -> GeneratedProblem:
-    return problem_from_document(load_document(path), allow_square=allow_square)
+def load_problem(path) -> GeneratedProblem:
+    return problem_from_document(load_document(path))

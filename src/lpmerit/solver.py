@@ -338,7 +338,7 @@ def _minimize(lp, config, spec, start, stop, *, record=None, polish=None):
     """
     n, m = lp.n, lp.m
     if start.x.shape != (n,) or start.lam.shape != (m,):
-        raise InvalidConfig(
+        raise DimensionMismatch(
             f"start has sizes (n={start.x.size}, m={start.lam.size}), "
             f"problem has (n={n}, m={m})"
         )

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from lpmerit import (
 )
 from lpmerit import cli
 from lpmerit.cli import TRACE_HEADER, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _gen(tmp_path, m, n, seed=1, kind="optimal", name="prob.json"):
@@ -47,14 +53,6 @@ class TestGen:
         code = main(["gen", "--m", "150", "--n", "100", "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert "error" in capsys.readouterr().err
-
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LPMERIT_SEED", "77")
-        path = _gen(tmp_path, 3, 6, seed=1)
-        back = load_problem(path)
-        direct = generate_optimal_lp(3, 6, 77)
-        assert back.seed == 77
-        assert np.array_equal(back.lp.A, direct.lp.A)
 
     def test_unwritable_output_exits_3(self, tmp_path):
         code = main(["gen", "--m", "3", "--n", "6", "--out", str(tmp_path / "no" / "dir.json")])
@@ -442,13 +440,6 @@ class TestFailurePaths:
             capsys.readouterr().err
         )
 
-    def test_non_integer_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LPMERIT_SEED", "seven")
-        code = main(["gen", "--m", "3", "--n", "6", "--out", str(tmp_path / "p.json")])
-        assert code == 2
-        assert "LPMERIT_SEED must be an integer" in capsys.readouterr().err
-        assert not (tmp_path / "p.json").exists()
-
     @pytest.mark.parametrize("flag", ["--trace", "--report"])
     def test_unwritable_solve_output_exits_3(self, tmp_path, capsys, flag):
         path = _gen(tmp_path, 3, 6)
@@ -472,3 +463,17 @@ class TestFailurePaths:
         path.write_text(json.dumps(doc))
         assert main(["solve", "--input", str(path)]) == 2
         assert "A has 17 entries, expected m*n = 18" in capsys.readouterr().err
+
+    def test_exit_code_leaves_the_process(self, tmp_path):
+        """``python -m lpmerit.cli`` exits with the code ``main`` returns."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def exit_code(path):
+            command = [sys.executable, "-m", "lpmerit.cli", "solve", "--input", str(path)]
+            return subprocess.run(command, env=env, capture_output=True, timeout=120).returncode
+
+        assert exit_code(_gen(tmp_path, 3, 8, kind="unbounded")) == 10
+        not_an_object = tmp_path / "list.json"
+        not_an_object.write_text("[1, 2]")
+        assert exit_code(not_an_object) == 2

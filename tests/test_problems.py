@@ -23,7 +23,6 @@ from lpmerit import (
     load_problem,
     residuals,
     save_problem,
-    validate,
 )
 from lpmerit import serialize
 
@@ -54,12 +53,6 @@ class TestValidation:
             StandardFormLp([[1.0, 1.0]], [1.0, 2.0], [1.0, 0.0])
         with pytest.raises(DimensionMismatch):
             StandardFormLp([[1.0, 1.0]], [1.0], [1.0])
-
-    def test_validate_rechecks_instance(self):
-        lp = StandardFormLp([[1.0]], [1.0], [1.0], allow_square=True)
-        with pytest.raises(ShapeViolation):
-            validate(lp)
-        validate(lp, allow_square=True)
 
     def test_arrays_are_read_only(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])

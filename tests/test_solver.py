@@ -56,6 +56,20 @@ def log_vertex_calls(monkeypatch):
     return log
 
 
+def equal_last_columns_lp():
+    """A (3, 6) problem whose last two columns are equal, so that every basis
+    holding both is singular.  As in generate_optimal_lp, b and c come from a
+    known strictly complementary optimum, here supported on the first three
+    columns."""
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((3, 6))
+    A[:, 5] = A[:, 4]
+    x = np.concatenate([rng.uniform(0.5, 1.5, size=3), np.zeros(3)])
+    s = np.concatenate([np.zeros(3), rng.uniform(0.5, 1.5, size=3)])
+    lam = rng.standard_normal(3)
+    return StandardFormLp(A, A @ x, A.T @ lam + s)
+
+
 class TestArmijo:
     def test_full_step_accepted_on_quadratic(self):
         alpha, stagnated = armijo_search(lambda t: t * t, 1.0, -1.0, -2.0, 1.0)
@@ -132,12 +146,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("alg", [Algorithm.LM_CONSTANT, Algorithm.HOMOTOPY])
     def test_matches_enumeration_oracle(self, alg):
-        for seed in range(5):
-            prob = generate_optimal_lp(3, 6, seed)
-            _, oracle_value = brute_force_optimum(prob.lp)
-            out = solve(prob.lp, SolverConfig(alg))
+        lps = [generate_optimal_lp(3, 6, seed).lp for seed in range(5)]
+        for lp in lps + [equal_last_columns_lp()]:
+            _, oracle_value = brute_force_optimum(lp)
+            out = solve(lp, SolverConfig(alg))
             assert out.status is SolveStatus.OPTIMAL
-            value = float(prob.lp.c @ out.point.x)
+            value = float(lp.c @ out.point.x)
             assert abs(value - oracle_value) <= 1e-6 * (1.0 + abs(oracle_value))
 
     @pytest.mark.parametrize("alg", [Algorithm.LM_CONSTANT, Algorithm.HOMOTOPY])
@@ -252,7 +266,7 @@ class TestSolve:
 
     def test_start_size_is_checked(self):
         prob = generate_optimal_lp(3, 6, 9)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(DimensionMismatch):
             solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT), start=PrimalDualPoint.zeros(4, 3))
 
 
