@@ -142,6 +142,7 @@ def cmd_solve(args) -> int:
         "final_grad_norm": outcome.final_grad_norm,
         "iterations": outcome.iterations,
         "polished": outcome.polished,
+        "polish_attempts": outcome.polish_attempts,
         "objective_primal": float(problem.lp.c @ outcome.point.x),
         "objective_dual": float(problem.lp.b @ outcome.point.lam),
         "point": serialize.point_document(outcome.point),

@@ -19,9 +19,12 @@ The homogeneous merit does not take the structured path: with the (tau, kappa)
 rows as a border, a Sherman-Morrison correction through A'A + mu*I, which is
 nearly singular along null(A) at small mu, cancels catastrophically.
 
-The back-substitutions skip scipy's finiteness check, since each factor comes
-from a matrix that cho_factor has checked; a non-finite right-hand side gives
-a non-finite step, which the caller must test.
+Both factor and solve through LAPACK's potrf and potrs directly, as
+``solver._basic_vertex`` does with getrf and getrs, without scipy's per-call
+wrappers.  ``_factor`` checks each matrix for NaN and inf before potrf; the
+back-substitutions check nothing, since each factor comes from a checked
+matrix, so a non-finite right-hand side gives a non-finite step, which the
+caller must test.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from . import merit
 from .errors import FactorizationFailure, KindMismatch, NonPositiveRegularization
 from .merit import MeritKind, MeritSpec
 from .problems import StandardFormLp
+
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -134,12 +139,7 @@ def solve_structured(system: ReducedSystem, lp: StandardFormLp):
 
     # _factor has checked both blocks for NaN and inf, so their factors are finite
     def block_solve(r):
-        return np.concatenate(
-            [
-                cho_solve(F_x, r[:n], check_finite=False),
-                cho_solve(F_lam, r[n:], check_finite=False),
-            ]
-        )
+        return np.concatenate([cho_solve(F_x, r[:n]), cho_solve(F_lam, r[n:])])
 
     rhs = np.concatenate([system.rhs_x, system.rhs_lam - A @ (system.rhs_s / shift)])
     y, u0 = block_solve(np.column_stack([v, rhs])).T
@@ -204,7 +204,7 @@ def solve_dense(
         y, v = r_y.copy(), r_s / d_s
         y[n:p] -= A @ v  # y[coupled] -= C v, with C = [A; -c]
         y[p] += c @ v
-        y = cho_solve(factor, y, check_finite=False)
+        y = cho_solve(factor, y)
         return y, (r_s - (A.T @ y[n:p] - c * y[p])) / d_s
 
     r_y, r_s = np.concatenate([rhs[:p], rhs[t:]]), rhs[p:t]
@@ -217,14 +217,24 @@ def solve_dense(
     return np.concatenate([y[:p], w + dw, y[p:]])
 
 
-def _factor(M: np.ndarray):
+def _factor(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``M``, in place, in the form cho_solve takes.
 
-    ``M`` should be column-major so that LAPACK needs no copy.  Raises
-    FactorizationFailure when ``M`` is not numerically SPD or holds a NaN or
-    inf (scipy's finiteness check raises ValueError for the latter).
+    ``M`` should be column-major so that LAPACK needs no copy; the entries
+    above the diagonal are left as they were.  Raises FactorizationFailure
+    when ``M`` holds a NaN or inf or is not numerically SPD.
     """
-    try:
-        return cho_factor(M, lower=True, overwrite_a=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise FactorizationFailure(f"Cholesky factorization failed: {exc}") from exc
+    if not np.isfinite(M).all():
+        raise FactorizationFailure("Cholesky factorization failed: the matrix is not finite")
+    factor, info = _potrf(M, lower=1, overwrite_a=1, clean=0)
+    if info != 0:
+        raise FactorizationFailure(f"Cholesky factorization failed: potrf info {info}")
+    return factor
+
+
+def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L' y = ``rhs`` for the lower factor L from ``_factor``.
+
+    ``rhs`` is a vector or a matrix of columns.  No finiteness check.
+    """
+    return _potrs(factor, rhs, lower=1)[0]

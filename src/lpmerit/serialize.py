@@ -8,9 +8,10 @@ stored as a flat JSON object: "m", "n", row-major "A", "b", "c", optional
 "seed" and "generator".  orjson is the one codec, writing compact JSON.  A
 float, alone or in a float64 array, is written as the shortest text that reads
 back to the same double bit for bit, ``-0.0`` included, and an integral one
-keeps its decimal point ("2.0").  NaN and infinities are written as null.
-Integers are held to 64 bits: a wider one cannot be written, and reads back as
-a float.
+keeps its decimal point ("2.0").  A float32 array or scalar is widened to
+float64 first, so it is written at its exact value.  NaN and infinities are
+written as null.  Integers are held to 64 bits: a wider one cannot be
+written, and reads back as a float.
 """
 
 from __future__ import annotations
@@ -37,9 +38,22 @@ def _array_as_list(value):
     raise TypeError
 
 
+def _widened(value):
+    """``value`` with each float32 array or scalar in it widened to float64:
+    orjson writes float32 itself, at float32 precision, so 0.1f would read
+    back as the double 0.1 rather than as 0.10000000149011612."""
+    if isinstance(value, dict):
+        return {key: _widened(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_widened(item) for item in value]
+    if isinstance(value, (np.ndarray, np.float32)) and value.dtype == np.float32:
+        return value.astype(np.float64)
+    return value
+
+
 def dumps(document: dict) -> str:
     """Render a document as compact JSON, ending in a newline."""
-    return orjson.dumps(document, default=_array_as_list, option=_OPTIONS).decode()
+    return orjson.dumps(_widened(document), default=_array_as_list, option=_OPTIONS).decode()
 
 
 def _as_object(doc):

@@ -18,15 +18,18 @@ optimality residuals, and a vanishing gradient with a value bounded away from
 zero certifies that no primal-dual optimum exists.
 
 ``solve`` also tries to polish each iterate onto a vertex before that test.
-The partition B = {j : x_j > s_j} of the iterate names a basis; when it has
-m columns, equals the previous iterate's and has not been tried before, one
-LU factorization of A_B gives the vertex x_B = A_B^{-1} b, x_N = 0,
+The m indices with the largest x_j - s_j at the iterate name a basis B; when
+it equals the previous iterate's and has not been tried before, one LU
+factorization of A_B gives the vertex x_B = A_B^{-1} b, x_N = 0,
 lam = A_B^{-T} c_B, s = c - A'lam with s_B = 0 (the optimal-face projection
 of Mehrotra & Ye, Math. Prog. 1993, on a square basis), each solve refined
 once on the same factors with a long-double residual.  The vertex is
 accepted only when x >= 0 and s >= 0 exactly, every entry is finite and the
 same stopping test returns Optimal at it; it then becomes the final iterate.
-A vertex that fails leaves the iterates as they were.
+A vertex that fails leaves the iterates as they were.  Whenever the
+partition {j : x_j > s_j} has m columns it is this B, so the rule tries
+every basis that partition would, at the same iterate or earlier, and no
+run ends later than it would by waiting for exactly m x_j above their s_j.
 """
 
 from __future__ import annotations
@@ -167,6 +170,8 @@ class SolveOutcome:
     trace: list[IterationRecord] = field(default_factory=list)
     #: Whether the run stopped at a polished vertex, its final iterate.
     polished: bool = False
+    #: How many bases the polish tried, the verified one included.
+    polish_attempts: int = 0
 
 
 def armijo_search(objective, p, delta, slope: float, f0: float):
@@ -225,7 +230,7 @@ def _step(spec, lp, config, z, f, g, mu):
         delta = _newton_step(spec, lp, z, mu, g)
     except FactorizationFailure:
         return None, None, SolveStatus.NUMERICAL_FAILURE
-    # the back-substitutions skip scipy's finiteness check, so a NaN or inf
+    # the back-substitutions check nothing for finiteness, so a NaN or inf
     # in the right-hand side or its refinement residual surfaces here
     if not np.isfinite(delta).all():
         return None, None, SolveStatus.NUMERICAL_FAILURE
@@ -283,8 +288,18 @@ def _basic_vertex(lp, basis):
 class _Polish:
     """The polish attempt of ``solve`` at each iterate.
 
-    Keeps the previous iterate's partition and every basis already tried:
-    the vertex depends on the basis alone, so each is tried at most once.
+    The basis guessed at ``z`` is T, the m indices with the largest
+    x_j - s_j, in increasing order.  It is tried once it is stable: equal to
+    the previous iterate's T.  Keeps that previous T and every basis already
+    tried: the vertex depends on the basis alone, so each is tried at most
+    once.
+
+    This rule stops no later than trying the partition B = {j : x_j > s_j}
+    when |B| = m: then B is the set of the m positive x_j - s_j, so T = B,
+    and every basis B would try is tried at the same iterate or earlier.  A
+    failed attempt leaves the iterates as they were, and whether a vertex
+    verifies depends on its basis alone, so no run ends later or with a
+    worse status.
     """
 
     def __init__(self, lp, stop):
@@ -294,15 +309,19 @@ class _Polish:
         self.verified = False
 
     def __call__(self, z, spec):
-        """(vertex, its ``merit.evaluate`` at ``spec``) if the partition of
-        ``z`` has m columns, equals the previous iterate's and is new, and
-        the vertex passes the stopping test as Optimal on the base merit;
-        otherwise None."""
+        """``_attempt`` at the top-m basis of ``z`` if it equals the previous
+        iterate's; otherwise None."""
         n, m = self.lp.n, self.lp.m
-        basis = np.flatnonzero(z[:n] > z[n + m :])
+        basis = np.sort(np.argpartition(z[n + m :] - z[:n], m - 1)[:m])
         previous, self.previous = self.previous, basis
-        if basis.size != m or not np.array_equal(basis, previous):
+        if not np.array_equal(basis, previous):
             return None
+        return self._attempt(basis, spec)
+
+    def _attempt(self, basis, spec):
+        """(vertex, its ``merit.evaluate`` at ``spec``) if ``basis`` is new
+        and its vertex passes the stopping test as Optimal on the base
+        merit; otherwise None."""
         key = basis.tobytes()
         if key in self.tried:
             return None
@@ -474,6 +493,7 @@ def solve(
         classification=classification,
         trace=trace,
         polished=polish.verified,
+        polish_attempts=len(polish.tried),
     )
 
 

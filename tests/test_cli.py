@@ -219,8 +219,8 @@ class TestSolve:
         assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         for key in ("status", "classification", "final_f", "final_grad_norm",
-                    "iterations", "polished", "objective_primal", "objective_dual", "point",
-                    "config"):
+                    "iterations", "polished", "polish_attempts", "objective_primal",
+                    "objective_dual", "point", "config"):
             assert key in doc
         assert set(doc["point"]) == {"x", "lambda", "s"}
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from helpers import random_homogeneous, random_primal_dual
 
 from lpmerit import linsys
@@ -261,16 +261,17 @@ class TestSolveDense:
         kappa), and the solve and its refinement take one triangular solve
         each; the structured solve factors the n x n and m x m blocks."""
         factored, solved = [], []
+        factor, triangular_solve = linsys._factor, linsys.cho_solve
 
-        def counting_factor(M, **kwargs):
+        def counting_factor(M):
             factored.append(M.shape)
-            return cho_factor(M, **kwargs)
+            return factor(M)
 
-        def counting_solve(factor, rhs, **kwargs):
+        def counting_solve(F, rhs):
             solved.append(np.shape(rhs))
-            return cho_solve(factor, rhs, **kwargs)
+            return triangular_solve(F, rhs)
 
-        monkeypatch.setattr(linsys, "cho_factor", counting_factor)
+        monkeypatch.setattr(linsys, "_factor", counting_factor)
         monkeypatch.setattr(linsys, "cho_solve", counting_solve)
         prob = generate_optimal_lp(4, 9, 2)
         point = _random_point(spec, np.random.default_rng(5), 9, 4)
@@ -461,10 +462,11 @@ class TestSolveStructured:
         """M^{-1}v and the first solve share one two-column solve per block;
         the refinement solve takes one more per block."""
         calls = []
+        triangular_solve = linsys.cho_solve
 
-        def counting(factor, rhs, **kwargs):
+        def counting(factor, rhs):
             calls.append(np.shape(rhs))
-            return cho_solve(factor, rhs, **kwargs)
+            return triangular_solve(factor, rhs)
 
         monkeypatch.setattr(linsys, "cho_solve", counting)
         prob = generate_optimal_lp(4, 9, 2)

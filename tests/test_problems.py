@@ -291,6 +291,17 @@ class TestRenderArrays:
         assert type(back["f"]) is int
         assert [back[k] for k in "abcde"] == [2.0, -0.0, 3.0, 1e20, 0.1]
 
+    def test_float32_is_written_at_its_exact_value(self):
+        """orjson writes float32 at float32 precision, as 0.1; widened first,
+        it reads back as the float32's own value."""
+        doc = {"status": "Optimal", "final_f": np.float32(0.1),
+               "point": {"x": np.array([0.1], np.float32), "s": [np.float32(0.1)]}}
+        back = json.loads(serialize.dumps(doc))
+        exact = float(np.float32(0.1))
+        assert exact == 0.10000000149011612
+        assert back["final_f"] == exact
+        assert back["point"] == {"x": [exact], "s": [exact]}
+
     def test_problem_document_renders_as_before(self):
         doc = serialize.problem_document(generate_unbounded_lp(4, 9, 3))
         per_value = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}

@@ -56,6 +56,20 @@ def log_vertex_calls(monkeypatch):
     return log
 
 
+class PartitionPolish(solver_module._Polish):
+    """The earlier polish rule, the reference of the never-later property:
+    the partition B = {j : x_j > s_j} is tried only when it has m columns,
+    equals the previous iterate's and is new."""
+
+    def __call__(self, z, spec):
+        n, m = self.lp.n, self.lp.m
+        basis = np.flatnonzero(z[:n] > z[n + m :])
+        previous, self.previous = self.previous, basis
+        if basis.size != m or not np.array_equal(basis, previous):
+            return None
+        return self._attempt(basis, spec)
+
+
 def equal_last_columns_lp():
     """A (3, 6) problem whose last two columns are equal, so that every basis
     holding both is singular.  As in generate_optimal_lp, b and c come from a
@@ -705,15 +719,26 @@ class TestPolish:
         assert polished.point.as_vector().tobytes() == plain.point.as_vector().tobytes()
         assert self._rows(polished) == self._rows(plain)
 
+    #: The counts of the earlier rule, which tried B = {j : x_j > s_j} only
+    #: when |B| = m; the top-m rule stops no later on any of them.
+    PARTITION_RULE_COUNTS = {
+        (Algorithm.HOMOTOPY, 5, 10): [17, 7, 8, 9, 20, 5, 4, 6, 9, 5],
+        (Algorithm.HOMOTOPY, 50, 75): [9, 16, 9],
+        (Algorithm.LM_CONSTANT, 5, 10): [8, 8, 8, 5, 10, 3, 3, 4, 7, 5],
+    }
+
     @pytest.mark.parametrize(
         "alg,m,n,expected",
         [
-            (Algorithm.HOMOTOPY, 5, 10, [17, 7, 8, 9, 20, 5, 4, 6, 9, 5]),
-            (Algorithm.HOMOTOPY, 50, 75, [9, 16, 9]),
-            (Algorithm.LM_CONSTANT, 5, 10, [8, 8, 8, 5, 10, 3, 3, 4, 7, 5]),
+            (Algorithm.HOMOTOPY, 5, 10, [7, 7, 8, 8, 7, 4, 4, 5, 9, 5]),
+            (Algorithm.HOMOTOPY, 50, 75, [9, 16, 8]),
+            (Algorithm.LM_CONSTANT, 5, 10, [4, 3, 8, 4, 4, 3, 3, 4, 7, 5]),
         ],
     )
     def test_polished_iteration_counts_are_pinned(self, alg, m, n, expected):
+        partition_rule = self.PARTITION_RULE_COUNTS[alg, m, n]
+        assert len(expected) == len(partition_rule)
+        assert all(new <= old for new, old in zip(expected, partition_rule))
         config = SolverConfig(alg, trace=False)
         outcomes = [
             solve(generate_optimal_lp(m, n, seed).lp, config) for seed in range(len(expected))
@@ -753,14 +778,22 @@ class TestPolish:
 
     def test_singular_basis_leaves_the_run_as_it_was(self, monkeypatch):
         """Column 6 duplicates column 1, which is basic at the optimum; the
-        iterates keep the two alike, so the partition {1, 2, 6} is tried, and
-        LU finds an exactly zero pivot in it, quietly."""
+        iterates keep the two alike, so the basis {1, 2, 6} is tried, and
+        LU finds an exactly zero pivot in it, quietly.  The basis {1, 2, 3}
+        verifies next; stopped before that attempt, the run is the run
+        without the polish."""
         lp = generate_optimal_lp(3, 6, 1).lp
         A = np.column_stack([lp.A, lp.A[:, 1]])
         dup = StandardFormLp(A, lp.b, np.append(lp.c, lp.c[1]))
         log = log_vertex_calls(monkeypatch)
-        self._assert_same_run(dup, self.HOMOTOPY, monkeypatch)
-        assert ([1, 2, 6], False) in log
+        out = solve(dup, self.HOMOTOPY)
+        assert out.polished
+        assert log == [([1, 2, 6], False), ([1, 2, 3], True)]
+        assert out.polish_attempts == len(log)
+        log.clear()
+        config = SolverConfig(Algorithm.HOMOTOPY, max_iter=out.iterations - 1)
+        self._assert_same_run(dup, config, monkeypatch)
+        assert log == [([1, 2, 6], False)]
         assert solver_module._basic_vertex(dup, np.array([1, 2, 6])) is None
 
     def test_ill_conditioned_basis_is_rejected_quietly(self):
@@ -851,3 +884,34 @@ class TestPolish:
         assert np.all(x[s != 0.0] == 0.0)
         assert np.count_nonzero(x) <= m
         assert max(relative_kkt(lp, out.point).values()) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        extra=st.integers(2, 12),  # an unbounded problem needs n >= m + 2
+        seed=st.integers(0, 10_000),
+        alg=st.sampled_from(list(Algorithm)),
+        generate=st.sampled_from([generate_optimal_lp, generate_unbounded_lp]),
+    )
+    def test_top_m_basis_never_stops_later(self, m, extra, seed, alg, generate):
+        """Whenever B = {j : x_j > s_j} has m columns it is the top-m basis,
+        so every basis the partition rule tries is tried at the same iterate
+        or earlier, and a failed attempt leaves the iterates as they were.
+        A run thus ends no later than under the partition rule, with the
+        same status, or Optimal where that rule ran out of iterations; a run
+        that the polish did not stop is the same run bit for bit."""
+        lp = generate(m, m + extra, seed).lp
+        config = SolverConfig(alg, trace=False)
+        out = solve(lp, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver_module, "_Polish", PartitionPolish)
+            reference = solve(lp, config)
+        assert out.iterations <= reference.iterations
+        assert out.status is reference.status or (
+            out.status is SolveStatus.OPTIMAL
+            and reference.status is SolveStatus.ITERATION_LIMIT
+        )
+        if not out.polished:
+            assert not reference.polished
+            assert out.iterations == reference.iterations
+            assert out.point.as_vector().tobytes() == reference.point.as_vector().tobytes()
