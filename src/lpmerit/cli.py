@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="homotopy decay factor of nu after a backtracked step; half of it after a full step",
     )
     slv.add_argument("--mu", type=float, dest="mu_const", help="constant regularization")
-    slv.add_argument("--nu0", type=float, help="initial homotopy weight")
+    slv.add_argument("--nu0", type=float, help="initial homotopy weight; 0 runs on the base merit")
     slv.add_argument("--max-iter", type=int)
     slv.add_argument("--tol-grad", type=float)
     slv.add_argument("--tol-f", type=float)

@@ -6,12 +6,11 @@ One loop serves ``solve`` (the primal-dual merit) and ``solve_homogeneous``
 
 Two regularization policies are provided.  ``LM_ADAPTIVE`` sets
 mu_k = sqrt(L * ||grad||_2 / 2) and takes full steps, the setting with a
-global worst-case guarantee for q = 3.  ``LM_CONSTANT`` keeps a small fixed
-mu and backtracks with Armijo.  ``HOMOTOPY`` runs the constant-mu scheme on
-the nu-modified merit while decaying nu after every step, so the surrogate
-approaches the base merit: by theta after a backtracked step, and by
-theta * _FULL_STEP_SHRINK after a full one, where the Newton model fitted the
-iterate.
+global worst-case guarantee for q = 3.  ``HOMOTOPY`` keeps a small fixed mu,
+backtracks with Armijo, and minimizes the nu-modified merit from nu = nu0,
+decaying nu by theta after a backtracked step and by theta * _FULL_STEP_SHRINK
+after a full one, where the Newton model fitted the iterate.  That merit is
+the base merit at nu = 0, so nu0 = 0 is the constant-mu method on it.
 
 Termination is always measured on the base merit: its value certifies the
 optimality residuals, and a vanishing gradient with a value bounded away from
@@ -73,7 +72,6 @@ _FULL_STEP_SHRINK = 0.5
 
 class Algorithm(Enum):
     LM_ADAPTIVE = "lm-adaptive"
-    LM_CONSTANT = "lm-const"
     HOMOTOPY = "homotopy"
 
 
@@ -101,13 +99,14 @@ class SolverConfig:
     """Algorithm variant, schedules, and stopping tolerances.
 
     ``q`` defaults to 3 for the adaptive scheme, which takes full steps, and
-    to 2.1 for the constant-mu schemes, which backtrack with Armijo.  Every
-    number must be finite.  Stopping thresholds are scale-relative: optimal
-    needs value <= tol_f * scale^2 and grad <= tol_grad * scale^2; a certified
-    no-optimum needs the same gradient bound with value >= NO_OPTIMUM_TOL * scale^2.
-    ``max_iter`` must be a nonnegative integer.  HOMOTOPY multiplies nu by
-    ``theta``, in (0, 1), after a backtracked step and by half of it after a
-    full one.
+    to 2.1 for the homotopy, which backtracks with Armijo.  Every number must
+    be finite.  Stopping thresholds are scale-relative: optimal needs value
+    <= tol_f * scale^2 and grad <= tol_grad * scale^2; a certified no-optimum
+    needs the same gradient bound with value >= NO_OPTIMUM_TOL * scale^2.
+    ``max_iter`` must be a nonnegative integer.  HOMOTOPY starts nu at
+    ``nu0`` >= 0, where 0 runs on the base merit throughout, and multiplies
+    it by ``theta``, in (0, 1), after a backtracked step and by half of it
+    after a full one.
     """
 
     algorithm: Algorithm
@@ -130,7 +129,9 @@ class SolverConfig:
             raise InvalidConfig(f"q must be finite and exceed 2, got {self.q}")
         if not 0.0 < self.theta < 1.0:
             raise InvalidConfig(f"theta must lie in (0, 1), got {self.theta}")
-        for name in ("mu_const", "hessian_lipschitz", "nu0", "tol_grad", "tol_f"):
+        if not (math.isfinite(self.nu0) and self.nu0 >= 0.0):
+            raise InvalidConfig(f"nu0 must be finite and nonnegative, got {self.nu0}")
+        for name in ("mu_const", "hessian_lipschitz", "tol_grad", "tol_f"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidConfig(f"{name} must be finite and positive, got {value}")
@@ -220,7 +221,7 @@ def _newton_step(spec, lp, z, mu, g):
 def _step(spec, lp, config, z, f, g, mu):
     """One damped Newton step from ``z``, given the objective's value f and gradient g.
 
-    LM_ADAPTIVE takes full steps, the others backtrack with Armijo.  Returns
+    LM_ADAPTIVE takes full steps, HOMOTOPY backtracks with Armijo.  Returns
     (alpha, z_next, None) on success, or (None, None, status) with the status
     that ends the run: a failed factorization, a non-finite step or a
     non-finite iterate is a numerical failure, a non-descent direction or a
@@ -408,19 +409,15 @@ def _minimize(lp, config, spec, start, stop, *, record=None, polish=None):
 
 
 def solve(
-    lp: StandardFormLp,
-    config: SolverConfig,
-    start: PrimalDualPoint | None = None,
-    *,
-    x_star: np.ndarray | None = None,
+    lp: StandardFormLp, config: SolverConfig, *, x_star: np.ndarray | None = None
 ) -> SolveOutcome:
-    """Minimize the merit function and classify the outcome.
+    """Minimize the merit function from the all-zero point and classify the outcome.
 
-    ``start`` defaults to the all-zero point.  ``x_star``, when known, adds
-    the relative primal error to each trace row.  The returned status follows
-    the scale-relative thresholds in :class:`SolverConfig`; on a certified
-    no-optimum outcome, a near-zero primal residual is the evidence used to
-    report the problem as primal feasible but dual infeasible.
+    ``x_star``, when known, adds the relative primal error to each trace
+    row.  The returned status follows the scale-relative thresholds in
+    :class:`SolverConfig`; on a certified no-optimum outcome, a near-zero
+    primal residual is the evidence used to report the problem as primal
+    feasible but dual infeasible.
     """
     n, m = lp.n, lp.m
     scale2 = lp.scale**2
@@ -467,11 +464,11 @@ def solve(
         trace.append(row)
         return row
 
-    start = PrimalDualPoint.zeros(n, m) if start is None else start
     nu = config.nu0 if config.algorithm is Algorithm.HOMOTOPY else 0.0
     polish = _Polish(lp, stop)
     z, iterations, f, g_inf, status = _minimize(
-        lp, config, MeritSpec(MeritKind.PRIMAL_DUAL, q=config.q, nu=nu), start, stop,
+        lp, config, MeritSpec(MeritKind.PRIMAL_DUAL, q=config.q, nu=nu),
+        PrimalDualPoint.zeros(n, m), stop,
         record=record if config.trace else None, polish=polish,
     )
     point = PrimalDualPoint.from_vector(z, n, m)
@@ -505,7 +502,7 @@ def solve_homogeneous(
     The caller must supply ``start``: the all-zero point is a global minimizer
     of this merit, so starting there returns it unchanged (Inconclusive).
     The run stops on the gradient test alone, and ``config.algorithm`` picks
-    only the mu rule and the line search: no nu homotopy is applied.
+    only the mu rule and the line search: nu is 0 whatever ``nu0`` is.
     Iterations use solve_dense, which eliminates only the s block and factors
     the remainder over (x, lam, tau, kappa), since the structured elimination
     does not cover the two extra dense rows.  On gradient convergence, tau

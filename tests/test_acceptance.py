@@ -189,7 +189,7 @@ def test_criterion_6_high_accuracy_convergence():
     t0 = time.perf_counter()
     failures = []
     configs = {
-        "constant-mu": SolverConfig(Algorithm.LM_CONSTANT, max_iter=200, **NO_STOP),
+        "constant-mu": SolverConfig(Algorithm.HOMOTOPY, nu0=0.0, max_iter=200, **NO_STOP),
         "homotopy": SolverConfig(Algorithm.HOMOTOPY, theta=0.8, max_iter=200, **NO_STOP),
     }
     for (m, n), seed in [((20, 30), 1), ((50, 75), 2), ((100, 150), 3)]:
@@ -225,7 +225,7 @@ def test_criterion_8_unbounded_problems_are_certified():
     for (m, n), seed in [((10, 30), 5), ((50, 150), 6)]:
         prob = generate_unbounded_lp(m, n, seed)
         s2 = prob.lp.scale**2
-        out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT))
+        out = solve(prob.lp, SolverConfig(Algorithm.HOMOTOPY, nu0=0.0))
         if out.status is not SolveStatus.NO_OPTIMAL_SOLUTION:
             failures.append(f"({m},{n}): status {out.status.value}")
             continue
@@ -249,7 +249,7 @@ def test_criterion_9_solver_matches_enumeration_oracle():
         m, n = sizes[i % len(sizes)]
         prob = generate_optimal_lp(m, n, 3000 + i)
         _, oracle_value = brute_force_optimum(prob.lp)
-        out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT))
+        out = solve(prob.lp, SolverConfig(Algorithm.HOMOTOPY, nu0=0.0))
         value = float(prob.lp.c @ out.point.x)
         if not abs(value - oracle_value) <= 1e-6 * (1.0 + abs(oracle_value)):
             failures.append(
@@ -274,7 +274,7 @@ def test_criterion_10_homogeneous_embedding():
     )
 
     point, status = solve_homogeneous(
-        lp, SolverConfig(Algorithm.LM_CONSTANT), HomogeneousPoint.ones(2, 1)
+        lp, SolverConfig(Algorithm.HOMOTOPY), HomogeneousPoint.ones(2, 1)
     )
     if status is HomogeneousStatus.OPTIMAL_RECOVERED:
         recovered = recover_primal_dual(point)

@@ -109,18 +109,34 @@ class TestSolve:
         path = _gen(tmp_path, 3, 8, kind="unbounded")
         report = tmp_path / "report.json"
         code = main(
-            ["solve", "--input", str(path), "--alg", "lm-const", "--report", str(report)]
+            ["solve", "--input", str(path), "--nu0", "0", "--report", str(report)]
         )
         assert code == 10
         doc = json.loads(report.read_text())
         assert doc["status"] == "NoOptimalSolution"
         assert doc["classification"] == "PrimalFeasibleDualInfeasible"
 
+    def test_lm_const_is_not_a_variant(self, tmp_path, capsys):
+        """Constant mu on the base merit is ``--nu0 0``; the old name exits 2."""
+        path = _gen(tmp_path, 3, 6)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", str(path), "--alg", "lm-const"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lm-const'" in capsys.readouterr().err
+
+    def test_nu0_zero_report_names_the_homotopy_at_nu0_zero(self, tmp_path):
+        path = _gen(tmp_path, 3, 6)
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--nu0", "0", "--report", str(report)]) == 0
+        config = json.loads(report.read_text())["config"]
+        assert (config["algorithm"], config["nu0"]) == ("homotopy", 0.0)
+        assert config == cli._config_document(SolverConfig(Algorithm.HOMOTOPY, nu0=0.0))
+
     def test_homogeneous_escalation_is_appended(self, tmp_path):
         path = _gen(tmp_path, 3, 8, kind="unbounded")
         report = tmp_path / "report.json"
         code = main(
-            ["solve", "--input", str(path), "--alg", "lm-const",
+            ["solve", "--input", str(path), "--nu0", "0",
              "--homogeneous-escalate", "--report", str(report)]
         )
         assert code == 10
@@ -225,14 +241,14 @@ class TestSolve:
         assert set(doc["point"]) == {"x", "lambda", "s"}
 
     @pytest.mark.parametrize(
-        "kind,alg,polished", [("optimal", "homotopy", True), ("unbounded", "lm-const", False)]
+        "kind,nu0,polished", [("optimal", "1", True), ("unbounded", "0", False)]
     )
     def test_report_and_summary_say_whether_the_polish_stopped_the_run(
-        self, tmp_path, capsys, kind, alg, polished
+        self, tmp_path, capsys, kind, nu0, polished
     ):
         path = _gen(tmp_path, 3, 8, kind=kind)
         report = tmp_path / "report.json"
-        main(["solve", "--input", str(path), "--alg", alg, "--report", str(report)])
+        main(["solve", "--input", str(path), "--nu0", nu0, "--report", str(report)])
         assert json.loads(report.read_text())["polished"] is polished
         assert ("stopped-by=polished-vertex" in capsys.readouterr().out) is polished
 

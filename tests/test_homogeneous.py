@@ -22,7 +22,7 @@ from lpmerit import (
     solve_homogeneous,
 )
 
-CFG = SolverConfig(Algorithm.LM_CONSTANT)
+CFG = SolverConfig(Algorithm.HOMOTOPY)
 
 
 def test_origin_is_stationary():
@@ -120,7 +120,7 @@ def test_benchmark_panel_is_dual_infeasible_in_five_dense_steps(monkeypatch):
 @pytest.mark.parametrize(
     "algorithm,expected",
     [
-        (Algorithm.LM_CONSTANT, [9, 8, 9, 8, 8]),
+        (Algorithm.HOMOTOPY, [9, 8, 9, 8, 8]),
         (Algorithm.LM_ADAPTIVE, [43, 73, 51, 55, 43]),
     ],
 )

@@ -1,6 +1,7 @@
 """Iteration drivers: line search, schedules, termination, classification."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,21 @@ from lpmerit import (
     solve,
     solve_homogeneous,
 )
+
+
+#: The homotopy from nu0 = 0: constant mu with Armijo on the base merit.
+BASE_MERIT = SolverConfig(Algorithm.HOMOTOPY, nu0=0.0)
+#: The two Armijo schemes, the homotopy from its default nu0 = 1 and from
+#: nu0 = 0, and every scheme.  Each takes its own iterates.
+ARMIJO = [SolverConfig(Algorithm.HOMOTOPY), BASE_MERIT]
+SCHEMES = [SolverConfig(Algorithm.LM_ADAPTIVE)] + ARMIJO
+
+
+def scheme_id(value):
+    """The test id of a config: its algorithm, and nu0 where it is 0."""
+    if isinstance(value, SolverConfig):
+        return str(value.algorithm) + ("-nu0=0" if value.nu0 == 0.0 else "")
+    return None
 
 
 def no_vertex(lp, basis):
@@ -118,11 +134,9 @@ class TestConfig:
     def test_variant_defaults(self):
         adaptive = SolverConfig(Algorithm.LM_ADAPTIVE)
         assert adaptive.q == 3.0
-        for alg in (Algorithm.LM_CONSTANT, Algorithm.HOMOTOPY):
-            cfg = SolverConfig(alg)
-            assert cfg.q == 2.1
-            assert cfg.mu_const == 1e-9
-        assert SolverConfig(Algorithm.HOMOTOPY).theta == 0.8
+        cfg = SolverConfig(Algorithm.HOMOTOPY)
+        assert (cfg.q, cfg.mu_const, cfg.theta, cfg.nu0) == (2.1, 1e-9, 0.8, 1.0)
+        assert BASE_MERIT.nu0 == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -130,7 +144,8 @@ class TestConfig:
             {"q": 2.0},
             {"theta": 1.0},
             {"theta": 0.0},
-            {"nu0": 0.0},
+            {"nu0": -1.0},
+            {"nu0": math.nan},
             {"mu_const": 0.0},
             {"tol_grad": 0.0},
             {"max_iter": -1},
@@ -138,6 +153,7 @@ class TestConfig:
             {"mu_const": math.inf},
             {"hessian_lipschitz": math.inf},
             {"nu0": math.inf},
+            {"nu0": -math.inf},
             {"tol_grad": math.inf},
             {"tol_f": math.inf},
             {"max_iter": 5.0},
@@ -146,32 +162,24 @@ class TestConfig:
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
-            SolverConfig(Algorithm.LM_CONSTANT, **kwargs)
+            SolverConfig(Algorithm.HOMOTOPY, **kwargs)
 
 
 class TestSolve:
-    def test_start_at_known_optimum_stops_at_iteration_zero(self):
-        prob = generate_optimal_lp(3, 6, 0)
-        out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT), start=prob.known_optimum)
-        assert out.status is SolveStatus.OPTIMAL
-        assert out.iterations == 0
-        assert len(out.trace) == 1
-        assert out.trace[0].alpha == 0.0
-
-    @pytest.mark.parametrize("alg", [Algorithm.LM_CONSTANT, Algorithm.HOMOTOPY])
-    def test_matches_enumeration_oracle(self, alg):
+    @pytest.mark.parametrize("config", ARMIJO, ids=scheme_id)
+    def test_matches_enumeration_oracle(self, config):
         lps = [generate_optimal_lp(3, 6, seed).lp for seed in range(5)]
         for lp in lps + [equal_last_columns_lp()]:
             _, oracle_value = brute_force_optimum(lp)
-            out = solve(lp, SolverConfig(alg))
+            out = solve(lp, config)
             assert out.status is SolveStatus.OPTIMAL
             value = float(lp.c @ out.point.x)
             assert abs(value - oracle_value) <= 1e-6 * (1.0 + abs(oracle_value))
 
-    @pytest.mark.parametrize("alg", [Algorithm.LM_CONSTANT, Algorithm.HOMOTOPY])
-    def test_objective_strictly_decreases_with_armijo(self, alg):
+    @pytest.mark.parametrize("config", ARMIJO, ids=scheme_id)
+    def test_objective_strictly_decreases_with_armijo(self, config):
         prob = generate_optimal_lp(4, 9, 3)
-        out = solve(prob.lp, SolverConfig(alg))
+        out = solve(prob.lp, config)
         values = [r.f for r in out.trace]
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -208,7 +216,7 @@ class TestSolve:
 
     def test_unbounded_problem_is_certified(self):
         prob = generate_unbounded_lp(3, 8, 0)
-        out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT))
+        out = solve(prob.lp, BASE_MERIT)
         s2 = prob.lp.scale**2
         assert out.status is SolveStatus.NO_OPTIMAL_SOLUTION
         assert out.final_grad_norm <= 1e-10 * s2
@@ -218,20 +226,20 @@ class TestSolve:
     def test_iteration_limit_and_trace_length(self, monkeypatch):
         monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         prob = generate_optimal_lp(3, 6, 4)
-        out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT, max_iter=3))
+        out = solve(prob.lp, SolverConfig(Algorithm.HOMOTOPY, nu0=0.0, max_iter=3))
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.iterations == 3
         assert len(out.trace) == out.iterations + 1
 
     def test_trace_can_be_disabled(self):
         prob = generate_optimal_lp(3, 6, 5)
-        out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT, trace=False))
+        out = solve(prob.lp, SolverConfig(Algorithm.HOMOTOPY, nu0=0.0, trace=False))
         assert out.trace == []
         assert out.status is SolveStatus.OPTIMAL
 
     def test_rel_err_column_present_with_reference(self):
         prob = generate_optimal_lp(3, 6, 6)
-        out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT), x_star=prob.known_optimum.x)
+        out = solve(prob.lp, BASE_MERIT, x_star=prob.known_optimum.x)
         assert all(r.rel_err_x is not None for r in out.trace)
         assert out.trace[-1].rel_err_x < out.trace[0].rel_err_x
 
@@ -248,7 +256,7 @@ class TestSolve:
         """Every residual is bounded by the merit value: the three norms by
         sqrt(2 f) and the negative parts by (q(q-1) f)^(1/q)."""
         prob = generate_optimal_lp(4, 9, 7)
-        cfg = SolverConfig(Algorithm.LM_CONSTANT)
+        cfg = BASE_MERIT
         out = solve(prob.lp, cfg)
         assert out.status is SolveStatus.OPTIMAL
         slack = 1e-12 * prob.lp.scale
@@ -261,34 +269,37 @@ class TestSolve:
         assert out.point.x.min() >= -eps_sign
         assert out.point.s.min() >= -eps_sign
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numerical_failure_on_divergent_start(self):
-        prob = generate_optimal_lp(3, 6, 8)
-        start = PrimalDualPoint(np.full(6, 1e200), np.zeros(3), np.zeros(6))
-        out = solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT), start=start)
+        """With b x 1e200 the merit overflows already at the all-zero start,
+        so the run ends there, before its first trace row."""
+        lp = generate_optimal_lp(3, 6, 8).lp
+        out = solve(StandardFormLp(lp.A, lp.b * 1e200, lp.c), BASE_MERIT)
         assert out.status is SolveStatus.NUMERICAL_FAILURE
+        assert out.iterations == 0
         assert out.trace == []
-        np.testing.assert_array_equal(out.point.x, start.x)
+        np.testing.assert_array_equal(out.point.as_vector(), np.zeros(2 * 6 + 3))
 
     def test_constant_mu_reaches_the_oracle_optimum(self):
         prob = generate_optimal_lp(3, 6, 10)
         _, oracle_value = brute_force_optimum(prob.lp)
-        cfg = SolverConfig(Algorithm.LM_CONSTANT)
-        out = solve(prob.lp, cfg)
+        out = solve(prob.lp, BASE_MERIT)
         assert out.status is SolveStatus.OPTIMAL
         value = float(prob.lp.c @ out.point.x)
         assert abs(value - oracle_value) <= 1e-6 * (1.0 + abs(oracle_value))
 
     def test_start_size_is_checked(self):
-        prob = generate_optimal_lp(3, 6, 9)
+        """solve_homogeneous is the caller that passes a start."""
+        prob = generate_unbounded_lp(3, 8, 9)
         with pytest.raises(DimensionMismatch):
-            solve(prob.lp, SolverConfig(Algorithm.LM_CONSTANT), start=PrimalDualPoint.zeros(4, 3))
+            solve_homogeneous(prob.lp, BASE_MERIT, HomogeneousPoint.ones(7, 3))
 
 
 class TestFactorizationFailures:
     """The mu-escalation ladder, reached by fakes of the two linear solves
     that raise FactorizationFailure; the merit kind picks which one."""
 
-    CFG = SolverConfig(Algorithm.LM_CONSTANT, max_iter=1)
+    CFG = SolverConfig(Algorithm.HOMOTOPY, nu0=0.0, max_iter=1)
 
     @staticmethod
     def _failing(calls, accept=lambda args: False, solve_fn=None):
@@ -416,7 +427,7 @@ class TestFailurePathsOnRealInputs:
             return math.inf
 
         monkeypatch.setattr(merit_module, "value_at", infinite_value)
-        out = solve(generate_optimal_lp(3, 6, 0).lp, SolverConfig(Algorithm.LM_CONSTANT))
+        out = solve(generate_optimal_lp(3, 6, 0).lp, BASE_MERIT)
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.iterations == 0
         assert len(probes) == 61
@@ -426,7 +437,7 @@ class TestNonFiniteSteps:
     """A Newton step holding a NaN, faked in place of the linear solves, ends
     the run before its slope is tested."""
 
-    CFG = SolverConfig(Algorithm.LM_CONSTANT)
+    CFG = BASE_MERIT
 
     def test_solve_reports_numerical_failure(self, monkeypatch):
         def nan_step(system, lp):
@@ -521,25 +532,24 @@ class TestOneEvaluationPerIterate:
         }
         assert len(built) == 1
 
-    @pytest.mark.parametrize("alg", [Algorithm.HOMOTOPY, Algorithm.LM_CONSTANT])
-    def test_solve(self, alg, monkeypatch):
-        self._assert_counts(SolverConfig(alg, trace=False), SolveStatus.OPTIMAL, monkeypatch)
+    @pytest.mark.parametrize("config", ARMIJO, ids=scheme_id)
+    def test_solve(self, config, monkeypatch):
+        self._assert_counts(replace(config, trace=False), SolveStatus.OPTIMAL, monkeypatch)
 
-    @pytest.mark.parametrize("alg", [Algorithm.HOMOTOPY, Algorithm.LM_CONSTANT])
-    def test_each_failed_vertex_costs_one_evaluation(self, alg, monkeypatch):
+    @pytest.mark.parametrize("config", ARMIJO, ids=scheme_id)
+    def test_each_failed_vertex_costs_one_evaluation(self, config, monkeypatch):
         """No vertex passes this stopping test, so each one evaluated fails."""
-        config = SolverConfig(alg, trace=False, tol_f=1e-300, tol_grad=1e-300, max_iter=40)
+        config = replace(config, trace=False, tol_f=1e-300, tol_grad=1e-300, max_iter=40)
         self._assert_counts(config, SolveStatus.ITERATION_LIMIT, monkeypatch)
 
-    @pytest.mark.parametrize("alg", list(Algorithm))
-    def test_traced_solve_reads_rows_from_the_iterate(self, alg, monkeypatch):
+    @pytest.mark.parametrize("config", SCHEMES, ids=scheme_id)
+    def test_traced_solve_reads_rows_from_the_iterate(self, config, monkeypatch):
         """Trace rows take the residuals merit.evaluate computed: the point
         is built only at exit, and the last row, at the returned point,
         matches residuals() there bit for bit."""
         built = self._count_from_vector(monkeypatch, PrimalDualPoint)
         prob = generate_optimal_lp(5, 10, 1)
-        config = SolverConfig(alg, max_iter=60, trace=True)
-        out = solve(prob.lp, config, x_star=prob.known_optimum.x)
+        out = solve(prob.lp, replace(config, max_iter=60), x_star=prob.known_optimum.x)
         assert len(built) == 1
         assert len(out.trace) == out.iterations + 1
         gamma, rho, sigma = residuals(prob.lp, out.point)
@@ -567,7 +577,7 @@ class TestOneEvaluationPerIterate:
         monkeypatch.setattr(solver_module, "solve_dense", counting_dense)
         prob = generate_unbounded_lp(3, 8, 1)
         _, status = solve_homogeneous(
-            prob.lp, SolverConfig(Algorithm.LM_CONSTANT), HomogeneousPoint.ones(8, 3)
+            prob.lp, SolverConfig(Algorithm.HOMOTOPY), HomogeneousPoint.ones(8, 3)
         )
         assert status is HomogeneousStatus.DUAL_INFEASIBLE
         assert counts == {
@@ -650,7 +660,7 @@ class TestIterates:
     def test_constant_mu_iteration_counts_are_pinned(self, monkeypatch):
         monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         expected = [11, 11, 11, 10, 14, 9, 9, 11, 12, 11]
-        config = SolverConfig(Algorithm.LM_CONSTANT, trace=False)
+        config = SolverConfig(Algorithm.HOMOTOPY, nu0=0.0, trace=False)
         outcomes = [solve(generate_optimal_lp(5, 10, seed).lp, config) for seed in range(10)]
         assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * len(expected)
         assert [out.iterations for out in outcomes] == expected
@@ -681,8 +691,9 @@ class TestNonFiniteGuards:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_full_step_keeps_the_last_finite_iterate(self, monkeypatch):
-        """An lm-adaptive full step of 1e308 from a start at 1e308 overflows;
-        the run ends there instead of building a point from inf."""
+        """lm-adaptive full steps of 1e308 from the all-zero start: the second
+        overflows, and the run ends at the first instead of building a point
+        from inf."""
         lp = generate_optimal_lp(3, 6, 0).lp
         size = 2 * lp.n + lp.m
         g = np.full(size, -1e-3)
@@ -690,10 +701,9 @@ class TestNonFiniteGuards:
         monkeypatch.setattr(
             solver_module, "_newton_step", lambda spec, lp, z, mu, g: np.full(z.size, 1e308)
         )
-        start = PrimalDualPoint.from_vector(np.full(size, 1e308), lp.n, lp.m)
-        out = solve(lp, SolverConfig(Algorithm.LM_ADAPTIVE, trace=False), start)
+        out = solve(lp, SolverConfig(Algorithm.LM_ADAPTIVE, trace=False))
         assert out.status is SolveStatus.NUMERICAL_FAILURE
-        assert out.iterations == 0
+        assert out.iterations == 1
         np.testing.assert_array_equal(out.point.as_vector(), np.full(size, 1e308))
 
 
@@ -722,24 +732,25 @@ class TestPolish:
     #: The counts of the earlier rule, which tried B = {j : x_j > s_j} only
     #: when |B| = m; the top-m rule stops no later on any of them.
     PARTITION_RULE_COUNTS = {
-        (Algorithm.HOMOTOPY, 5, 10): [17, 7, 8, 9, 20, 5, 4, 6, 9, 5],
-        (Algorithm.HOMOTOPY, 50, 75): [9, 16, 9],
-        (Algorithm.LM_CONSTANT, 5, 10): [8, 8, 8, 5, 10, 3, 3, 4, 7, 5],
+        (HOMOTOPY, 5, 10): [17, 7, 8, 9, 20, 5, 4, 6, 9, 5],
+        (HOMOTOPY, 50, 75): [9, 16, 9],
+        (BASE_MERIT, 5, 10): [8, 8, 8, 5, 10, 3, 3, 4, 7, 5],
     }
 
     @pytest.mark.parametrize(
-        "alg,m,n,expected",
+        "config,m,n,expected",
         [
-            (Algorithm.HOMOTOPY, 5, 10, [7, 7, 8, 8, 7, 4, 4, 5, 9, 5]),
-            (Algorithm.HOMOTOPY, 50, 75, [9, 16, 8]),
-            (Algorithm.LM_CONSTANT, 5, 10, [4, 3, 8, 4, 4, 3, 3, 4, 7, 5]),
+            (HOMOTOPY, 5, 10, [7, 7, 8, 8, 7, 4, 4, 5, 9, 5]),
+            (HOMOTOPY, 50, 75, [9, 16, 8]),
+            (BASE_MERIT, 5, 10, [4, 3, 8, 4, 4, 3, 3, 4, 7, 5]),
         ],
+        ids=scheme_id,
     )
-    def test_polished_iteration_counts_are_pinned(self, alg, m, n, expected):
-        partition_rule = self.PARTITION_RULE_COUNTS[alg, m, n]
+    def test_polished_iteration_counts_are_pinned(self, config, m, n, expected):
+        partition_rule = self.PARTITION_RULE_COUNTS[config, m, n]
         assert len(expected) == len(partition_rule)
         assert all(new <= old for new, old in zip(expected, partition_rule))
-        config = SolverConfig(alg, trace=False)
+        config = replace(config, trace=False)
         outcomes = [
             solve(generate_optimal_lp(m, n, seed).lp, config) for seed in range(len(expected))
         ]
@@ -869,11 +880,11 @@ class TestPolish:
         m=st.integers(1, 12),
         extra=st.integers(1, 12),
         seed=st.integers(0, 10_000),
-        alg=st.sampled_from([Algorithm.HOMOTOPY, Algorithm.LM_CONSTANT]),
+        config=st.sampled_from(ARMIJO),
     )
-    def test_polished_point_is_an_exact_vertex(self, m, extra, seed, alg):
+    def test_polished_point_is_an_exact_vertex(self, m, extra, seed, config):
         lp = generate_optimal_lp(m, m + extra, seed).lp
-        out = solve(lp, SolverConfig(alg, trace=False))
+        out = solve(lp, replace(config, trace=False))
         if not out.polished:
             return
         x, s = out.point.x, out.point.s
@@ -890,10 +901,10 @@ class TestPolish:
         m=st.integers(1, 12),
         extra=st.integers(2, 12),  # an unbounded problem needs n >= m + 2
         seed=st.integers(0, 10_000),
-        alg=st.sampled_from(list(Algorithm)),
+        config=st.sampled_from(SCHEMES),
         generate=st.sampled_from([generate_optimal_lp, generate_unbounded_lp]),
     )
-    def test_top_m_basis_never_stops_later(self, m, extra, seed, alg, generate):
+    def test_top_m_basis_never_stops_later(self, m, extra, seed, config, generate):
         """Whenever B = {j : x_j > s_j} has m columns it is the top-m basis,
         so every basis the partition rule tries is tried at the same iterate
         or earlier, and a failed attempt leaves the iterates as they were.
@@ -901,7 +912,7 @@ class TestPolish:
         same status, or Optimal where that rule ran out of iterations; a run
         that the polish did not stop is the same run bit for bit."""
         lp = generate(m, m + extra, seed).lp
-        config = SolverConfig(alg, trace=False)
+        config = replace(config, trace=False)
         out = solve(lp, config)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver_module, "_Polish", PartitionPolish)
