@@ -37,6 +37,7 @@ from .merit import (
 )
 from .problems import (
     GENERATOR_NAME,
+    KKT_TOL,
     GeneratedProblem,
     HomogeneousPoint,
     PrimalDualPoint,
@@ -45,6 +46,7 @@ from .problems import (
     brute_force_optimum,
     generate_optimal_lp,
     generate_unbounded_lp,
+    kkt_residuals,
     residuals,
 )
 from .serialize import load_problem, save_problem
@@ -77,6 +79,7 @@ __all__ = [
     "InstanceTooLarge",
     "InvalidConfig",
     "IterationRecord",
+    "KKT_TOL",
     "KindMismatch",
     "LpMeritError",
     "MeritKind",
@@ -101,6 +104,7 @@ __all__ = [
     "eval_value",
     "generate_optimal_lp",
     "generate_unbounded_lp",
+    "kkt_residuals",
     "load_problem",
     "recover_primal_dual",
     "residuals",

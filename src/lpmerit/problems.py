@@ -180,6 +180,27 @@ def residuals(lp: StandardFormLp, point: PrimalDualPoint):
     return gamma, rho, sigma
 
 
+#: A point is optimal when each of its kkt_residuals is at most this.
+KKT_TOL = 1e-6
+
+
+def kkt_residuals(lp: StandardFormLp, point: PrimalDualPoint, res) -> dict:
+    """The four scale-free relative KKT residuals of a point, from its
+    ``res = residuals(lp, point)``, at O(m + n) cost:
+
+    primal ||Ax - b|| / (1 + ||b||),  dual ||A'lam + s - c|| / (1 + ||c||),
+    gap |c.x - b.lam| / (1 + |c.x| + |b.lam|),  sign max(0, -min x, -min s).
+    """
+    gamma, rho, sigma = res
+    cx, blam = float(lp.c @ point.x), float(lp.b @ point.lam)
+    return {
+        "primal": float(np.linalg.norm(rho)) / (1.0 + float(np.linalg.norm(lp.b))),
+        "dual": float(np.linalg.norm(sigma)) / (1.0 + float(np.linalg.norm(lp.c))),
+        "gap": abs(gamma) / (1.0 + abs(cx) + abs(blam)),
+        "sign": max(0.0, -float(point.x.min()), -float(point.s.min())),
+    }
+
+
 class ProblemKind(Enum):
     OPTIMAL = "optimal"
     UNBOUNDED = "unbounded"

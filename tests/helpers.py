@@ -45,16 +45,3 @@ def random_homogeneous(rng, n, m, scale=1.0):
         float(scale * rng.standard_normal()),
         float(scale * rng.standard_normal()),
     )
-
-
-def relative_kkt(lp, point):
-    """The four scale-free KKT residuals of a primal-dual point: primal,
-    dual, gap and the largest negative part of x or s."""
-    cx, blam = float(lp.c @ point.x), float(lp.b @ point.lam)
-    return {
-        "primal": float(np.linalg.norm(lp.A @ point.x - lp.b)) / (1.0 + float(np.linalg.norm(lp.b))),
-        "dual": float(np.linalg.norm(lp.A.T @ point.lam + point.s - lp.c))
-        / (1.0 + float(np.linalg.norm(lp.c))),
-        "gap": abs(cx - blam) / (1.0 + abs(cx) + abs(blam)),
-        "sign": max(0.0, -float(point.x.min()), -float(point.s.min())),
-    }

@@ -12,6 +12,7 @@ from helpers import central_gradient, central_jacobian
 
 from lpmerit import linsys
 from lpmerit import (
+    KKT_TOL,
     Algorithm,
     Classification,
     HomogeneousPoint,
@@ -29,6 +30,7 @@ from lpmerit import (
     eval_value,
     generate_optimal_lp,
     generate_unbounded_lp,
+    kkt_residuals,
     recover_primal_dual,
     residuals,
     solve,
@@ -278,17 +280,9 @@ def test_criterion_10_homogeneous_embedding():
     )
     if status is HomogeneousStatus.OPTIMAL_RECOVERED:
         recovered = recover_primal_dual(point)
-        tol = 1e-6 * lp.scale
-        gamma, rho, sigma = residuals(lp, recovered)
-        conditions = [
-            abs(gamma) <= tol,
-            np.abs(rho).max() <= tol,
-            np.abs(sigma).max() <= tol,
-            recovered.x.min() >= -tol,
-            recovered.s.min() >= -tol,
-        ]
-        if not all(conditions):
-            failures.append(f"recovered point violates optimality: {conditions}")
+        kkt = kkt_residuals(lp, recovered, residuals(lp, recovered))
+        if not max(kkt.values()) <= KKT_TOL:
+            failures.append(f"recovered point violates optimality: {kkt}")
     elif status is not HomogeneousStatus.INCONCLUSIVE:
         failures.append(f"unexpected status {status.value}")
     _report(10, "homogeneous embedding model", failures, time.perf_counter() - t0, 10.0)

@@ -12,8 +12,11 @@ import pytest
 
 from lpmerit import (
     Algorithm,
+    GeneratedProblem,
     IterationRecord,
+    ProblemKind,
     SolverConfig,
+    StandardFormLp,
     generate_optimal_lp,
     load_problem,
     save_problem,
@@ -262,7 +265,7 @@ class TestCheck:
         code = main(["check", "--input", str(path), "--solution", str(sol)])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("[ok]") == 5
+        assert out.count("[ok]") == 4
 
     def test_zero_solution_fails(self, tmp_path, capsys):
         path = _gen(tmp_path, 4, 9, seed=2)
@@ -286,6 +289,35 @@ class TestCheck:
             )
         )
         assert main(["check", "--input", str(path), "--solution", str(sol)]) == 1
+
+    def test_dominant_entry_does_not_hide_the_dual_residual(self, tmp_path, capsys):
+        """With one entry of A at 1e10, 1e-6 * scale is 1e4, so a bound
+        relative to scale passed the zero point; its relative dual residual
+        is ||c|| / (1 + ||c||) = 0.586."""
+        lp = StandardFormLp([[1e10, 1.0]], [0.0], [1.0, 1.0])
+        path = tmp_path / "p.json"
+        save_problem(path, GeneratedProblem(lp, None, None, None, 0, ProblemKind.UNKNOWN))
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"x": [0.0, 0.0], "lambda": [0.0], "s": [0.0, 0.0]}))
+        assert main(["check", "--input", str(path), "--solution", str(sol)]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == "dual   = 5.857864e-01  [FAIL]"
+        assert sum("FAIL" in row for row in rows) == 1
+
+    def test_false_optimal_on_row_scaled_input_fails(self, tmp_path, capsys):
+        """Rows of A and b x logspace(-4, 4): solve ends Optimal with x off by
+        0.63 relative and min x = -2.4e-5, which check must not pass."""
+        prob = generate_optimal_lp(20, 30, 4)
+        r = np.logspace(-4, 4, 20)
+        lp = StandardFormLp(prob.lp.A * r[:, None], prob.lp.b * r, prob.lp.c)
+        path = tmp_path / "p.json"
+        save_problem(path, GeneratedProblem(lp, None, None, None, 4, ProblemKind.UNKNOWN))
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--input", str(path), "--solution", str(report)]) == 1
+        sign = capsys.readouterr().out.splitlines()[3]
+        assert sign.startswith("sign") and sign.endswith("[FAIL]")
 
     def test_report_point_is_accepted_as_solution(self, tmp_path):
         path = _gen(tmp_path, 3, 6)

@@ -5,6 +5,7 @@ import pytest
 
 import lpmerit.solver as solver_module
 from lpmerit import (
+    KKT_TOL,
     Algorithm,
     HomogeneousPoint,
     HomogeneousStatus,
@@ -17,6 +18,7 @@ from lpmerit import (
     eval_value,
     generate_optimal_lp,
     generate_unbounded_lp,
+    kkt_residuals,
     recover_primal_dual,
     residuals,
     solve_homogeneous,
@@ -46,13 +48,8 @@ def test_desk_problem_recovers_an_optimal_point():
     point, status = solve_homogeneous(lp, CFG, HomogeneousPoint.ones(2, 1))
     assert status is HomogeneousStatus.OPTIMAL_RECOVERED
     recovered = recover_primal_dual(point)
-    tol = 1e-6 * lp.scale
-    gamma, rho, sigma = residuals(lp, recovered)
-    assert abs(gamma) <= tol
-    assert np.abs(rho).max() <= tol
-    assert np.abs(sigma).max() <= tol
-    assert recovered.x.min() >= -tol
-    assert recovered.s.min() >= -tol
+    kkt = kkt_residuals(lp, recovered, residuals(lp, recovered))
+    assert max(kkt.values()) <= KKT_TOL, kkt
 
 
 def test_generated_problem_recovers_an_optimal_point():
@@ -60,11 +57,8 @@ def test_generated_problem_recovers_an_optimal_point():
     point, status = solve_homogeneous(prob.lp, CFG, HomogeneousPoint.ones(6, 3))
     if status is HomogeneousStatus.OPTIMAL_RECOVERED:
         recovered = recover_primal_dual(point)
-        tol = 1e-6 * prob.lp.scale
-        gamma, rho, sigma = residuals(prob.lp, recovered)
-        assert abs(gamma) <= tol
-        assert np.abs(rho).max() <= tol
-        assert np.abs(sigma).max() <= tol
+        kkt = kkt_residuals(prob.lp, recovered, residuals(prob.lp, recovered))
+        assert max(kkt.values()) <= KKT_TOL, kkt
     else:
         assert status is HomogeneousStatus.INCONCLUSIVE
 

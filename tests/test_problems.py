@@ -20,6 +20,7 @@ from lpmerit import (
     brute_force_optimum,
     generate_optimal_lp,
     generate_unbounded_lp,
+    kkt_residuals,
     load_problem,
     residuals,
     save_problem,
@@ -80,6 +81,24 @@ class TestResiduals:
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         with pytest.raises(DimensionMismatch):
             residuals(lp, PrimalDualPoint([1.0], [1.0], [1.0]))
+
+    @pytest.mark.parametrize(
+        "x,s,primal,dual,sign",
+        [
+            ([1.0, -1.0], [1.0, -2.0], 3 / 4, 7 / 5, 2.0),  # s more negative
+            ([1.0, -3.0], [1.0, -2.0], 5 / 4, 7 / 5, 3.0),  # x more negative
+            ([1.0, 0.0], [1.0, 0.0], 2 / 4, math.sqrt(53) / 5, 0.0),  # none negative
+        ],
+    )
+    def test_kkt_residuals_desk_case(self, x, s, primal, dual, sign):
+        """A = [1 1], b = 3, c = (-4, 0), lam = 2, so ||b|| = 3 and ||c|| = 4.
+        c.x = -4 and b.lam = 6 at every x here, so the gap is 10 / (1 + 4 + 6),
+        not 10 / (1 + |-4 + 6|)."""
+        lp = StandardFormLp([[1.0, 1.0]], [3.0], [-4.0, 0.0])
+        p = PrimalDualPoint(x, [2.0], s)
+        kkt = kkt_residuals(lp, p, residuals(lp, p))
+        expected = {"primal": primal, "dual": dual, "gap": 10 / 11, "sign": sign}
+        assert kkt == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("m,n", [(3, 6), (10, 30)])
