@@ -21,7 +21,6 @@ from .errors import (
     ShapeViolation,
 )
 from .linsys import (
-    ReducedSystem,
     build_reduced,
     cholesky_rank_one_update,
     solve_dense,
@@ -89,7 +88,6 @@ __all__ = [
     "NotDescentDirection",
     "PrimalDualPoint",
     "ProblemKind",
-    "ReducedSystem",
     "ShapeViolation",
     "SolveOutcome",
     "SolveStatus",

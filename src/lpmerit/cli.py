@@ -1,7 +1,8 @@
 """Command line front end: generate problems, run solves, check solutions.
 
 The front end restates nothing the library owns.  A ``solve`` flag that is
-left out keeps ``SolverConfig``'s default, the trace CSV has one column per
+left out keeps ``SolverConfig``'s default, the report's config lists the
+fields of ``SolverConfig.read_fields``, the trace CSV has one column per
 ``IterationRecord`` field, and points are written and read by ``serialize``.
 
 ``check`` judges a point by the four scale-free relative KKT residuals of
@@ -35,7 +36,6 @@ from .errors import LpMeritError
 from .problems import (
     KKT_TOL,
     GeneratedProblem,
-    HomogeneousPoint,
     generate_optimal_lp,
     generate_unbounded_lp,
     kkt_residuals,
@@ -84,9 +84,9 @@ def _write_trace(path, trace) -> None:
 
 
 def _config_document(config: SolverConfig) -> dict:
-    """Every SolverConfig field but ``trace``, in declaration order, enums by value."""
-    fields = [f.name for f in dataclasses.fields(config) if f.name != "trace"]
-    values = {name: getattr(config, name) for name in fields}
+    """The SolverConfig fields that the algorithm reads but ``trace``, in
+    declaration order, enums by value."""
+    values = {name: getattr(config, name) for name in config.read_fields() if name != "trace"}
     return {name: v.value if isinstance(v, Enum) else v for name, v in values.items()}
 
 
@@ -155,9 +155,7 @@ def cmd_solve(args) -> int:
         "config": _config_document(config),
     }
     if args.homogeneous_escalate and outcome.status is SolveStatus.NO_OPTIMAL_SOLUTION:
-        hom_point, hom_status = solve_homogeneous(
-            problem.lp, config, HomogeneousPoint.ones(problem.lp.n, problem.lp.m)
-        )
+        hom_point, hom_status = solve_homogeneous(problem.lp, config)
         report["homogeneous"] = {
             "status": hom_status.value,
             "tau": hom_point.tau,

@@ -1,4 +1,4 @@
-"""Regularized Newton systems: one solve for each merit kind.
+"""Every factorization: one regularized Newton solve per merit kind, and the polish's LU.
 
 For the primal-dual merit, the system (hessian + mu*I) delta = -gradient has
 a rank-one-plus-structured matrix: after eliminating the s block it reduces
@@ -18,18 +18,17 @@ remainder of order n+m+2; the full (2n+m+2)^2 Hessian is never built.
 The homogeneous merit does not take the structured path: with the (tau, kappa)
 rows as a border, a Sherman-Morrison correction through A'A + mu*I, which is
 nearly singular along null(A) at small mu, cancels catastrophically.
+Both Newton solves return the flat step.
 
-Both factor and solve through LAPACK's potrf and potrs directly, as
-``solver._basic_vertex`` does with getrf and getrs, without scipy's per-call
-wrappers.  ``_factor`` checks each matrix for NaN and inf before potrf; the
-back-substitutions check nothing, since each factor comes from a checked
-matrix, so a non-finite right-hand side gives a non-finite step, which the
-caller must test.
+LAPACK is bound once and called directly, without scipy's per-call wrappers:
+potrf and potrs for the Newton solves, getrf and getrs for the polish's
+``_basic_vertex``.  ``_factor`` checks each matrix for NaN and inf before
+potrf; the Cholesky back-substitutions check nothing, since each factor
+comes from a checked matrix, so a non-finite right-hand side gives a
+non-finite step, which the caller must test.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -39,48 +38,27 @@ from .errors import FactorizationFailure, KindMismatch, NonPositiveRegularizatio
 from .merit import MeritKind, MeritSpec
 from .problems import StandardFormLp
 
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """The eliminated Newton system: positive diagonals, rhs blocks, coupling v."""
-
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    rhs_x: np.ndarray
-    rhs_lam: np.ndarray
-    rhs_s: np.ndarray
-    v: np.ndarray
+_potrf, _potrs, _getrf, _getrs = get_lapack_funcs(
+    ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64
+)
 
 
 def build_reduced(
     spec: MeritSpec, lp: StandardFormLp, z: np.ndarray, mu: float, g: np.ndarray
-) -> ReducedSystem:
-    """Assemble diagonals and right-hand side of the reduced system at ``z``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The regularized diagonal and the right-hand side of the Newton system at ``z``.
 
-    D1, D2, D3 are the penalty diagonal at the flat iterate ``z`` plus mu
-    (all strictly positive for mu > 0); the right-hand side is the negative
-    merit gradient ``g`` at ``z``, split into (x, lam, s) blocks.  Not
-    defined for the HOMOGENEOUS merit, whose extra dense rows fall outside
-    this elimination; use solve_dense there.
+    Returns (d, rhs): d is mu plus the penalty diagonal at the flat iterate
+    ``z``, strictly positive for mu > 0, and rhs is the negative merit
+    gradient ``g`` at ``z``; solve_structured takes both.  Not defined for
+    the HOMOGENEOUS merit, whose extra dense rows fall outside this
+    elimination; use solve_dense there.
     """
     if spec.kind is MeritKind.HOMOGENEOUS:
         raise KindMismatch("the reduced system covers only the primal-dual merit")
     if not mu > 0.0:
         raise NonPositiveRegularization(f"mu must be positive, got {mu}")
-    diag = merit.penalty_diagonal_at(spec, lp, z)
-    n, m = lp.n, lp.m
-    return ReducedSystem(
-        d1=mu + diag[:n],
-        d2=mu + diag[n : n + m],
-        d3=mu + diag[n + m :],
-        rhs_x=-g[:n],
-        rhs_lam=-g[n : n + m],
-        rhs_s=-g[n + m :],
-        v=np.concatenate([lp.c, -lp.b]),
-    )
+    return mu + merit.penalty_diagonal_at(spec, lp, z), -g
 
 
 def cholesky_rank_one_update(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -108,24 +86,27 @@ def cholesky_rank_one_update(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
     return L
 
 
-def solve_structured(system: ReducedSystem, lp: StandardFormLp):
+def solve_structured(d: np.ndarray, rhs: np.ndarray, lp: StandardFormLp) -> np.ndarray:
     """Solve the full regularized Newton system via the eliminated form.
 
-    Returns (dx, dlam, ds).  The n x n block is the problem's cached Gram
+    ``d`` and ``rhs`` are the (x, lam, s) diagonal and right-hand side of
+    build_reduced; returns the flat step (dx, dlam, ds).  With D1, D2, D3
+    the blocks of ``d``, the n x n block is the problem's cached Gram
     matrix A'A plus D1; the m x m block A W A' + D2 is built as B B' with
     B = A sqrt(W), which BLAS forms with a symmetric rank-k update.  Both are
     Cholesky-factored in LAPACK's column-major layout.  The rank-one coupling
-    v v' is absorbed by a Sherman-Morrison correction, whose denominator
-    1 + v'M^{-1}v is at least one; M^{-1}v and the first solve share one
-    two-column triangular solve per block.  One step of iterative refinement
-    on the reduced (n+m) system keeps its residual near round-off at tiny mu.
-    Raises FactorizationFailure when a block is not numerically SPD or not
-    finite.
+    v v', v = (c; -b), is absorbed by a Sherman-Morrison correction, whose
+    denominator 1 + v'M^{-1}v is at least one; M^{-1}v and the first solve
+    share one two-column triangular solve per block.  One step of iterative
+    refinement on the reduced (n+m) system keeps its residual near round-off
+    at tiny mu.  Raises FactorizationFailure when a block is not numerically
+    SPD or not finite.
     """
     A, m, n = lp.A, lp.m, lp.n
-    d1, d2 = system.d1, system.d2
-    shift = 1.0 + system.d3
-    B = A * np.sqrt(system.d3 / shift)
+    d1, d2, d3 = d[:n], d[n : n + m], d[n + m :]
+    rhs_s = rhs[n + m :]
+    shift = 1.0 + d3
+    B = A * np.sqrt(d3 / shift)
     # both blocks are symmetric, so their transposes are the column-major
     # copies that LAPACK factors in place; the refinement residual below
     # applies the blocks through A'A and B instead
@@ -135,14 +116,14 @@ def solve_structured(system: ReducedSystem, lp: StandardFormLp):
     M_lam[np.diag_indices(m)] += d2
     F_x = _factor(M_x)
     F_lam = _factor(M_lam)
-    v = system.v
+    v = np.concatenate([lp.c, -lp.b])
 
     # _factor has checked both blocks for NaN and inf, so their factors are finite
     def block_solve(r):
         return np.concatenate([cho_solve(F_x, r[:n]), cho_solve(F_lam, r[n:])])
 
-    rhs = np.concatenate([system.rhs_x, system.rhs_lam - A @ (system.rhs_s / shift)])
-    y, u0 = block_solve(np.column_stack([v, rhs])).T
+    r = np.concatenate([rhs[:n], rhs[n : n + m] - A @ (rhs_s / shift)])
+    y, u0 = block_solve(np.column_stack([v, r])).T
     denominator = 1.0 + float(v @ y)
 
     def rank_one_corrected(w):
@@ -152,10 +133,9 @@ def solve_structured(system: ReducedSystem, lp: StandardFormLp):
     ux, ul = u[:n], u[n:]
     applied = np.concatenate([lp.gram @ ux + d1 * ux, B @ (B.T @ ul) + d2 * ul])
     applied += v * float(v @ u)
-    u += rank_one_corrected(block_solve(rhs - applied))
-    dx, dlam = u[:n], u[n:]
-    ds = (system.rhs_s - A.T @ dlam) / shift
-    return dx, dlam, ds
+    u += rank_one_corrected(block_solve(r - applied))
+    ds = (rhs_s - A.T @ u[n:]) / shift
+    return np.concatenate([u, ds])
 
 
 def solve_dense(
@@ -238,3 +218,37 @@ def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``rhs`` is a vector or a matrix of columns.  No finiteness check.
     """
     return _potrs(factor, rhs, lower=1)[0]
+
+
+def _basic_vertex(lp, basis):
+    """The vertex of the square basis ``basis`` as a flat iterate, or None.
+
+    x_B = A_B^{-1} b and lam = A_B^{-T} c_B from one LU factorization, with
+    x_N = 0 and s = c - A'lam but s_B = 0 exactly.  Each solve takes one step
+    of iterative refinement on the same factors, its residual accumulated in
+    long double (Moler, JACM 1967): the plain LU solves leave residuals that
+    grow with the pivots and, on a problem whose objective nearly cancels,
+    a duality gap far above rounding; the step brings both down to the
+    rounding of the data wherever long double is wider than double.  None
+    when A_B has an exactly zero pivot, or the vertex has a non-finite entry
+    or a negative x or s; an ill-conditioned A_B is left to those tests and
+    the caller's.
+    """
+    A_B = lp.A[:, basis]
+    c_B = lp.c[basis]
+    lu, piv, info = _getrf(A_B)
+    if info != 0:
+        return None
+    x_B, _ = _getrs(lu, piv, lp.b)
+    lam, _ = _getrs(lu, piv, c_B, trans=1)
+    wide = A_B.astype(np.longdouble)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_B += _getrs(lu, piv, (lp.b - wide @ x_B).astype(np.float64))[0]
+        lam += _getrs(lu, piv, (c_B - wide.T @ lam).astype(np.float64), trans=1)[0]
+        s = lp.c - lp.A.T @ lam
+    s[basis] = 0.0
+    z = np.concatenate([np.zeros(lp.n), lam, s])
+    z[basis] = x_B
+    if not (np.isfinite(z).all() and x_B.min() >= 0.0 and s.min() >= 0.0):
+        return None
+    return z

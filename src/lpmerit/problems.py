@@ -224,10 +224,14 @@ class GeneratedProblem:
     generator: str = GENERATOR_NAME
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # problem files hold integers to 64 bits, so a wider seed could not be saved
+def check_seed(seed: int) -> None:
+    """Raise InvalidConfig unless ``seed`` lies in [0, 2**64), as a problem file holds it."""
     if not 0 <= seed < 2**64:
         raise InvalidConfig(f"seed must be in [0, 2**64), got {seed}")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    check_seed(seed)
     return np.random.default_rng(seed)
 
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 import numpy as np
 import orjson
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ShapeViolation
 from .problems import (
     GeneratedProblem,
     PrimalDualPoint,
     ProblemKind,
     StandardFormLp,
+    check_seed,
 )
 
 _OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
@@ -130,6 +131,10 @@ def problem_from_document(doc: dict) -> GeneratedProblem:
         if type(doc.get(key, 0)) is not int:
             raise ValueError(f"{key} must be a 64-bit integer, got {doc[key]!r}")
     m, n = doc["m"], doc["n"]
+    for key, size in (("m", m), ("n", n)):
+        if size < 1:
+            raise ShapeViolation(f"{key} must be at least 1, got {size}")
+    check_seed(doc.get("seed", 0))
     A = np.asarray(doc["A"], dtype=float)
     if A.size != m * n:
         raise ValueError(f"A has {A.size} entries, expected m*n = {m * n}")

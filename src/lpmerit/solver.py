@@ -18,11 +18,12 @@ zero certifies that no primal-dual optimum exists.
 
 ``solve`` also tries to polish each iterate onto a vertex before that test.
 The m indices with the largest x_j - s_j at the iterate name a basis B; when
-it equals the previous iterate's and has not been tried before, one LU
-factorization of A_B gives the vertex x_B = A_B^{-1} b, x_N = 0,
-lam = A_B^{-T} c_B, s = c - A'lam with s_B = 0 (the optimal-face projection
-of Mehrotra & Ye, Math. Prog. 1993, on a square basis), each solve refined
-once on the same factors with a long-double residual.  The vertex is
+it equals the previous iterate's and has not been tried before,
+``linsys._basic_vertex`` gives, from one LU factorization of A_B, the vertex
+x_B = A_B^{-1} b, x_N = 0, lam = A_B^{-T} c_B, s = c - A'lam with s_B = 0
+(the optimal-face projection of Mehrotra & Ye, Math. Prog. 1993, on a square
+basis), each solve refined once on the same factors with a long-double
+residual.  The vertex is
 accepted only when x >= 0 and s >= 0 exactly, every entry is finite and the
 same stopping test returns Optimal at it; it then becomes the final iterate.
 A vertex that fails leaves the iterates as they were.  Whenever the
@@ -35,15 +36,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import merit
 from .errors import DimensionMismatch, FactorizationFailure, InvalidConfig, NotDescentDirection
-from .linsys import build_reduced, solve_dense, solve_structured
+from .linsys import _basic_vertex, build_reduced, solve_dense, solve_structured
 from .merit import MeritKind, MeritSpec
 from .problems import HomogeneousPoint, PrimalDualPoint, StandardFormLp, residuals
 
@@ -73,6 +73,14 @@ _FULL_STEP_SHRINK = 0.5
 class Algorithm(Enum):
     LM_ADAPTIVE = "lm-adaptive"
     HOMOTOPY = "homotopy"
+
+
+#: The SolverConfig fields that each algorithm never reads: LM_ADAPTIVE sets
+#: mu from hessian_lipschitz and keeps nu at 0, HOMOTOPY keeps mu at mu_const.
+_UNREAD = {
+    Algorithm.LM_ADAPTIVE: ("mu_const", "theta", "nu0"),
+    Algorithm.HOMOTOPY: ("hessian_lipschitz",),
+}
 
 
 class SolveStatus(Enum):
@@ -106,7 +114,8 @@ class SolverConfig:
     ``max_iter`` must be a nonnegative integer.  HOMOTOPY starts nu at
     ``nu0`` >= 0, where 0 runs on the base merit throughout, and multiplies
     it by ``theta``, in (0, 1), after a backtracked step and by half of it
-    after a full one.
+    after a full one.  A field that the algorithm never reads, as stated in
+    ``_UNREAD``, must keep its default.
     """
 
     algorithm: Algorithm
@@ -121,6 +130,13 @@ class SolverConfig:
     trace: bool = True
 
     def __post_init__(self):
+        if self.algorithm not in _UNREAD:
+            raise InvalidConfig(f"algorithm must be an Algorithm, got {self.algorithm!r}")
+        for f in fields(self):
+            if f.name in _UNREAD[self.algorithm] and getattr(self, f.name) != f.default:
+                raise InvalidConfig(
+                    f"{self.algorithm.value} never reads {f.name}; leave it at {f.default}"
+                )
         if self.q is None:
             object.__setattr__(
                 self, "q", 3.0 if self.algorithm is Algorithm.LM_ADAPTIVE else 2.1
@@ -140,6 +156,10 @@ class SolverConfig:
         )
         if not (integral and self.max_iter >= 0):
             raise InvalidConfig(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
+
+    def read_fields(self) -> tuple[str, ...]:
+        """The names of the fields that the algorithm reads, in declaration order."""
+        return tuple(f.name for f in fields(self) if f.name not in _UNREAD[self.algorithm])
 
 
 @dataclass
@@ -211,7 +231,7 @@ def _newton_step(spec, lp, z, mu, g):
         try:
             if spec.kind is MeritKind.HOMOGENEOUS:
                 return solve_dense(spec, lp, z, mu, -g)
-            return np.concatenate(solve_structured(build_reduced(spec, lp, z, mu, g), lp))
+            return solve_structured(*build_reduced(spec, lp, z, mu, g), lp)
         except FactorizationFailure:
             if rung == _MAX_MU_ESCALATIONS:
                 raise
@@ -249,41 +269,6 @@ def _step(spec, lp, config, z, f, g, mu):
     if not np.isfinite(z_next).all():
         return None, None, SolveStatus.NUMERICAL_FAILURE
     return alpha, z_next, None
-
-
-def _basic_vertex(lp, basis):
-    """The vertex of the square basis ``basis`` as a flat iterate, or None.
-
-    x_B = A_B^{-1} b and lam = A_B^{-T} c_B from one LU factorization, with
-    x_N = 0 and s = c - A'lam but s_B = 0 exactly.  Each solve takes one step
-    of iterative refinement on the same factors, its residual accumulated in
-    long double (Moler, JACM 1967): the plain LU solves leave residuals that
-    grow with the pivots and, on a problem whose objective nearly cancels,
-    a duality gap far above rounding; the step brings both down to the
-    rounding of the data wherever long double is wider than double.  None
-    when A_B has an exactly zero pivot, or the vertex has a non-finite entry
-    or a negative x or s; an ill-conditioned A_B is left to those tests and
-    the caller's.
-    """
-    A_B = lp.A[:, basis]
-    c_B = lp.c[basis]
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (A_B,))
-    lu, piv, info = getrf(A_B)
-    if info != 0:
-        return None
-    x_B, _ = getrs(lu, piv, lp.b)
-    lam, _ = getrs(lu, piv, c_B, trans=1)
-    wide = A_B.astype(np.longdouble)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_B += getrs(lu, piv, (lp.b - wide @ x_B).astype(np.float64))[0]
-        lam += getrs(lu, piv, (c_B - wide.T @ lam).astype(np.float64), trans=1)[0]
-        s = lp.c - lp.A.T @ lam
-    s[basis] = 0.0
-    z = np.concatenate([np.zeros(lp.n), lam, s])
-    z[basis] = x_B
-    if not (np.isfinite(z).all() and x_B.min() >= 0.0 and s.min() >= 0.0):
-        return None
-    return z
 
 
 class _Polish:
@@ -338,10 +323,10 @@ class _Polish:
         return vertex, evaluation
 
 
-def _minimize(lp, config, spec, start, stop, *, record=None, polish=None):
+def _minimize(lp, config, spec, z, stop, *, record=None, polish=None):
     """The iteration loop of ``solve`` and ``solve_homogeneous``.
 
-    Minimizes the merit ``spec`` at nu = 0 from the point ``start``.  While
+    Minimizes the merit ``spec`` at nu = 0 from the flat iterate ``z``.  While
     nu > 0, starting from ``spec.nu``, steps are taken on the nu-surrogate,
     whose nu decays by theta after a backtracked step and by
     theta * _FULL_STEP_SHRINK after a full one; one ``merit.evaluate`` call
@@ -356,18 +341,11 @@ def _minimize(lp, config, spec, start, stop, *, record=None, polish=None):
     Returns (z, k, f, g_inf, status) at the last finite iterate; f is the
     last merit value and g_inf the last finite gradient max-norm.
     """
-    n, m = lp.n, lp.m
-    if start.x.shape != (n,) or start.lam.shape != (m,):
-        raise DimensionMismatch(
-            f"start has sizes (n={start.x.size}, m={start.lam.size}), "
-            f"problem has (n={n}, m={m})"
-        )
 
     def spec_at(weight):
         return replace(spec, nu=weight)
 
     nu = spec.nu
-    z = start.as_vector()
     g_inf = math.inf
     pending = None  # the evaluation of a verified vertex, the next iterate
     for k in range(config.max_iter + 1):
@@ -468,7 +446,7 @@ def solve(
     polish = _Polish(lp, stop)
     z, iterations, f, g_inf, status = _minimize(
         lp, config, MeritSpec(MeritKind.PRIMAL_DUAL, q=config.q, nu=nu),
-        PrimalDualPoint.zeros(n, m), stop,
+        np.zeros(2 * n + m), stop,
         record=record if config.trace else None, polish=polish,
     )
     point = PrimalDualPoint.from_vector(z, n, m)
@@ -495,21 +473,20 @@ def solve(
 
 
 def solve_homogeneous(
-    lp: StandardFormLp, config: SolverConfig, start: HomogeneousPoint
+    lp: StandardFormLp, config: SolverConfig
 ) -> tuple[HomogeneousPoint, HomogeneousStatus]:
     """Minimize the homogeneous-embedding merit and classify the solution.
 
-    The caller must supply ``start``: the all-zero point is a global minimizer
-    of this merit, so starting there returns it unchanged (Inconclusive).
-    The run stops on the gradient test alone, and ``config.algorithm`` picks
-    only the mu rule and the line search: nu is 0 whatever ``nu0`` is.
-    Iterations use solve_dense, which eliminates only the s block and factors
-    the remainder over (x, lam, tau, kappa), since the structured elimination
-    does not cover the two extra dense rows.  On gradient convergence, tau
-    and kappa decide the outcome; sign tests use the same classification
-    threshold so that round-off cannot flip a branch.  A run that stops before
-    convergence, on a failed factorization or a non-finite step included, is
-    Inconclusive.
+    The run starts at the all-ones point, since the all-zero point is a global
+    minimizer of this merit.  It stops on the gradient test alone, and
+    ``config.algorithm`` picks only the mu rule and the line search: nu is 0
+    whatever ``nu0`` is.  Iterations use solve_dense, which eliminates only
+    the s block and factors the remainder over (x, lam, tau, kappa), since the
+    structured elimination does not cover the two extra dense rows.  On
+    gradient convergence, tau and kappa decide the outcome; sign tests use the
+    same classification threshold so that round-off cannot flip a branch.  A
+    run that stops before convergence, on a failed factorization or a
+    non-finite step included, is Inconclusive.
     """
     tol_grad = config.tol_grad * lp.scale**2
 
@@ -517,7 +494,8 @@ def solve_homogeneous(
         return SolveStatus.OPTIMAL if g_inf <= tol_grad else None
 
     z, _, _, _, status = _minimize(
-        lp, config, MeritSpec(MeritKind.HOMOGENEOUS, q=config.q), start, stop
+        lp, config, MeritSpec(MeritKind.HOMOGENEOUS, q=config.q),
+        np.ones(2 * lp.n + lp.m + 2), stop,
     )
     point = HomogeneousPoint.from_vector(z, lp.n, lp.m)
     if status is not SolveStatus.OPTIMAL:

@@ -171,11 +171,10 @@ def test_criterion_5_structured_solve_matches_dense(monkeypatch):
         # where forward agreement of two backward-stable solvers is no longer
         # measurable at 1e-8; the tiny-mu regime is covered by residual tests.
         mu = 10.0 ** rng.uniform(-6, -1)
-        system = build_reduced(spec, lp, point.as_vector(), mu, eval_gradient(spec, lp, point))
+        d, rhs = build_reduced(spec, lp, point.as_vector(), mu, eval_gradient(spec, lp, point))
         factored.clear()
-        dx, dlam, ds = solve_structured(system, lp)
+        delta = solve_structured(d, rhs, lp)
         orders = list(factored)
-        delta = np.concatenate([dx, dlam, ds])
         # the oracle: the explicit J'J + diag + mu*I, with no block eliminated
         H = eval_hessian(spec, lp, point).full()
         H[np.diag_indices_from(H)] += mu
@@ -275,9 +274,7 @@ def test_criterion_10_homogeneous_embedding():
         [MeritSpec(MeritKind.HOMOGENEOUS, q=q) for q in (2.1, 3.0)], 50, failures
     )
 
-    point, status = solve_homogeneous(
-        lp, SolverConfig(Algorithm.HOMOTOPY), HomogeneousPoint.ones(2, 1)
-    )
+    point, status = solve_homogeneous(lp, SolverConfig(Algorithm.HOMOTOPY))
     if status is HomogeneousStatus.OPTIMAL_RECOVERED:
         recovered = recover_primal_dual(point)
         kkt = kkt_residuals(lp, recovered, residuals(lp, recovered))

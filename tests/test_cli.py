@@ -175,6 +175,11 @@ class TestSolve:
             ('{"m": 2.9, "n": 4, "A": 0, "b": 0, "c": 0}', "m must be a 64-bit integer, got 2.9"),
             ('{"m": 1, "n": true, "A": 0, "b": 0, "c": 0}',
              "n must be a 64-bit integer, got True"),
+            ('{"m": -1, "n": -1, "A": [1.0], "b": [1.0], "c": [1.0]}',
+             "m must be at least 1, got -1"),
+            ('{"m": 1, "n": 0, "A": [], "b": [1.0], "c": []}', "n must be at least 1, got 0"),
+            ('{"m": 1, "n": 2, "A": [1.0, 1.0], "b": [1.0], "c": [1.0, 0.0], "seed": -5}',
+             "seed must be in [0, 2**64), got -5"),
         ],
     )
     def test_malformed_problem_file_is_named_in_the_message(
@@ -221,16 +226,38 @@ class TestSolve:
         assert "must be finite" in capsys.readouterr().err
 
     def test_report_config_lists_the_solver_settings(self, tmp_path):
+        """The homotopy reads every setting but hessian_lipschitz."""
         path = _gen(tmp_path, 3, 6)
         report = tmp_path / "report.json"
         assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
         config = json.loads(report.read_text())["config"]
         assert list(config) == [
-            "algorithm", "q", "mu_const", "hessian_lipschitz", "theta", "nu0",
-            "max_iter", "tol_grad", "tol_f",
+            "algorithm", "q", "mu_const", "theta", "nu0", "max_iter", "tol_grad", "tol_f",
         ]
         assert config["algorithm"] == "homotopy"
         assert config["max_iter"] == 500
+
+    def test_adaptive_report_config_lists_the_settings_it_reads(self, tmp_path):
+        """The adaptive scheme reads neither mu_const, theta nor nu0."""
+        path = _gen(tmp_path, 3, 6)
+        report = tmp_path / "report.json"
+        code = main(["solve", "--input", str(path), "--alg", "lm-adaptive",
+                     "--report", str(report)])
+        assert code == 0
+        config = json.loads(report.read_text())["config"]
+        assert list(config) == [
+            "algorithm", "q", "hessian_lipschitz", "max_iter", "tol_grad", "tol_f",
+        ]
+        assert config == cli._config_document(SolverConfig(Algorithm.LM_ADAPTIVE))
+
+    def test_a_setting_the_adaptive_scheme_never_reads_exits_2(self, tmp_path, capsys):
+        path = _gen(tmp_path, 3, 6)
+        report = tmp_path / "report.json"
+        code = main(["solve", "--input", str(path), "--alg", "lm-adaptive", "--nu0", "5",
+                     "--report", str(report)])
+        assert code == 2
+        assert "lm-adaptive never reads nu0" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_report_roundtrips_through_json(self, tmp_path):
         path = _gen(tmp_path, 3, 6)

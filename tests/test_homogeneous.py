@@ -35,17 +35,9 @@ def test_origin_is_stationary():
     np.testing.assert_array_equal(eval_gradient(spec, lp, zero), np.zeros(7))
 
 
-def test_zero_start_returns_inconclusive_unchanged():
-    lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-    zero = HomogeneousPoint([0.0, 0.0], [0.0], [0.0, 0.0], 0.0, 0.0)
-    point, status = solve_homogeneous(lp, CFG, zero)
-    assert status is HomogeneousStatus.INCONCLUSIVE
-    np.testing.assert_array_equal(point.as_vector(), zero.as_vector())
-
-
 def test_desk_problem_recovers_an_optimal_point():
     lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-    point, status = solve_homogeneous(lp, CFG, HomogeneousPoint.ones(2, 1))
+    point, status = solve_homogeneous(lp, CFG)
     assert status is HomogeneousStatus.OPTIMAL_RECOVERED
     recovered = recover_primal_dual(point)
     kkt = kkt_residuals(lp, recovered, residuals(lp, recovered))
@@ -54,7 +46,7 @@ def test_desk_problem_recovers_an_optimal_point():
 
 def test_generated_problem_recovers_an_optimal_point():
     prob = generate_optimal_lp(3, 6, 0)
-    point, status = solve_homogeneous(prob.lp, CFG, HomogeneousPoint.ones(6, 3))
+    point, status = solve_homogeneous(prob.lp, CFG)
     if status is HomogeneousStatus.OPTIMAL_RECOVERED:
         recovered = recover_primal_dual(point)
         kkt = kkt_residuals(prob.lp, recovered, residuals(prob.lp, recovered))
@@ -68,7 +60,7 @@ def test_primal_infeasible_desk_problem():
     via b.lam > 0, or at worst stay inconclusive."""
     lp = StandardFormLp([[1.0, 1.0]], [-1.0], [1.0, 0.0])
     assert brute_force_optimum(lp) is None
-    point, status = solve_homogeneous(lp, CFG, HomogeneousPoint.ones(2, 1))
+    point, status = solve_homogeneous(lp, CFG)
     assert status in (HomogeneousStatus.PRIMAL_INFEASIBLE, HomogeneousStatus.INCONCLUSIVE)
     if status is HomogeneousStatus.PRIMAL_INFEASIBLE:
         assert lp.b @ point.lam > 0.0
@@ -76,7 +68,7 @@ def test_primal_infeasible_desk_problem():
 
 def test_unbounded_problem_detected_as_dual_infeasible():
     prob = generate_unbounded_lp(3, 8, 1)
-    point, status = solve_homogeneous(prob.lp, CFG, HomogeneousPoint.ones(8, 3))
+    point, status = solve_homogeneous(prob.lp, CFG)
     assert status is HomogeneousStatus.DUAL_INFEASIBLE
     assert -(prob.lp.c @ point.x) > 0.0
 
@@ -86,7 +78,7 @@ def test_decaying_tau_is_not_labelled_optimal(seed):
     """On these problems the gradient test stops with tau near 3e-6 and kappa
     near 1; the larger of the two must decide the label."""
     prob = generate_unbounded_lp(150, 450, seed)
-    point, status = solve_homogeneous(prob.lp, CFG, HomogeneousPoint.ones(450, 150))
+    point, status = solve_homogeneous(prob.lp, CFG)
     assert status is HomogeneousStatus.DUAL_INFEASIBLE
     assert point.kappa > point.tau
 
@@ -106,7 +98,7 @@ def test_benchmark_panel_is_dual_infeasible_in_five_dense_steps(monkeypatch):
     for seed in range(10):
         calls.clear()
         lp = generate_unbounded_lp(150, 450, seed).lp
-        _, status = solve_homogeneous(lp, config, HomogeneousPoint.ones(450, 150))
+        _, status = solve_homogeneous(lp, config)
         assert status is HomogeneousStatus.DUAL_INFEASIBLE
         assert len(calls) == 5
 
@@ -133,7 +125,7 @@ def test_small_unbounded_step_counts_are_pinned(algorithm, expected, monkeypatch
     for seed in range(len(expected)):
         calls.clear()
         lp = generate_unbounded_lp(3, 8, seed).lp
-        _, status = solve_homogeneous(lp, SolverConfig(algorithm), HomogeneousPoint.ones(8, 3))
+        _, status = solve_homogeneous(lp, SolverConfig(algorithm))
         assert status is HomogeneousStatus.DUAL_INFEASIBLE
         counts.append(len(calls))
     assert counts == expected

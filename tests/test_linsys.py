@@ -16,7 +16,6 @@ from lpmerit import (
     MeritSpec,
     NonPositiveRegularization,
     PrimalDualPoint,
-    ReducedSystem,
     StandardFormLp,
     build_reduced,
     cholesky_rank_one_update,
@@ -52,40 +51,35 @@ def _newton_solve(spec, lp, z, mu, rhs):
     """The Newton solve of the merit kind, as the solver picks it."""
     if spec.kind is MeritKind.HOMOGENEOUS:
         return solve_dense(spec, lp, z, mu, rhs)
-    return np.concatenate(solve_structured(build_reduced(spec, lp, z, mu, -rhs), lp))
+    return solve_structured(*build_reduced(spec, lp, z, mu, -rhs), lp)
 
 
 class TestBuildReduced:
     def test_nonnegative_point_gives_pure_mu_diagonals(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         p = PrimalDualPoint([0.5, 0.2], [0.3], [0.1, 0.4])
-        system = build_reduced(BASE3, lp, p.as_vector(), 1e-2, eval_gradient(BASE3, lp, p))
-        np.testing.assert_array_equal(system.d1, [1e-2, 1e-2])
-        np.testing.assert_array_equal(system.d2, [1e-2])
-        np.testing.assert_array_equal(system.d3, [1e-2, 1e-2])
+        d, _ = build_reduced(BASE3, lp, p.as_vector(), 1e-2, eval_gradient(BASE3, lp, p))
+        np.testing.assert_array_equal(d, [1e-2] * 5)
 
     def test_negative_x_feeds_the_penalty_diagonal(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         p = PrimalDualPoint([-2.0, 1.0], [0.0], [0.5, 0.5])
-        system = build_reduced(BASE3, lp, p.as_vector(), 0.5, eval_gradient(BASE3, lp, p))
-        np.testing.assert_array_equal(system.d1, [2.5, 0.5])
+        d, _ = build_reduced(BASE3, lp, p.as_vector(), 0.5, eval_gradient(BASE3, lp, p))
+        np.testing.assert_array_equal(d[:2], [2.5, 0.5])
 
     def test_homotopy_adds_two_nu_to_the_lambda_block(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0, nu=0.1)
         p = PrimalDualPoint([0.0, 0.0], [0.7], [0.0, 0.0])
-        system = build_reduced(spec, lp, p.as_vector(), 1e-9, eval_gradient(spec, lp, p))
-        np.testing.assert_allclose(system.d2, [1e-9 + 0.2], rtol=0, atol=0)
+        d, _ = build_reduced(spec, lp, p.as_vector(), 1e-9, eval_gradient(spec, lp, p))
+        np.testing.assert_allclose(d[2:3], [1e-9 + 0.2], rtol=0, atol=0)
 
     def test_rhs_is_negative_gradient(self):
         prob = generate_optimal_lp(3, 6, 0)
         p = random_primal_dual(np.random.default_rng(1), 6, 3)
         g = eval_gradient(BASE3, prob.lp, p)
-        system = build_reduced(BASE3, prob.lp, p.as_vector(), 1e-3, g)
-        np.testing.assert_array_equal(
-            np.concatenate([system.rhs_x, system.rhs_lam, system.rhs_s]), -g
-        )
-        np.testing.assert_array_equal(system.v, np.concatenate([prob.lp.c, -prob.lp.b]))
+        _, rhs = build_reduced(BASE3, prob.lp, p.as_vector(), 1e-3, g)
+        np.testing.assert_array_equal(rhs, -g)
 
     def test_requires_positive_mu(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
@@ -301,24 +295,24 @@ class TestSolveDense:
 
 def _structured_vs_oracle(spec, lp, point, mu):
     g = eval_gradient(spec, lp, point)
-    system = build_reduced(spec, lp, point.as_vector(), mu, g)
-    delta = np.concatenate(solve_structured(system, lp))
+    delta = solve_structured(*build_reduced(spec, lp, point.as_vector(), mu, g), lp)
     expected = _oracle(spec, lp, point, mu, -g)
     assert np.linalg.norm(delta - expected) <= 1e-8 * (1.0 + np.linalg.norm(expected))
 
 
-def _reduced_reference(system, lp, reference):
-    """Solve the reduced (n+m) system (M + v v') u = r independently of
-    solve_structured: either through the Cholesky factor of M updated by
-    cholesky_rank_one_update, or through the Sherman-Morrison identity with
-    dense solves against M."""
+def _reduced_reference(d, rhs, lp, reference):
+    """Solve the reduced (n+m) system (M + v v') u = r, with v = (c; -b),
+    independently of solve_structured: either through the Cholesky factor of
+    M updated by cholesky_rank_one_update, or through the Sherman-Morrison
+    identity with dense solves against M."""
     A, m, n = lp.A, lp.m, lp.n
-    shift = 1.0 + system.d3
+    d1, d2, d3 = d[:n], d[n : n + m], d[n + m :]
+    shift = 1.0 + d3
     M = np.zeros((n + m, n + m))
-    M[:n, :n] = A.T @ A + np.diag(system.d1)
-    M[n:, n:] = (A * (system.d3 / shift)) @ A.T + np.diag(system.d2)
-    r = np.concatenate([system.rhs_x, system.rhs_lam - A @ (system.rhs_s / shift)])
-    v = system.v
+    M[:n, :n] = A.T @ A + np.diag(d1)
+    M[n:, n:] = (A * (d3 / shift)) @ A.T + np.diag(d2)
+    r = np.concatenate([rhs[:n], rhs[n : n + m] - A @ (rhs[n + m :] / shift)])
+    v = np.concatenate([lp.c, -lp.b])
     if reference == "cholesky-update":
         L = cholesky_rank_one_update(np.linalg.cholesky(M), v)
         return cho_solve((L, True), r)
@@ -341,12 +335,11 @@ class TestSolveStructured:
             mu = 10.0 ** rng.uniform(-6, -1)
             spec = HOMOTOPY3 if seed % 2 else BASE3
             _structured_vs_oracle(spec, prob.lp, point, mu)
-            system = build_reduced(
+            d, rhs = build_reduced(
                 spec, prob.lp, point.as_vector(), mu, eval_gradient(spec, prob.lp, point)
             )
-            dx, dlam, _ = solve_structured(system, prob.lp)
-            u = np.concatenate([dx, dlam])
-            expected = _reduced_reference(system, prob.lp, reference)
+            u = solve_structured(d, rhs, prob.lp)[: n + m]
+            expected = _reduced_reference(d, rhs, prob.lp, reference)
             assert np.linalg.norm(u - expected) <= 1e-8 * (1.0 + np.linalg.norm(expected))
 
     def test_full_system_residual_at_tiny_mu(self):
@@ -358,9 +351,8 @@ class TestSolveStructured:
             prob = generate_optimal_lp(8, 20, seed)
             point = random_primal_dual(rng, 20, 8, scale=2.0)
             g = eval_gradient(BASE3, prob.lp, point)
-            system = build_reduced(BASE3, prob.lp, point.as_vector(), 1e-9, g)
-            dx, dlam, ds = solve_structured(system, prob.lp)
-            delta = np.concatenate([dx, dlam, ds])
+            d, rhs = build_reduced(BASE3, prob.lp, point.as_vector(), 1e-9, g)
+            delta = solve_structured(d, rhs, prob.lp)
             H = eval_hessian(BASE3, prob.lp, point).full()
             H[np.diag_indices_from(H)] += 1e-9
             res = np.linalg.norm(H @ delta + g)
@@ -380,16 +372,8 @@ class TestSolveStructured:
         """With b = 0 and c = 0 the rank-one coupling vanishes; the structured
         path must reproduce the plain block-diagonal solve."""
         lp = StandardFormLp([[1.0, 1.0]], [0.0], [0.0, 0.0])
-        system = ReducedSystem(
-            d1=np.ones(2),
-            d2=np.ones(1),
-            d3=np.ones(2),
-            rhs_x=np.array([1.0, 0.0]),
-            rhs_lam=np.zeros(1),
-            rhs_s=np.zeros(2),
-            v=np.zeros(3),
-        )
-        dx, dlam, ds = solve_structured(system, lp)
+        rhs = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        delta = solve_structured(np.ones(5), rhs, lp)
         A = lp.A
         full = np.zeros((5, 5))
         full[:2, :2] = A.T @ A + np.eye(2)
@@ -397,8 +381,7 @@ class TestSolveStructured:
         full[2:3, 3:] = A
         full[3:, 2:3] = A.T
         full[3:, 3:] = 2.0 * np.eye(2)
-        expected = np.linalg.solve(full, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(np.concatenate([dx, dlam, ds]), expected, atol=1e-12)
+        np.testing.assert_allclose(delta, np.linalg.solve(full, rhs), atol=1e-12)
 
     def test_factorization_sizes_are_instrumented(self, monkeypatch):
         factored = []
@@ -411,10 +394,8 @@ class TestSolveStructured:
         monkeypatch.setattr(linsys, "_factor", recording_factor)
         prob = generate_optimal_lp(4, 9, 2)
         point = random_primal_dual(np.random.default_rng(5), 9, 4)
-        system = build_reduced(
-            BASE3, prob.lp, point.as_vector(), 1e-6, eval_gradient(BASE3, prob.lp, point)
-        )
-        solve_structured(system, prob.lp)
+        g = eval_gradient(BASE3, prob.lp, point)
+        solve_structured(*build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert factored == [(9, 9), (4, 4)]
 
     def test_descent_direction(self):
@@ -425,38 +406,21 @@ class TestSolveStructured:
             point = random_primal_dual(rng, 7, 3, scale=2.0)
             mu = 10.0 ** rng.uniform(-9, -1)
             g = eval_gradient(BASE3, prob.lp, point)
-            system = build_reduced(BASE3, prob.lp, point.as_vector(), mu, g)
-            dx, dlam, ds = solve_structured(system, prob.lp)
-            assert g @ np.concatenate([dx, dlam, ds]) < 0.0
+            d, rhs = build_reduced(BASE3, prob.lp, point.as_vector(), mu, g)
+            assert g @ solve_structured(d, rhs, prob.lp) < 0.0
 
     def test_invariant_breach_raises_factorization_failure(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-        bad = ReducedSystem(
-            d1=np.array([-1e3, -1e3]),  # violates positivity, block not SPD
-            d2=np.ones(1),
-            d3=np.ones(2),
-            rhs_x=np.zeros(2),
-            rhs_lam=np.zeros(1),
-            rhs_s=np.zeros(2),
-            v=np.zeros(3),
-        )
+        d = np.array([-1e3, -1e3, 1.0, 1.0, 1.0])  # negative D1: the x block is not SPD
         with pytest.raises(FactorizationFailure):
-            solve_structured(bad, lp)
+            solve_structured(d, np.zeros(5), lp)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_raises_factorization_failure(self, bad):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-        system = ReducedSystem(
-            d1=np.array([bad, 1.0]),
-            d2=np.ones(1),
-            d3=np.ones(2),
-            rhs_x=np.zeros(2),
-            rhs_lam=np.zeros(1),
-            rhs_s=np.zeros(2),
-            v=np.zeros(3),
-        )
+        d = np.array([bad, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(FactorizationFailure):
-            solve_structured(system, lp)
+            solve_structured(d, np.zeros(5), lp)
 
     def test_four_triangular_solves_per_step(self, monkeypatch):
         """M^{-1}v and the first solve share one two-column solve per block;
@@ -472,7 +436,7 @@ class TestSolveStructured:
         prob = generate_optimal_lp(4, 9, 2)
         point = random_primal_dual(np.random.default_rng(5), 9, 4)
         g = eval_gradient(BASE3, prob.lp, point)
-        solve_structured(build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
+        solve_structured(*build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert calls == [(9, 2), (4, 2), (9,), (4,)]
 
     def test_problem_gram_matrix_is_left_unchanged(self):
@@ -480,7 +444,7 @@ class TestSolveStructured:
         before = prob.lp.gram.copy()
         point = random_primal_dual(np.random.default_rng(8), 9, 4)
         g = eval_gradient(BASE3, prob.lp, point)
-        solve_structured(build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
+        solve_structured(*build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert np.array_equal(prob.lp.gram, before)
 
 

@@ -53,13 +53,14 @@ def scheme_id(value):
 
 
 def no_vertex(lp, basis):
-    """A stand-in for solver._basic_vertex that finds no vertex, so that no
-    polish is attempted and a run keeps the loop's own iterates."""
+    """A stand-in for linsys._basic_vertex, patched where solver looks it up,
+    that finds no vertex, so that no polish is attempted and a run keeps the
+    loop's own iterates."""
     return None
 
 
 def log_vertex_calls(monkeypatch):
-    """(basis, whether a vertex was found) for every call of solver._basic_vertex."""
+    """(basis, whether a vertex was found) for every call of _basic_vertex in solver."""
     log = []
     basic_vertex = solver_module._basic_vertex
 
@@ -163,6 +164,27 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
             SolverConfig(Algorithm.HOMOTOPY, **kwargs)
+
+    def test_an_algorithm_given_by_name_is_rejected(self):
+        with pytest.raises(InvalidConfig, match="algorithm must be an Algorithm"):
+            SolverConfig("homotopy")
+
+    @pytest.mark.parametrize(
+        "algorithm,name,value",
+        [
+            (Algorithm.LM_ADAPTIVE, "mu_const", 1e-3),
+            (Algorithm.LM_ADAPTIVE, "theta", 0.3),
+            (Algorithm.LM_ADAPTIVE, "nu0", 5.0),
+            (Algorithm.HOMOTOPY, "hessian_lipschitz", 2.0),
+        ],
+    )
+    def test_a_setting_the_algorithm_never_reads_is_rejected(self, algorithm, name, value):
+        """Such a setting would change nothing in the run; at its default it
+        is accepted, and it is left out of the fields the algorithm reads."""
+        with pytest.raises(InvalidConfig, match=f"{algorithm.value} never reads {name}"):
+            SolverConfig(algorithm, **{name: value})
+        config = SolverConfig(algorithm, **{name: getattr(SolverConfig(algorithm), name)})
+        assert name not in config.read_fields()
 
 
 class TestSolve:
@@ -288,12 +310,6 @@ class TestSolve:
         value = float(prob.lp.c @ out.point.x)
         assert abs(value - oracle_value) <= 1e-6 * (1.0 + abs(oracle_value))
 
-    def test_start_size_is_checked(self):
-        """solve_homogeneous is the caller that passes a start."""
-        prob = generate_unbounded_lp(3, 8, 9)
-        with pytest.raises(DimensionMismatch):
-            solve_homogeneous(prob.lp, BASE_MERIT, HomogeneousPoint.ones(7, 3))
-
 
 class TestFactorizationFailures:
     """The mu-escalation ladder, reached by fakes of the two linear solves
@@ -315,15 +331,16 @@ class TestFactorizationFailures:
         return fake
 
     def test_mu_escalates_tenfold_until_accepted(self, monkeypatch):
-        """d2 is exactly mu at a base-merit point, since lam has no penalty."""
+        """The lam entries of the diagonal d are exactly mu at a base-merit
+        point, since lam has no penalty; d[6] is the first of them at n = 6."""
         calls = []
         fake = self._failing(
-            calls, lambda args: args[0].d2[0] >= 1e-6, solver_module.solve_structured
+            calls, lambda args: args[0][6] >= 1e-6, solver_module.solve_structured
         )
         monkeypatch.setattr(solver_module, "solve_structured", fake)
         out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
         assert out.status is SolveStatus.ITERATION_LIMIT
-        tried = [args[0].d2[0] for args in calls]
+        tried = [args[0][6] for args in calls]
         np.testing.assert_allclose(tried, [1e-9, 1e-8, 1e-7, 1e-6], rtol=1e-12)
 
     def test_solve_reports_numerical_failure_when_every_attempt_fails(self, monkeypatch):
@@ -351,7 +368,7 @@ class TestFactorizationFailures:
         dense = []
         monkeypatch.setattr(solver_module, "solve_dense", self._failing(dense))
         prob = generate_unbounded_lp(3, 8, 1)
-        point, status = solve_homogeneous(prob.lp, self.CFG, HomogeneousPoint.ones(8, 3))
+        point, status = solve_homogeneous(prob.lp, self.CFG)
         assert status is HomogeneousStatus.INCONCLUSIVE
         assert len(dense) == solver_module._MAX_MU_ESCALATIONS + 1
         np.testing.assert_array_equal(point.as_vector(), np.ones(2 * 8 + 3 + 2))
@@ -440,8 +457,8 @@ class TestNonFiniteSteps:
     CFG = BASE_MERIT
 
     def test_solve_reports_numerical_failure(self, monkeypatch):
-        def nan_step(system, lp):
-            return np.full(lp.n, np.nan), np.full(lp.m, np.nan), np.full(lp.n, np.nan)
+        def nan_step(d, rhs, lp):
+            return np.full(rhs.shape, np.nan)
 
         monkeypatch.setattr(solver_module, "solve_structured", nan_step)
         out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
@@ -456,9 +473,7 @@ class TestNonFiniteSteps:
             return np.full(rhs.shape, np.nan)
 
         monkeypatch.setattr(solver_module, "solve_dense", nan_step)
-        point, status = solve_homogeneous(
-            generate_unbounded_lp(3, 8, 1).lp, self.CFG, HomogeneousPoint.ones(8, 3)
-        )
+        point, status = solve_homogeneous(generate_unbounded_lp(3, 8, 1).lp, self.CFG)
         assert status is HomogeneousStatus.INCONCLUSIVE
         assert len(calls) == 1
         np.testing.assert_array_equal(point.as_vector(), np.ones(2 * 8 + 3 + 2))
@@ -576,9 +591,7 @@ class TestOneEvaluationPerIterate:
 
         monkeypatch.setattr(solver_module, "solve_dense", counting_dense)
         prob = generate_unbounded_lp(3, 8, 1)
-        _, status = solve_homogeneous(
-            prob.lp, SolverConfig(Algorithm.HOMOTOPY), HomogeneousPoint.ones(8, 3)
-        )
+        _, status = solve_homogeneous(prob.lp, SolverConfig(Algorithm.HOMOTOPY))
         assert status is HomogeneousStatus.DUAL_INFEASIBLE
         assert counts == {
             "evaluate": len(steps) + 1,
