@@ -23,6 +23,7 @@ from .errors import (
 from .linsys import (
     build_reduced,
     cholesky_rank_one_update,
+    least_squares_start,
     solve_dense,
     solve_structured,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "generate_optimal_lp",
     "generate_unbounded_lp",
     "kkt_residuals",
+    "least_squares_start",
     "load_problem",
     "recover_primal_dual",
     "residuals",

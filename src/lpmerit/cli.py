@@ -21,7 +21,7 @@ Exit codes separate mathematical outcomes from operational failures:
 * 3   I/O failure
 * 10  solve: certified no optimal solution
 * 11  solve: iteration limit
-* 12  solve: numerical failure
+* 12  solve: numerical failure, or no starting point because A A' overflows
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 from enum import Enum
 
 from . import serialize
-from .errors import LpMeritError
+from .errors import FactorizationFailure, LpMeritError
 from .problems import (
     KKT_TOL,
     GeneratedProblem,
@@ -137,7 +137,12 @@ def cmd_solve(args) -> int:
             file=sys.stderr,
         )
     x_star = problem.known_optimum.x if problem.known_optimum is not None else None
-    outcome = solve(problem.lp, config, x_star=x_star)
+    try:
+        outcome = solve(problem.lp, config, x_star=x_star)
+    except FactorizationFailure as exc:
+        # only the least-squares start raises it, when A A' overflows
+        print(f"error: no starting point: {exc}", file=sys.stderr)
+        return _STATUS_EXIT[SolveStatus.NUMERICAL_FAILURE]
 
     report = {
         "status": outcome.status.value,
@@ -202,7 +207,7 @@ def cmd_check(args) -> int:
     except (LpMeritError, ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid solution file {args.solution}: {exc}", file=sys.stderr)
         return 2
-    kkt = kkt_residuals(problem.lp, point, residuals(problem.lp, point))
+    kkt = kkt_residuals(problem.lp, point.x, point.lam, point.s, residuals(problem.lp, point))
     for name, value in kkt.items():
         print(f"{name:6s} = {value:.6e}  [{'ok' if value <= KKT_TOL else 'FAIL'}]")
     print(f"tolerance = {KKT_TOL:.6e} (KKT_TOL)")
@@ -240,7 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="homotopy decay factor of nu after a backtracked step; half of it after a full step",
     )
     slv.add_argument("--mu", type=float, dest="mu_const", help="constant regularization")
-    slv.add_argument("--nu0", type=float, help="initial homotopy weight; 0 runs on the base merit")
+    slv.add_argument(
+        "--nu0",
+        type=float,
+        help="initial homotopy weight (default 0.05, from the least-squares start); "
+        "0 runs on the base merit",
+    )
     slv.add_argument("--max-iter", type=int)
     slv.add_argument("--tol-grad", type=float)
     slv.add_argument("--tol-f", type=float)

@@ -1,4 +1,5 @@
-"""Every factorization: one regularized Newton solve per merit kind, and the polish's LU.
+"""Every factorization: the least-squares start, one regularized Newton solve
+per merit kind, and the polish's LU.
 
 For the primal-dual merit, the system (hessian + mu*I) delta = -gradient has
 a rank-one-plus-structured matrix: after eliminating the s block it reduces
@@ -20,11 +21,14 @@ rows as a border, a Sherman-Morrison correction through A'A + mu*I, which is
 nearly singular along null(A) at small mu, cancels catastrophically.
 Both Newton solves return the flat step.
 
+least_squares_start gives solve its starting point from one m x m Cholesky
+factorization of A A'.
+
 LAPACK is bound once and called directly, without scipy's per-call wrappers:
-potrf and potrs for the Newton solves, getrf and getrs for the polish's
-``_basic_vertex``.  ``_factor`` checks each matrix for NaN and inf before
-potrf; the Cholesky back-substitutions check nothing, since each factor
-comes from a checked matrix, so a non-finite right-hand side gives a
+potrf and potrs for the start and the Newton solves, getrf and getrs for the
+polish's ``_basic_vertex``.  ``_factor`` checks each matrix for NaN and inf
+before potrf; the Cholesky back-substitutions check nothing, since each
+factor comes from a checked matrix, so a non-finite right-hand side gives a
 non-finite step, which the caller must test.
 """
 
@@ -41,6 +45,30 @@ from .problems import StandardFormLp
 _potrf, _potrs, _getrf, _getrs = get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64
 )
+
+
+def least_squares_start(lp: StandardFormLp) -> np.ndarray:
+    """The least-squares primal-dual point (x0, lam0, s0) as a flat iterate.
+
+    x0 = A'(AA')^{-1} b is the least-norm solution of Ax = b, lam0 =
+    (AA')^{-1} A c the least-squares solution of A'lam = c, and s0 =
+    c - A'lam0.  At it Ax = b and A'lam + s = c hold to rounding, and so does
+    c.x0 = b.lam0, since both equal c'A'(AA')^{-1}b; only the signs of x and
+    s are left to fix (Mehrotra's starting point without his positivity
+    shift, SIAM J. Optim. 1992).  AA' + delta*I is factored once, and both
+    right-hand sides b and Ac are solved in one two-column potrs.  Raises
+    FactorizationFailure when AA' overflows.
+    """
+    A = lp.A
+    # AA' is symmetric, so its transpose is the column-major copy potrf takes
+    M = (A @ A.T).T
+    # delta covers Cholesky's backward error on AA', m*eps*||A||_F^2 with
+    # ||A||_F^2 = trace(AA'), so that a rank-deficient A factors; the 1 keeps
+    # it positive at A = 0, where the start is x0 = lam0 = 0
+    M[np.diag_indices(lp.m)] += lp.m * np.finfo(float).eps * (1.0 + M.trace())
+    y = cho_solve(_factor(M), np.column_stack([lp.b, A @ lp.c]))
+    lam = y[:, 1]
+    return np.concatenate([A.T @ y[:, 0], lam, lp.c - A.T @ lam])
 
 
 def build_reduced(

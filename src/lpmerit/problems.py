@@ -184,20 +184,23 @@ def residuals(lp: StandardFormLp, point: PrimalDualPoint):
 KKT_TOL = 1e-6
 
 
-def kkt_residuals(lp: StandardFormLp, point: PrimalDualPoint, res) -> dict:
-    """The four scale-free relative KKT residuals of a point, from its
-    ``res = residuals(lp, point)``, at O(m + n) cost:
+def kkt_residuals(lp: StandardFormLp, x, lam, s, res) -> dict:
+    """The four scale-free relative KKT residuals of the point (x, lam, s),
+    from its ``res = (gamma, rho, sigma)`` as ``residuals`` gives them, at
+    O(m + n) cost:
 
     primal ||Ax - b|| / (1 + ||b||),  dual ||A'lam + s - c|| / (1 + ||c||),
     gap |c.x - b.lam| / (1 + |c.x| + |b.lam|),  sign max(0, -min x, -min s).
+
+    The blocks may be views of a flat iterate; nothing is validated.
     """
     gamma, rho, sigma = res
-    cx, blam = float(lp.c @ point.x), float(lp.b @ point.lam)
+    cx, blam = float(lp.c @ x), float(lp.b @ lam)
     return {
         "primal": float(np.linalg.norm(rho)) / (1.0 + float(np.linalg.norm(lp.b))),
         "dual": float(np.linalg.norm(sigma)) / (1.0 + float(np.linalg.norm(lp.c))),
         "gap": abs(gamma) / (1.0 + abs(cx) + abs(blam)),
-        "sign": max(0.0, -float(point.x.min()), -float(point.s.min())),
+        "sign": max(0.0, -float(x.min()), -float(s.min())),
     }
 
 

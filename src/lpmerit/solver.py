@@ -12,9 +12,15 @@ decaying nu by theta after a backtracked step and by theta * _FULL_STEP_SHRINK
 after a full one, where the Newton model fitted the iterate.  That merit is
 the base merit at nu = 0, so nu0 = 0 is the constant-mu method on it.
 
-Termination is always measured on the base merit: its value certifies the
-optimality residuals, and a vanishing gradient with a value bounded away from
-zero certifies that no primal-dual optimum exists.
+``solve`` starts at the least-squares point of ``linsys.least_squares_start``,
+where Ax = b, A'lam + s = c and c.x = b.lam hold to rounding and only the
+signs of x and s are left to fix; from there nu0 = 0.05 suffices.
+
+Termination is measured on the base merit and the KKT kernel: a small value
+and gradient end the run as Optimal only when every relative KKT residual of
+``problems.kkt_residuals`` is at most ``KKT_TOL``, and a vanishing gradient
+with a value bounded away from zero certifies that no primal-dual optimum
+exists.
 
 ``solve`` also tries to polish each iterate onto a vertex before that test.
 The m indices with the largest x_j - s_j at the iterate name a basis B; when
@@ -43,9 +49,22 @@ import numpy as np
 
 from . import merit
 from .errors import DimensionMismatch, FactorizationFailure, InvalidConfig, NotDescentDirection
-from .linsys import _basic_vertex, build_reduced, solve_dense, solve_structured
+from .linsys import (
+    _basic_vertex,
+    build_reduced,
+    least_squares_start,
+    solve_dense,
+    solve_structured,
+)
 from .merit import MeritKind, MeritSpec
-from .problems import HomogeneousPoint, PrimalDualPoint, StandardFormLp, residuals
+from .problems import (
+    KKT_TOL,
+    HomogeneousPoint,
+    PrimalDualPoint,
+    StandardFormLp,
+    kkt_residuals,
+    residuals,
+)
 
 #: Scale-relative primal-residual threshold below which a certified
 #: no-optimum outcome is attributed to dual infeasibility (unboundedness).
@@ -109,12 +128,14 @@ class SolverConfig:
     ``q`` defaults to 3 for the adaptive scheme, which takes full steps, and
     to 2.1 for the homotopy, which backtracks with Armijo.  Every number must
     be finite.  Stopping thresholds are scale-relative: optimal needs value
-    <= tol_f * scale^2 and grad <= tol_grad * scale^2; a certified no-optimum
-    needs the same gradient bound with value >= NO_OPTIMUM_TOL * scale^2.
+    <= tol_f * scale^2 and grad <= tol_grad * scale^2, and then every
+    relative KKT residual at most ``KKT_TOL``; a certified no-optimum needs
+    the same gradient bound with value >= NO_OPTIMUM_TOL * scale^2.
     ``max_iter`` must be a nonnegative integer.  HOMOTOPY starts nu at
-    ``nu0`` >= 0, where 0 runs on the base merit throughout, and multiplies
-    it by ``theta``, in (0, 1), after a backtracked step and by half of it
-    after a full one.  A field that the algorithm never reads, as stated in
+    ``nu0`` >= 0, by default 0.05, which suffices from the least-squares
+    start; 0 runs on the base merit throughout.  It multiplies nu by
+    ``theta``, in (0, 1), after a backtracked step and by half of it after a
+    full one.  A field that the algorithm never reads, as stated in
     ``_UNREAD``, must keep its default.
     """
 
@@ -123,7 +144,7 @@ class SolverConfig:
     mu_const: float = 1e-9
     hessian_lipschitz: float = 1.0
     theta: float = 0.8
-    nu0: float = 1.0
+    nu0: float = 0.05
     max_iter: int = 500
     tol_grad: float = 1e-10
     tol_f: float = 1e-16
@@ -316,8 +337,8 @@ class _Polish:
         if vertex is None:
             return None
         evaluation = merit.evaluate(spec, self.lp, vertex)
-        (f, g), _, _ = evaluation
-        if self.stop(f, float(np.abs(g).max())) is not SolveStatus.OPTIMAL:
+        (f, g), _, res = evaluation
+        if self.stop(vertex, f, float(np.abs(g).max()), res) is not SolveStatus.OPTIMAL:
             return None
         self.verified = True
         return vertex, evaluation
@@ -331,9 +352,10 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None):
     whose nu decays by theta after a backtracked step and by
     theta * _FULL_STEP_SHRINK after a full one; one ``merit.evaluate`` call
     gives it with the merit at nu = 0.
-    ``stop(f, g_inf)`` returns the status that ends the run at an iterate, or
-    None.  ``record``, if given, returns the trace row of an
-    iterate from its residuals; its alpha is set once the step is taken.
+    ``stop(z, f, g_inf, res)`` returns the status that ends the run at the
+    iterate ``z``, with residuals ``res``, or None.  ``record``, if given,
+    returns the trace row of an iterate from its residuals; its alpha is set
+    once the step is taken.
     ``polish``, if given, is a ``_Polish`` tried at each iterate below
     ``max_iter`` before ``stop``; a vertex it returns is the next iterate,
     with the evaluation it returns, and ``stop`` ends the run there.  Its
@@ -370,7 +392,7 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None):
                 z, pending = verified
                 nu *= config.theta
                 continue
-        status = stop(f, g_inf)
+        status = stop(z, f, g_inf, res)
         # mu = 0 only at a zero gradient whose value ``stop`` leaves undecided
         if status is None and (k == config.max_iter or mu <= 0.0):
             status = SolveStatus.ITERATION_LIMIT
@@ -389,13 +411,17 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None):
 def solve(
     lp: StandardFormLp, config: SolverConfig, *, x_star: np.ndarray | None = None
 ) -> SolveOutcome:
-    """Minimize the merit function from the all-zero point and classify the outcome.
+    """Minimize the merit function from the least-squares point and classify the outcome.
 
     ``x_star``, when known, adds the relative primal error to each trace
     row.  The returned status follows the scale-relative thresholds in
-    :class:`SolverConfig`; on a certified no-optimum outcome, a near-zero
-    primal residual is the evidence used to report the problem as primal
-    feasible but dual infeasible.
+    :class:`SolverConfig`, and Optimal also needs every relative KKT
+    residual at most ``KKT_TOL``, computed once per such decision from the
+    iterate's own residuals; an iterate that misses it does not stop the
+    run.  On a certified no-optimum outcome, a near-zero primal residual is
+    the evidence used to report the problem as primal feasible but dual
+    infeasible.  Raises FactorizationFailure when AA' overflows, so that the
+    start cannot be formed.
     """
     n, m = lp.n, lp.m
     scale2 = lp.scale**2
@@ -408,10 +434,11 @@ def solve(
             raise DimensionMismatch(f"x_star must have shape ({n},), got {x_star.shape}")
         x_star_norm = float(np.linalg.norm(x_star))
 
-    def stop(f, g_inf):
+    def stop(z, f, g_inf, res):
         if g_inf <= tol_grad:
             if f <= tol_f:
-                return SolveStatus.OPTIMAL
+                kkt = kkt_residuals(lp, z[:n], z[n : n + m], z[n + m :], res)
+                return SolveStatus.OPTIMAL if max(kkt.values()) <= KKT_TOL else None
             if f >= tol_no_opt:
                 return SolveStatus.NO_OPTIMAL_SOLUTION
         return None
@@ -446,7 +473,7 @@ def solve(
     polish = _Polish(lp, stop)
     z, iterations, f, g_inf, status = _minimize(
         lp, config, MeritSpec(MeritKind.PRIMAL_DUAL, q=config.q, nu=nu),
-        np.zeros(2 * n + m), stop,
+        least_squares_start(lp), stop,
         record=record if config.trace else None, polish=polish,
     )
     point = PrimalDualPoint.from_vector(z, n, m)
@@ -490,7 +517,7 @@ def solve_homogeneous(
     """
     tol_grad = config.tol_grad * lp.scale**2
 
-    def stop(f, g_inf):
+    def stop(z, f, g_inf, res):
         return SolveStatus.OPTIMAL if g_inf <= tol_grad else None
 
     z, _, _, _, status = _minimize(

@@ -1,8 +1,16 @@
-"""Shared test utilities: finite-difference oracles and random point factories."""
+"""Shared test utilities: finite-difference oracles, random point factories,
+the KKT residuals of a point and a rank-deficient problem."""
 
 import numpy as np
 
-from lpmerit import HomogeneousPoint, PrimalDualPoint
+from lpmerit import (
+    HomogeneousPoint,
+    PrimalDualPoint,
+    StandardFormLp,
+    generate_optimal_lp,
+    kkt_residuals,
+    residuals,
+)
 
 
 def central_gradient(f, z, h=1e-6):
@@ -45,3 +53,19 @@ def random_homogeneous(rng, n, m, scale=1.0):
         float(scale * rng.standard_normal()),
         float(scale * rng.standard_normal()),
     )
+
+
+def point_kkt(lp, point):
+    """The four relative KKT residuals of a PrimalDualPoint."""
+    return kkt_residuals(lp, point.x, point.lam, point.s, residuals(lp, point))
+
+
+def duplicated_row_lp(m, n, seed):
+    """generate_optimal_lp(m, n, seed) with the last row of A replaced by its
+    first, so that A has rank m - 1, and b and c rebuilt from the known
+    optimum, so that the problem keeps it."""
+    prob = generate_optimal_lp(m, n, seed)
+    A = prob.lp.A.copy()
+    A[-1] = A[0]
+    opt = prob.known_optimum
+    return StandardFormLp(A, A @ opt.x, A.T @ opt.lam + opt.s)

@@ -8,7 +8,7 @@ whose expected behavior is deterministic under the fixed seeds below.
 import time
 
 import numpy as np
-from helpers import central_gradient, central_jacobian
+from helpers import central_gradient, central_jacobian, point_kkt
 
 from lpmerit import linsys
 from lpmerit import (
@@ -30,7 +30,6 @@ from lpmerit import (
     eval_value,
     generate_optimal_lp,
     generate_unbounded_lp,
-    kkt_residuals,
     recover_primal_dual,
     residuals,
     solve,
@@ -277,7 +276,7 @@ def test_criterion_10_homogeneous_embedding():
     point, status = solve_homogeneous(lp, SolverConfig(Algorithm.HOMOTOPY))
     if status is HomogeneousStatus.OPTIMAL_RECOVERED:
         recovered = recover_primal_dual(point)
-        kkt = kkt_residuals(lp, recovered, residuals(lp, recovered))
+        kkt = point_kkt(lp, recovered)
         if not max(kkt.values()) <= KKT_TOL:
             failures.append(f"recovered point violates optimality: {kkt}")
     elif status is not HomogeneousStatus.INCONCLUSIVE:

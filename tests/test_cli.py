@@ -332,15 +332,17 @@ class TestCheck:
         assert sum("FAIL" in row for row in rows) == 1
 
     def test_false_optimal_on_row_scaled_input_fails(self, tmp_path, capsys):
-        """Rows of A and b x logspace(-4, 4): solve ends Optimal with x off by
-        0.63 relative and min x = -2.4e-5, which check must not pass."""
+        """Rows of A and b x logspace(-4, 4): the merit test alone ended
+        Optimal with x off by 0.63 relative and min x = -2.4e-5.  solve now
+        ends at the iteration limit, with min x = -5.0e-6, and check must
+        still not pass the point it wrote."""
         prob = generate_optimal_lp(20, 30, 4)
         r = np.logspace(-4, 4, 20)
         lp = StandardFormLp(prob.lp.A * r[:, None], prob.lp.b * r, prob.lp.c)
         path = tmp_path / "p.json"
         save_problem(path, GeneratedProblem(lp, None, None, None, 4, ProblemKind.UNKNOWN))
         report = tmp_path / "report.json"
-        assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 11
         capsys.readouterr()
         assert main(["check", "--input", str(path), "--solution", str(report)]) == 1
         sign = capsys.readouterr().out.splitlines()[3]
@@ -530,6 +532,19 @@ class TestFailurePaths:
         code = main(["check", "--input", paths["--input"], "--solution", paths["--solution"]])
         assert code == 3
         assert f"cannot read {tmp_path / 'absent.json'}" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gram_matrix_exits_12(self, tmp_path, capsys):
+        """With A x 1e160, A A' overflows and solve has no starting point:
+        a numerical failure, with nothing written."""
+        lp = generate_optimal_lp(3, 6, 0).lp
+        path = tmp_path / "p.json"
+        problem = StandardFormLp(lp.A * 1e160, lp.b, lp.c)
+        save_problem(path, GeneratedProblem(problem, None, None, None, 0, ProblemKind.UNKNOWN))
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 12
+        assert "error: no starting point" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_matrix_with_the_wrong_entry_count_exits_2(self, tmp_path, capsys):
         path = _gen(tmp_path, 3, 6)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import point_kkt
 
 import lpmerit.solver as solver_module
 from lpmerit import (
@@ -18,9 +19,7 @@ from lpmerit import (
     eval_value,
     generate_optimal_lp,
     generate_unbounded_lp,
-    kkt_residuals,
     recover_primal_dual,
-    residuals,
     solve_homogeneous,
 )
 
@@ -40,7 +39,7 @@ def test_desk_problem_recovers_an_optimal_point():
     point, status = solve_homogeneous(lp, CFG)
     assert status is HomogeneousStatus.OPTIMAL_RECOVERED
     recovered = recover_primal_dual(point)
-    kkt = kkt_residuals(lp, recovered, residuals(lp, recovered))
+    kkt = point_kkt(lp, recovered)
     assert max(kkt.values()) <= KKT_TOL, kkt
 
 
@@ -49,7 +48,7 @@ def test_generated_problem_recovers_an_optimal_point():
     point, status = solve_homogeneous(prob.lp, CFG)
     if status is HomogeneousStatus.OPTIMAL_RECOVERED:
         recovered = recover_primal_dual(point)
-        kkt = kkt_residuals(prob.lp, recovered, residuals(prob.lp, recovered))
+        kkt = point_kkt(prob.lp, recovered)
         assert max(kkt.values()) <= KKT_TOL, kkt
     else:
         assert status is HomogeneousStatus.INCONCLUSIVE

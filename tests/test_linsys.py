@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
-from helpers import random_homogeneous, random_primal_dual
+from helpers import duplicated_row_lp, random_homogeneous, random_primal_dual
 
 from lpmerit import linsys
 from lpmerit import (
@@ -23,6 +23,7 @@ from lpmerit import (
     eval_hessian,
     generate_optimal_lp,
     generate_unbounded_lp,
+    least_squares_start,
     solve_dense,
     solve_structured,
 )
@@ -446,6 +447,63 @@ class TestSolveStructured:
         g = eval_gradient(BASE3, prob.lp, point)
         solve_structured(*build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert np.array_equal(prob.lp.gram, before)
+
+
+class TestLeastSquaresStart:
+    @pytest.mark.parametrize("m,n,seed", [(5, 10, 0), (20, 30, 1), (50, 75, 2)])
+    def test_equations_and_gap_hold_to_rounding(self, m, n, seed):
+        """The shift delta = m eps (1 + ||A||_F^2) leaves a primal residual of
+        about delta times the solved vector, 1.3e-13 relative at (20, 30);
+        the dual equation holds by construction and the gap is exact in exact
+        arithmetic, shift and all."""
+        lp = generate_optimal_lp(m, n, seed).lp
+        z = least_squares_start(lp)
+        x, lam, s = z[:n], z[n : n + m], z[n + m :]
+        assert np.linalg.norm(lp.A @ x - lp.b) <= 1e-11 * (1.0 + np.linalg.norm(lp.b))
+        assert np.linalg.norm(lp.A.T @ lam + s - lp.c) <= 1e-14 * (1.0 + np.linalg.norm(lp.c))
+        cx, blam = lp.c @ x, lp.b @ lam
+        assert abs(cx - blam) <= 1e-13 * (1.0 + abs(cx) + abs(blam))
+
+    def test_is_the_pseudoinverse_point(self):
+        lp = generate_optimal_lp(5, 10, 3).lp
+        z = least_squares_start(lp)
+        pinv = np.linalg.pinv(lp.A)
+        np.testing.assert_allclose(z[:10], pinv @ lp.b, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(z[10:15], pinv.T @ lp.c, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(z[15:], lp.c - lp.A.T @ z[10:15])
+
+    def test_factors_once_and_solves_both_columns_together(self, monkeypatch):
+        calls = []
+        potrs = linsys._potrs
+
+        def recording_potrs(factor, rhs, **kwargs):
+            calls.append(rhs.shape)
+            return potrs(factor, rhs, **kwargs)
+
+        monkeypatch.setattr(linsys, "_potrs", recording_potrs)
+        least_squares_start(generate_optimal_lp(5, 10, 0).lp)
+        assert calls == [(5, 2)]
+
+    @pytest.mark.parametrize("m,n,seed", [(5, 10, 0), (20, 30, 1), (50, 75, 2)])
+    def test_rank_deficient_A_factors(self, m, n, seed):
+        """AA' is singular; its shift delta lets Cholesky through, and the
+        consistent b is still met to about delta."""
+        lp = duplicated_row_lp(m, n, seed)
+        assert np.linalg.matrix_rank(lp.A) == m - 1
+        z = least_squares_start(lp)
+        assert np.isfinite(z).all()
+        x = z[:n]
+        assert np.linalg.norm(lp.A @ x - lp.b) <= 1e-10 * (1.0 + np.linalg.norm(lp.b))
+
+    def test_zero_matrix_starts_at_zero_x_and_lam(self):
+        lp = StandardFormLp(np.zeros((1, 3)), [1.0], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(least_squares_start(lp), [0, 0, 0, 0, 1, 2, 3])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gram_matrix_raises(self):
+        lp = generate_optimal_lp(3, 6, 0).lp
+        with pytest.raises(FactorizationFailure, match="not finite"):
+            least_squares_start(StandardFormLp(lp.A * 1e160, lp.b, lp.c))
 
 
 class TestInputGuards:

@@ -96,7 +96,7 @@ class TestResiduals:
         not 10 / (1 + |-4 + 6|)."""
         lp = StandardFormLp([[1.0, 1.0]], [3.0], [-4.0, 0.0])
         p = PrimalDualPoint(x, [2.0], s)
-        kkt = kkt_residuals(lp, p, residuals(lp, p))
+        kkt = kkt_residuals(lp, p.x, p.lam, p.s, residuals(lp, p))
         expected = {"primal": primal, "dual": dual, "gap": 10 / 11, "sign": sign}
         assert kkt == pytest.approx(expected, rel=1e-15, abs=0.0)
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import duplicated_row_lp, point_kkt
+
 import lpmerit.merit as merit_module
 import lpmerit.solver as solver_module
 from lpmerit import (
@@ -18,6 +20,7 @@ from lpmerit import (
     FactorizationFailure,
     HomogeneousPoint,
     HomogeneousStatus,
+    KKT_TOL,
     InvalidConfig,
     MeritKind,
     MeritSpec,
@@ -30,7 +33,7 @@ from lpmerit import (
     brute_force_optimum,
     generate_optimal_lp,
     generate_unbounded_lp,
-    kkt_residuals,
+    least_squares_start,
     residuals,
     solve,
     solve_homogeneous,
@@ -136,7 +139,7 @@ class TestConfig:
         adaptive = SolverConfig(Algorithm.LM_ADAPTIVE)
         assert adaptive.q == 3.0
         cfg = SolverConfig(Algorithm.HOMOTOPY)
-        assert (cfg.q, cfg.mu_const, cfg.theta, cfg.nu0) == (2.1, 1e-9, 0.8, 1.0)
+        assert (cfg.q, cfg.mu_const, cfg.theta, cfg.nu0) == (2.1, 1e-9, 0.8, 0.05)
         assert BASE_MERIT.nu0 == 0.0
 
     @pytest.mark.parametrize(
@@ -293,14 +296,59 @@ class TestSolve:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numerical_failure_on_divergent_start(self):
-        """With b x 1e200 the merit overflows already at the all-zero start,
-        so the run ends there, before its first trace row."""
+        """With b x 1e200 the least-squares start has x of size 1e200, and
+        the merit overflows already there, so the run ends at its start,
+        before its first trace row."""
         lp = generate_optimal_lp(3, 6, 8).lp
-        out = solve(StandardFormLp(lp.A, lp.b * 1e200, lp.c), BASE_MERIT)
+        divergent = StandardFormLp(lp.A, lp.b * 1e200, lp.c)
+        out = solve(divergent, BASE_MERIT)
         assert out.status is SolveStatus.NUMERICAL_FAILURE
         assert out.iterations == 0
         assert out.trace == []
-        np.testing.assert_array_equal(out.point.as_vector(), np.zeros(2 * 6 + 3))
+        start = least_squares_start(divergent)
+        assert np.abs(start[:6]).max() > 1e199
+        np.testing.assert_array_equal(out.point.as_vector(), start)
+
+    @pytest.mark.parametrize("config", SCHEMES, ids=scheme_id)
+    def test_runs_start_at_the_least_squares_point(self, config):
+        lp = generate_optimal_lp(5, 10, 0).lp
+        out = solve(lp, replace(config, max_iter=0))
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        assert out.point.as_vector().tobytes() == least_squares_start(lp).tobytes()
+
+    @pytest.mark.parametrize("m,n,seed", [(5, 10, 0), (20, 30, 1), (50, 75, 2)])
+    def test_rank_deficient_problem_is_solved(self, m, n, seed):
+        """The last row of A repeats its first; AA' is singular, yet the
+        start factors and the run ends at a verified optimum."""
+        lp = duplicated_row_lp(m, n, seed)
+        out = solve(lp, SolverConfig(Algorithm.HOMOTOPY, trace=False))
+        assert out.status is SolveStatus.OPTIMAL
+        assert max(point_kkt(lp, out.point).values()) <= KKT_TOL
+
+    def test_dominant_entry_ends_at_a_verified_optimum(self):
+        """One entry of 1e10 makes tol_f * scale^2 about 1e4: the merit test
+        alone passed the all-zero point, whose dual residual is 0.59.  The
+        least-squares start is optimal to within a dual residual of 1e-10."""
+        lp = StandardFormLp([[1e10, 1.0]], [0.0], [1.0, 1.0])
+        out = solve(lp, SolverConfig(Algorithm.HOMOTOPY))
+        assert out.status is SolveStatus.OPTIMAL
+        assert point_kkt(lp, out.point)["dual"] <= 1e-9
+
+    def test_a_point_that_misses_the_kkt_tolerance_does_not_stop_the_run(self, monkeypatch):
+        """With every relative KKT residual faked above KKT_TOL, the merit
+        test alone would end the run Optimal; the kernel is consulted only
+        then, and the run goes on to the iteration limit."""
+        calls = []
+
+        def failing_kkt(lp, x, lam, s, res):
+            calls.append(x.size)
+            return {"primal": 2.0 * KKT_TOL}
+
+        monkeypatch.setattr(solver_module, "kkt_residuals", failing_kkt)
+        lp = generate_optimal_lp(5, 10, 0).lp
+        out = solve(lp, SolverConfig(Algorithm.HOMOTOPY, max_iter=40, trace=False))
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        assert 0 < len(calls) <= out.iterations + out.polish_attempts
 
     def test_constant_mu_reaches_the_oracle_optimum(self):
         prob = generate_optimal_lp(3, 6, 10)
@@ -375,10 +423,10 @@ class TestFactorizationFailures:
 
 
 class TestFailurePathsOnRealInputs:
-    """Each way a Newton step can end a run, reached by a real input where
-    one exists: the mu ladder by a badly scaled A, a non-descent step by
-    row scaling.  No input is known to stagnate Armijo, so that path is
-    reached by a fake merit value."""
+    """Each way a Newton step can end a run, reached by a real input: the mu
+    ladder and a stagnated Armijo search by a badly scaled A, a non-descent
+    step by row scaling.  Armijo stagnation is also reached by a fake merit
+    value, which pins the probe count."""
 
     @staticmethod
     def _count_attempts(monkeypatch):
@@ -404,13 +452,16 @@ class TestFailurePathsOnRealInputs:
 
     def test_ladder_escalates_and_then_steps(self, monkeypatch):
         calls = self._count_attempts(monkeypatch)
-        out = solve(self._scaled(1e3), SolverConfig(Algorithm.HOMOTOPY, trace=False))
+        out = solve(self._scaled(1e7), SolverConfig(Algorithm.HOMOTOPY, trace=False))
         assert out.iterations >= 1
         # a polished run's last iterate is the vertex, not a Newton step
         assert calls["structured"] > out.iterations - out.polished
         assert calls["dense"] == 0
 
     def test_exhausted_ladder_is_a_numerical_failure(self, monkeypatch):
+        """A and b x 1e14: the merit test alone passes the least-squares
+        start, since tol_f * scale^2 grows with A, but its KKT residuals do
+        not, so the run takes a step and every rung of the ladder fails."""
         calls = self._count_attempts(monkeypatch)
         out = solve(self._scaled(1e14), SolverConfig(Algorithm.HOMOTOPY, trace=False))
         assert out.status is SolveStatus.NUMERICAL_FAILURE
@@ -427,14 +478,31 @@ class TestFailurePathsOnRealInputs:
             return delta
 
         monkeypatch.setattr(solver_module, "_newton_step", recording_newton_step)
-        lp = generate_optimal_lp(10, 15, 1).lp
-        rows = np.logspace(-4, 4, 10)
+        lp = generate_optimal_lp(20, 30, 0).lp
+        rows = np.logspace(-4, 4, 20)
         config = SolverConfig(Algorithm.HOMOTOPY, trace=False)
         out = solve(StandardFormLp(lp.A * rows[:, None], lp.b * rows, lp.c), config)
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.iterations < config.max_iter
         assert len(slopes) == out.iterations + 1
         assert slopes[-1] >= 0.0 and all(slope < 0.0 for slope in slopes[:-1])
+
+    def test_stagnated_armijo_search_on_a_real_input_ends_the_run(self, monkeypatch):
+        """A and b x 1e12: at the third iterate every probe down to 2**-60
+        fails."""
+        searches = []
+        armijo = solver_module.armijo_search
+
+        def recording_armijo(*args):
+            searches.append(armijo(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(solver_module, "armijo_search", recording_armijo)
+        out = solve(self._scaled(1e12), SolverConfig(Algorithm.HOMOTOPY, trace=False))
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        assert len(searches) == out.iterations + 1
+        assert searches[-1] == (0.5**60, True)
+        assert not any(stagnated for _, stagnated in searches[:-1])
 
     def test_stagnated_armijo_search_ends_the_run(self, monkeypatch):
         probes = []
@@ -622,8 +690,8 @@ class TestIterates:
     @pytest.mark.parametrize(
         "m,n,expected",
         [
-            (5, 10, [95, 87, 92, 84, 111, 95, 87, 84, 88, 88]),
-            (50, 75, [94, 93, 92]),
+            (5, 10, [82, 73, 78, 70, 97, 81, 73, 71, 74, 74]),
+            (50, 75, [81, 80, 82]),
         ],
     )
     def test_homotopy_iteration_counts_are_pinned(self, m, n, expected, monkeypatch):
@@ -641,8 +709,8 @@ class TestIterates:
     @pytest.mark.parametrize(
         "m,n,expected",
         [
-            (5, 10, [29, 24, 27, 23, 28, 26, 23, 22, 23, 23]),
-            (50, 75, [31, 35, 30]),
+            (5, 10, [24, 19, 23, 18, 25, 23, 19, 18, 22, 20]),
+            (50, 75, [24, 33, 29]),
         ],
     )
     def test_default_homotopy_iteration_counts_are_pinned(self, m, n, expected, monkeypatch):
@@ -672,7 +740,7 @@ class TestIterates:
 
     def test_constant_mu_iteration_counts_are_pinned(self, monkeypatch):
         monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
-        expected = [11, 11, 11, 10, 14, 9, 9, 11, 12, 11]
+        expected = [13, 10, 10, 9, 10, 9, 8, 9, 9, 12]
         config = SolverConfig(Algorithm.HOMOTOPY, nu0=0.0, trace=False)
         outcomes = [solve(generate_optimal_lp(5, 10, seed).lp, config) for seed in range(10)]
         assert [out.status for out in outcomes] == [SolveStatus.OPTIMAL] * len(expected)
@@ -704,9 +772,9 @@ class TestNonFiniteGuards:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_full_step_keeps_the_last_finite_iterate(self, monkeypatch):
-        """lm-adaptive full steps of 1e308 from the all-zero start: the second
-        overflows, and the run ends at the first instead of building a point
-        from inf."""
+        """lm-adaptive full steps of 1e308 from the least-squares start, whose
+        entries round away beside 1e308: the second step overflows, and the
+        run ends at the first instead of building a point from inf."""
         lp = generate_optimal_lp(3, 6, 0).lp
         size = 2 * lp.n + lp.m
         g = np.full(size, -1e-3)
@@ -742,20 +810,21 @@ class TestPolish:
         assert polished.point.as_vector().tobytes() == plain.point.as_vector().tobytes()
         assert self._rows(polished) == self._rows(plain)
 
-    #: The counts of the earlier rule, which tried B = {j : x_j > s_j} only
-    #: when |B| = m; the top-m rule stops no later on any of them.
+    #: The counts of the earlier rule, ``PartitionPolish`` in place of
+    #: ``_Polish``, which tried B = {j : x_j > s_j} only when |B| = m; the
+    #: top-m rule stops no later on any of them.
     PARTITION_RULE_COUNTS = {
-        (HOMOTOPY, 5, 10): [17, 7, 8, 9, 20, 5, 4, 6, 9, 5],
-        (HOMOTOPY, 50, 75): [9, 16, 9],
-        (BASE_MERIT, 5, 10): [8, 8, 8, 5, 10, 3, 3, 4, 7, 5],
+        (HOMOTOPY, 5, 10): [13, 4, 4, 5, 17, 2, 3, 4, 8, 3],
+        (HOMOTOPY, 50, 75): [10, 16, 7],
+        (BASE_MERIT, 5, 10): [10, 7, 7, 4, 6, 2, 3, 4, 5, 6],
     }
 
     @pytest.mark.parametrize(
         "config,m,n,expected",
         [
-            (HOMOTOPY, 5, 10, [7, 7, 8, 8, 7, 4, 4, 5, 9, 5]),
-            (HOMOTOPY, 50, 75, [9, 16, 8]),
-            (BASE_MERIT, 5, 10, [4, 3, 8, 4, 4, 3, 3, 4, 7, 5]),
+            (HOMOTOPY, 5, 10, [3, 4, 4, 4, 4, 2, 2, 3, 6, 3]),
+            (HOMOTOPY, 50, 75, [6, 16, 5]),
+            (BASE_MERIT, 5, 10, [3, 2, 2, 3, 3, 2, 2, 4, 4, 5]),
         ],
         ids=scheme_id,
     )
@@ -801,14 +870,14 @@ class TestPolish:
         assert out.iterations == first.iterations - 1
 
     def test_singular_basis_leaves_the_run_as_it_was(self, monkeypatch):
-        """Column 6 duplicates column 1, which is basic at the optimum; the
+        """Column 6 duplicates column 2, which is basic at the optimum; the
         iterates keep the two alike, so the basis {1, 2, 6} is tried, and
         LU finds an exactly zero pivot in it, quietly.  The basis {1, 2, 3}
         verifies next; stopped before that attempt, the run is the run
         without the polish."""
         lp = generate_optimal_lp(3, 6, 1).lp
-        A = np.column_stack([lp.A, lp.A[:, 1]])
-        dup = StandardFormLp(A, lp.b, np.append(lp.c, lp.c[1]))
+        A = np.column_stack([lp.A, lp.A[:, 2]])
+        dup = StandardFormLp(A, lp.b, np.append(lp.c, lp.c[2]))
         log = log_vertex_calls(monkeypatch)
         out = solve(dup, self.HOMOTOPY)
         assert out.polished
@@ -834,10 +903,10 @@ class TestPolish:
         assert solver_module._basic_vertex(StandardFormLp(A, lp.b, lp.c), basis) is None
 
     def test_sign_infeasible_vertex_leaves_the_run_as_it_was(self, monkeypatch):
-        """On (5, 10, 4) the first partition tried has a vertex with x_B < 0
+        """On (5, 10, 8) the first basis tried has a vertex with x_B < 0
         or s_N < 0; the second one verifies.  Stopped before the second
         attempt, the run is the run without the polish."""
-        prob = generate_optimal_lp(5, 10, 4)
+        prob = generate_optimal_lp(5, 10, 8)
         log = log_vertex_calls(monkeypatch)
         out = solve(prob.lp, self.HOMOTOPY)
         assert out.polished
@@ -868,7 +937,7 @@ class TestPolish:
         lp = generate_optimal_lp(300, 450, 114).lp
         out = solve(lp, SolverConfig(Algorithm.HOMOTOPY, trace=False))
         assert out.status is SolveStatus.OPTIMAL and out.polished
-        kkt = kkt_residuals(lp, out.point, residuals(lp, out.point))
+        kkt = point_kkt(lp, out.point)
         assert max(kkt["primal"], kkt["dual"]) <= 1e-15
         # the exact gap reaches 1e-14 only with a long double wider than double
         if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
@@ -886,7 +955,7 @@ class TestPolish:
             lp = generate_optimal_lp(m, n, seed).lp
             out = solve(lp, config)
             assert out.status is SolveStatus.OPTIMAL, seed
-            kkt = kkt_residuals(lp, out.point, residuals(lp, out.point))
+            kkt = point_kkt(lp, out.point)
             assert max(kkt.values()) <= 1e-12, seed
 
     @settings(max_examples=40, deadline=None)
@@ -908,7 +977,7 @@ class TestPolish:
         assert np.count_nonzero(s == 0.0) >= m
         assert np.all(x[s != 0.0] == 0.0)
         assert np.count_nonzero(x) <= m
-        kkt = kkt_residuals(lp, out.point, residuals(lp, out.point))
+        kkt = point_kkt(lp, out.point)
         assert max(kkt.values()) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
