@@ -24,12 +24,17 @@ Both Newton solves return the flat step.
 least_squares_start gives solve its starting point from one m x m Cholesky
 factorization of A A'.
 
+The polish takes two LU factorizations of a square basis A_B.
+``_basic_vertex`` gives its vertex, each solve refined once in long double.
+``_look_ahead_basis`` screens a basis with plain solves and no refinement, and
+reuses its one LU for a dual- or primal-simplex pivot to a neighbour.
+
 LAPACK is bound once and called directly, without scipy's per-call wrappers:
 potrf and potrs for the start and the Newton solves, getrf and getrs for the
-polish's ``_basic_vertex``.  ``_factor`` checks each matrix for NaN and inf
-before potrf; the Cholesky back-substitutions check nothing, since each
-factor comes from a checked matrix, so a non-finite right-hand side gives a
-non-finite step, which the caller must test.
+polish's ``_basic_vertex`` and ``_look_ahead_basis``.  ``_factor`` checks each
+matrix for NaN and inf before potrf; the Cholesky back-substitutions check
+nothing, since each factor comes from a checked matrix, so a non-finite
+right-hand side gives a non-finite step, which the caller must test.
 """
 
 from __future__ import annotations
@@ -280,3 +285,58 @@ def _basic_vertex(lp, basis):
     if not (np.isfinite(z).all() and x_B.min() >= 0.0 and s.min() >= 0.0):
         return None
     return z
+
+
+def _look_ahead_basis(lp, basis):
+    """The basis that the polish should try in place of ``basis``, or None.
+
+    One LU factorization of A_B, with plain solves and no refinement, gives
+    the vertex x_B = A_B^{-1} b and s = c - A'A_B^{-T} c_B, s_B = 0.  When
+    x_B >= 0 and s >= 0 it returns ``basis``.  When only x_B has a negative
+    entry it takes one dual-simplex pivot: the most negative x_r leaves, and
+    the nonbasic j with alpha_j < 0 that minimizes s_j / -alpha_j enters,
+    where alpha = A'A_B^{-T} e_r is row r of A_B^{-1} A.  When only s has a
+    negative entry it takes one primal-simplex pivot: the most negative s_j
+    enters, and the i with d_i > 0 that minimizes x_i / d_i leaves, where
+    d = A_B^{-1} a_j.  Both pivots reuse the one LU.  None when A_B has an
+    exactly zero pivot, the vertex has a non-finite entry, both sides have a
+    negative entry or the ratio test is empty.  The returned basis, sorted,
+    is a guess only: ``_basic_vertex`` and the caller's test decide on it.
+    """
+    A = lp.A
+    lu, piv, info = _getrf(A[:, basis])
+    if info != 0:
+        return None
+    # an overflow gives an inf or NaN, which the finiteness test or the
+    # ratio tests reject, so it needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_B = _getrs(lu, piv, lp.b)[0]
+        s = lp.c - A.T @ _getrs(lu, piv, lp.c[basis], trans=1)[0]
+        s[basis] = 0.0
+        if not (np.isfinite(x_B).all() and np.isfinite(s).all()):
+            return None
+        primal, dual = x_B.min() >= 0.0, s.min() >= 0.0
+        if primal and dual:
+            return basis
+        if primal == dual:
+            return None
+        if dual:
+            leaving = int(np.argmin(x_B))
+            e_r = np.zeros(lp.m)
+            e_r[leaving] = 1.0
+            alpha = A.T @ _getrs(lu, piv, e_r, trans=1)[0]
+            alpha[basis] = 0.0
+            candidates = np.flatnonzero(alpha < 0.0)
+            if candidates.size == 0:
+                return None
+            entering = candidates[np.argmin(s[candidates] / -alpha[candidates])]
+        else:
+            entering = int(np.argmin(s))
+            d = _getrs(lu, piv, A[:, entering])[0]
+            candidates = np.flatnonzero(d > 0.0)
+            if candidates.size == 0:
+                return None
+            leaving = candidates[np.argmin(x_B[candidates] / d[candidates])]
+    neighbour = basis.copy()
+    neighbour[leaving] = entering
+    return np.sort(neighbour)

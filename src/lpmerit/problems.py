@@ -127,10 +127,6 @@ class PrimalDualPoint:
             raise DimensionMismatch(f"expected length {2 * n + m}, got {z.shape}")
         return cls(z[:n], z[n : n + m], z[n + m :])
 
-    @classmethod
-    def zeros(cls, n: int, m: int) -> "PrimalDualPoint":
-        return cls(np.zeros(n), np.zeros(m), np.zeros(n))
-
 
 @dataclass(frozen=True)
 class HomogeneousPoint:
@@ -158,10 +154,6 @@ class HomogeneousPoint:
         if z.shape != (2 * n + m + 2,):
             raise DimensionMismatch(f"expected length {2 * n + m + 2}, got {z.shape}")
         return cls(z[:n], z[n : n + m], z[n + m : 2 * n + m], z[2 * n + m], z[2 * n + m + 1])
-
-    @classmethod
-    def ones(cls, n: int, m: int) -> "HomogeneousPoint":
-        return cls(np.ones(n), np.ones(m), np.ones(n), 1.0, 1.0)
 
 
 def residuals(lp: StandardFormLp, point: PrimalDualPoint):

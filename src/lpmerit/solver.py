@@ -36,6 +36,18 @@ A vertex that fails leaves the iterates as they were.  Whenever the
 partition {j : x_j > s_j} has m columns it is this B, so the rule tries
 every basis that partition would, at the same iterate or earlier, and no
 run ends later than it would by waiting for exactly m x_j above their s_j.
+
+The polish also looks ahead, at the start and whenever B differs from the
+previous iterate's in exactly one index and is new: one unrefined LU of A_B
+in ``linsys._look_ahead_basis`` names B itself when its vertex has the right
+signs, or the neighbour one dual- or primal-simplex pivot away when only
+x_B or only s has a negative entry (the crossover of Megiddo, ORSA J.
+Comput. 1991, and of Bixby & Saltzman, Oper. Res. Lett. 1994, cut to one
+pivot).  That basis takes the same refined attempt.  A B that the screen
+rejects is not marked tried, so every stable B is still tried when it
+would have been, and the look-ahead only adds attempts, each of which
+leaves the iterates as they were when it fails: no run ends later or with
+a worse status than without it.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ from . import merit
 from .errors import DimensionMismatch, FactorizationFailure, InvalidConfig, NotDescentDirection
 from .linsys import (
     _basic_vertex,
+    _look_ahead_basis,
     build_reduced,
     least_squares_start,
     solve_dense,
@@ -212,7 +225,8 @@ class SolveOutcome:
     trace: list[IterationRecord] = field(default_factory=list)
     #: Whether the run stopped at a polished vertex, its final iterate.
     polished: bool = False
-    #: How many bases the polish tried, the verified one included.
+    #: How many bases the polish tried with the refined vertex, the verified
+    #: one included; the look-ahead's unrefined screens are not counted.
     polish_attempts: int = 0
 
 
@@ -307,6 +321,15 @@ class _Polish:
     failed attempt leaves the iterates as they were, and whether a vertex
     verifies depends on its basis alone, so no run ends later or with a
     worse status.
+
+    At the start and whenever T differs from the previous T in exactly one
+    index and is new, the polish also looks ahead: ``_look_ahead_basis``
+    screens T with one unrefined LU and names T or its one-pivot neighbour,
+    which takes the same ``_attempt``.  A screened-out T is not marked
+    tried, so it is still attempted once it is stable, and the stable
+    attempts are exactly those of the rule without the look-ahead, or
+    earlier.  The look-ahead thus only adds attempts, and by the argument
+    above no run ends later or with a worse status.
     """
 
     def __init__(self, lp, stop):
@@ -316,14 +339,22 @@ class _Polish:
         self.verified = False
 
     def __call__(self, z, spec):
-        """``_attempt`` at the top-m basis of ``z`` if it equals the previous
-        iterate's; otherwise None."""
+        """``_attempt`` at the top-m basis T of ``z`` if it equals the
+        previous iterate's; at the basis that ``_look_ahead_basis`` returns
+        for a new T at the start or one index away from the previous T;
+        otherwise None."""
         n, m = self.lp.n, self.lp.m
         basis = np.sort(np.argpartition(z[n + m :] - z[:n], m - 1)[:m])
         previous, self.previous = self.previous, basis
-        if not np.array_equal(basis, previous):
+        if np.array_equal(basis, previous):
+            return self._attempt(basis, spec)
+        kept = np.intersect1d(basis, previous, assume_unique=True).size
+        if (previous.size and kept != m - 1) or basis.tobytes() in self.tried:
             return None
-        return self._attempt(basis, spec)
+        ahead = _look_ahead_basis(self.lp, basis)
+        if ahead is None:
+            return None
+        return self._attempt(ahead, spec)
 
     def _attempt(self, basis, spec):
         """(vertex, its ``merit.evaluate`` at ``spec``) if ``basis`` is new

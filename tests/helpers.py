@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference oracles, random point factories,
-the KKT residuals of a point and a rank-deficient problem."""
+"""Shared test utilities: finite-difference oracles, random and constant
+point factories, the KKT residuals of a point and a rank-deficient problem."""
 
 import numpy as np
 
@@ -53,6 +53,13 @@ def random_homogeneous(rng, n, m, scale=1.0):
         float(scale * rng.standard_normal()),
         float(scale * rng.standard_normal()),
     )
+
+
+def filled_point(point_type, n, m, value):
+    """A PrimalDualPoint or HomogeneousPoint of sizes (n, m) whose every
+    entry, tau and kappa included, is ``value``."""
+    size = 2 * n + m + (2 if point_type is HomogeneousPoint else 0)
+    return point_type.from_vector(np.full(size, float(value)), n, m)
 
 
 def point_kkt(lp, point):

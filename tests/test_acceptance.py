@@ -8,7 +8,7 @@ whose expected behavior is deterministic under the fixed seeds below.
 import time
 
 import numpy as np
-from helpers import central_gradient, central_jacobian, point_kkt
+from helpers import central_gradient, central_jacobian, filled_point, point_kkt
 
 from lpmerit import linsys
 from lpmerit import (
@@ -136,7 +136,7 @@ def test_criterion_4_base_matrix_rank_bound():
     for i in range(20):
         m, n = sizes[i % len(sizes)]
         prob = generate_optimal_lp(m, n, 1000 + i)
-        H = eval_hessian(BASE3, prob.lp, PrimalDualPoint.zeros(n, m)).base
+        H = eval_hessian(BASE3, prob.lp, filled_point(PrimalDualPoint, n, m, 0.0)).base
         svals = np.linalg.svd(H, compute_uv=False)
         rank = int((svals > 1e-10 * svals[0]).sum())
         if rank > m + n + 1:

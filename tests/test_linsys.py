@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
-from helpers import duplicated_row_lp, random_homogeneous, random_primal_dual
+from helpers import duplicated_row_lp, filled_point, random_homogeneous, random_primal_dual
 
 from lpmerit import linsys
 from lpmerit import (
@@ -32,7 +32,7 @@ BASE3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0)
 HOMOTOPY3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=2.1, nu=0.3)
 HOMOGENEOUS3 = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
 #: A homogeneous point of the (1, 2) problems below, as a flat iterate.
-ONES_2_1 = HomogeneousPoint.ones(2, 1).as_vector()
+ONES_2_1 = filled_point(HomogeneousPoint, 2, 1, 1.0).as_vector()
 
 
 def _random_point(spec, rng, n, m, scale=1.0):
@@ -84,8 +84,9 @@ class TestBuildReduced:
 
     def test_requires_positive_mu(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+        origin = filled_point(PrimalDualPoint, 2, 1, 0.0).as_vector()
         with pytest.raises(NonPositiveRegularization):
-            build_reduced(BASE3, lp, PrimalDualPoint.zeros(2, 1).as_vector(), 0.0, np.zeros(5))
+            build_reduced(BASE3, lp, origin, 0.0, np.zeros(5))
 
     def test_rejects_homogeneous_spec(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
@@ -93,7 +94,7 @@ class TestBuildReduced:
             build_reduced(
                 MeritSpec(MeritKind.HOMOGENEOUS, q=3.0),
                 lp,
-                PrimalDualPoint.zeros(2, 1).as_vector(),
+                filled_point(PrimalDualPoint, 2, 1, 0.0).as_vector(),
                 1.0,
                 np.zeros(5),
             )
@@ -140,7 +141,7 @@ class TestSolveDense:
         [-1,-1,-1,3,0],[1,-1,0,0,2]] with determinant 35, so
         delta = (6, 7, 4, 8, 4)/7 (both recomputed independently)."""
         lp = StandardFormLp([[1.0]], [1.0], [1.0], allow_square=True)
-        origin = PrimalDualPoint.zeros(1, 1)
+        origin = filled_point(PrimalDualPoint, 1, 1, 0.0)
         expected = np.array([6.0, 5.0, 4.0]) / 13.0
         oracle = _oracle(BASE3, lp, origin, 1.0, np.ones(3))
         np.testing.assert_allclose(oracle, expected, rtol=1e-12)
@@ -155,12 +156,13 @@ class TestSolveDense:
     @pytest.mark.parametrize("spec", [BASE3, HOMOTOPY3], ids=["base", "homotopy"])
     def test_rejects_primal_dual_spec(self, spec):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
+        origin = filled_point(PrimalDualPoint, 2, 1, 0.0).as_vector()
         with pytest.raises(KindMismatch, match="only the homogeneous merit"):
-            solve_dense(spec, lp, PrimalDualPoint.zeros(2, 1).as_vector(), 1.0, np.zeros(5))
+            solve_dense(spec, lp, origin, 1.0, np.zeros(5))
 
     def test_zero_rhs_gives_zero(self):
         prob = generate_optimal_lp(3, 6, 1)
-        z = HomogeneousPoint.ones(6, 3).as_vector()
+        z = filled_point(HomogeneousPoint, 6, 3, 1.0).as_vector()
         delta = solve_dense(HOMOGENEOUS3, prob.lp, z, 1e-2, np.zeros(17))
         np.testing.assert_array_equal(delta, np.zeros(17))
 
@@ -282,7 +284,7 @@ class TestSolveDense:
         that the structured solve shares, is formed before tracing starts."""
         m, n = 150, 450
         lp = generate_unbounded_lp(m, n, 0).lp
-        point = HomogeneousPoint.ones(n, m)
+        point = filled_point(HomogeneousPoint, n, m, 1.0)
         g = eval_gradient(HOMOGENEOUS3, lp, point)
         lp.gram
         tracemalloc.start()
@@ -504,6 +506,91 @@ class TestLeastSquaresStart:
         lp = generate_optimal_lp(3, 6, 0).lp
         with pytest.raises(FactorizationFailure, match="not finite"):
             least_squares_start(StandardFormLp(lp.A * 1e160, lp.b, lp.c))
+
+
+class TestLookAheadBasis:
+    """Hand-built (2, 4) problems A = [I | N], each reaching one outcome of
+    the look-ahead at the basis {0, 1}, where A_B = I, x_B = b and
+    s_N = c_N - N'c_B."""
+
+    BASIS = np.array([0, 1])
+
+    @staticmethod
+    def _lp(N, b, c):
+        return StandardFormLp(np.hstack([np.eye(2), np.array(N, dtype=float)]), b, c)
+
+    def test_a_sign_feasible_basis_is_returned_as_is(self):
+        lp = self._lp([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], [0.0, 0.0, 1.0, 1.0])
+        assert linsys._look_ahead_basis(lp, self.BASIS).tolist() == [0, 1]
+
+    def test_a_primal_infeasible_dual_feasible_basis_takes_a_dual_simplex_pivot(self):
+        """x_B = (-1, 2), s_N = (1, 3): x_0 leaves, and alpha, row 0 of A,
+        is -1 and -2 on columns 2 and 3, whose ratios 1 and 1.5 let column
+        2 enter.  The neighbour {1, 2} is the optimal basis."""
+        lp = self._lp([[-1.0, -2.0], [1.0, 1.0]], [-1.0, 2.0], [0.0, 0.0, 1.0, 3.0])
+        neighbour = linsys._look_ahead_basis(lp, self.BASIS)
+        assert neighbour.tolist() == [1, 2]
+        vertex = linsys._basic_vertex(lp, neighbour)
+        np.testing.assert_allclose(vertex, [0, 1, 1, 0, -1, 0, 1, 0, 0, 1])
+
+    def test_a_dual_infeasible_primal_feasible_basis_takes_a_primal_simplex_pivot(self):
+        """x_B = (2, 1), s_N = (-1, 1): column 2 enters with d = (1, 1),
+        whose ratios 2 and 1 let x_1 leave.  The neighbour {0, 2} is the
+        optimal basis."""
+        lp = self._lp([[1.0, 1.0], [1.0, 0.0]], [2.0, 1.0], [0.0, 0.0, -1.0, 1.0])
+        neighbour = linsys._look_ahead_basis(lp, self.BASIS)
+        assert neighbour.tolist() == [0, 2]
+        vertex = linsys._basic_vertex(lp, neighbour)
+        np.testing.assert_allclose(vertex, [1, 0, 1, 0, 0, -1, 0, 1, 0, 1])
+
+    def test_negative_entries_on_both_sides_give_nothing(self):
+        lp = self._lp([[1.0, 1.0], [1.0, 0.0]], [-1.0, 2.0], [0.0, 0.0, -1.0, 1.0])
+        assert linsys._look_ahead_basis(lp, self.BASIS) is None
+
+    def test_a_singular_basis_gives_nothing(self):
+        lp = self._lp([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], [0.0, 0.0, 1.0, 1.0])
+        A = lp.A.copy()
+        A[:, 1] = A[:, 0]
+        assert linsys._look_ahead_basis(StandardFormLp(A, lp.b, lp.c), self.BASIS) is None
+
+    @pytest.mark.parametrize(
+        "N,b,c",
+        [
+            # x_0 < 0, but row 0 of A has no negative entry: Ax = b has no x >= 0
+            ([[1.0, 1.0], [1.0, 0.0]], [-1.0, 2.0], [0.0, 0.0, 1.0, 1.0]),
+            # s_2 < 0, but column 2 has no positive entry: the ray is unbounded
+            ([[-1.0, 1.0], [0.0, 1.0]], [1.0, 2.0], [0.0, 0.0, -1.0, 3.0]),
+        ],
+        ids=["dual-ratio", "primal-ratio"],
+    )
+    def test_an_empty_ratio_test_gives_nothing(self, N, b, c):
+        assert linsys._look_ahead_basis(self._lp(N, b, c), self.BASIS) is None
+
+    def test_a_non_finite_vertex_gives_nothing(self):
+        """A nonzero pivot of 1e-300 puts x_0 = 1e10 / 1e-300 at inf."""
+        lp = self._lp([[1.0, 0.0], [0.0, 1.0]], [1e10, 2.0], [0.0, 0.0, 1.0, 1.0])
+        A = lp.A.copy()
+        A[0, 0] = 1e-300
+        assert linsys._look_ahead_basis(StandardFormLp(A, lp.b, lp.c), self.BASIS) is None
+
+    def test_factors_once_without_refinement(self, monkeypatch):
+        """Both pivots reuse the one LU: three plain solves at most, and no
+        long-double residual."""
+        calls = {"getrf": 0, "getrs": 0}
+        getrf, getrs = linsys._getrf, linsys._getrs
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(linsys, "_getrf", counting("getrf", getrf))
+        monkeypatch.setattr(linsys, "_getrs", counting("getrs", getrs))
+        lp = self._lp([[-1.0, -2.0], [1.0, 1.0]], [-1.0, 2.0], [0.0, 0.0, 1.0, 3.0])
+        linsys._look_ahead_basis(lp, self.BASIS)
+        assert calls == {"getrf": 1, "getrs": 3}
 
 
 class TestInputGuards:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import central_gradient, central_jacobian, random_homogeneous, random_primal_dual
+from helpers import (
+    central_gradient,
+    central_jacobian,
+    filled_point,
+    random_homogeneous,
+    random_primal_dual,
+)
 
 from lpmerit import (
     DimensionMismatch,
@@ -40,7 +46,7 @@ class TestDeskValues:
 
     def test_value_at_origin(self, desk_lp):
         # gamma = 0, rho = 1, sigma = 1, no penalty
-        assert eval_value(BASE3, desk_lp, PrimalDualPoint.zeros(1, 1)) == 1.0
+        assert eval_value(BASE3, desk_lp, filled_point(PrimalDualPoint, 1, 1, 0.0)) == 1.0
 
     def test_value_with_negative_x(self, desk_lp):
         # gamma = -1, rho = 2, sigma = 1, penalty (1/6)*1
@@ -48,7 +54,7 @@ class TestDeskValues:
         assert eval_value(BASE3, desk_lp, p) == pytest.approx(19.0 / 6.0, rel=1e-15)
 
     def test_gradient_at_origin(self, desk_lp):
-        g = eval_gradient(BASE3, desk_lp, PrimalDualPoint.zeros(1, 1))
+        g = eval_gradient(BASE3, desk_lp, filled_point(PrimalDualPoint, 1, 1, 0.0))
         np.testing.assert_array_equal(g, [-1.0, -1.0, -1.0])
 
     def test_gradient_vanishes_at_the_optimum(self, desk_lp):
@@ -178,7 +184,7 @@ class TestInvariants:
         """The iterate-independent block has numerical rank at most m + n + 1."""
         for seed in range(5):
             prob = generate_optimal_lp(m, n, seed)
-            H = eval_hessian(BASE3, prob.lp, PrimalDualPoint.zeros(n, m)).base
+            H = eval_hessian(BASE3, prob.lp, filled_point(PrimalDualPoint, n, m, 0.0)).base
             svals = np.linalg.svd(H, compute_uv=False)
             rank = int((svals > 1e-10 * svals[0]).sum())
             assert rank <= m + n + 1
@@ -340,9 +346,9 @@ class TestGuards:
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         hom = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
         with pytest.raises(KindMismatch):
-            eval_value(hom, lp, PrimalDualPoint.zeros(2, 1))
+            eval_value(hom, lp, filled_point(PrimalDualPoint, 2, 1, 0.0))
         with pytest.raises(KindMismatch):
-            eval_value(BASE3, lp, HomogeneousPoint.ones(2, 1))
+            eval_value(BASE3, lp, filled_point(HomogeneousPoint, 2, 1, 1.0))
 
 
 _COORDINATES = st.one_of(
@@ -384,10 +390,10 @@ def test_penalty_diagonal_matches_its_closed_form(spec, coords):
 
 def test_base_matrices_are_symmetric():
     prob = generate_optimal_lp(4, 7, 18)
-    p = PrimalDualPoint.zeros(7, 4)
+    p = filled_point(PrimalDualPoint, 7, 4, 0.0)
     H = eval_hessian(BASE3, prob.lp, p).base
     np.testing.assert_array_equal(H, H.T)
-    hp = HomogeneousPoint.ones(7, 4)
+    hp = filled_point(HomogeneousPoint, 7, 4, 1.0)
     Hh = eval_hessian(MeritSpec(MeritKind.HOMOGENEOUS, q=3.0), prob.lp, hp).base
     np.testing.assert_array_equal(Hh, Hh.T)
 
@@ -398,7 +404,8 @@ def test_hessian_base_is_the_jtj_block(m, n, seed):
     from the explicit Jacobian, to rounding."""
     lp = generate_optimal_lp(m, n, seed).lp
     H = merit.hessian_base(lp)
-    JtJ = eval_hessian(MeritSpec(MeritKind.HOMOGENEOUS), lp, HomogeneousPoint.ones(n, m)).base
+    ones = filled_point(HomogeneousPoint, n, m, 1.0)
+    JtJ = eval_hessian(MeritSpec(MeritKind.HOMOGENEOUS), lp, ones).base
     keep = np.r_[0 : n + m, 2 * n + m : 2 * n + m + 2]  # drop the s rows and columns
     reference = JtJ[np.ix_(keep, keep)]
     assert H.shape == (n + m + 2, n + m + 2)
@@ -412,7 +419,8 @@ def test_homogeneous_base_borders_the_primal_dual_base():
         lp = generate_optimal_lp(m, n, seed).lp
         k = n + m
         H = merit.hessian_base(lp)
-        primal_dual = eval_hessian(BASE3, lp, PrimalDualPoint.zeros(n, m)).base[:k, :k]
+        origin = filled_point(PrimalDualPoint, n, m, 0.0)
+        primal_dual = eval_hessian(BASE3, lp, origin).base[:k, :k]
         assert np.abs(H[:k, :k] - primal_dual).max() <= 1e-14 * np.abs(primal_dual).max()
 
 

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from helpers import filled_point
 
 from lpmerit import (
     DimensionMismatch,
@@ -72,7 +73,7 @@ class TestResiduals:
 
     def test_zero_point_returns_b_and_c(self):
         prob = generate_optimal_lp(3, 6, 5)
-        gamma, rho, sigma = residuals(prob.lp, PrimalDualPoint.zeros(6, 3))
+        gamma, rho, sigma = residuals(prob.lp, filled_point(PrimalDualPoint, 6, 3, 0.0))
         assert gamma == 0.0
         np.testing.assert_array_equal(rho, prob.lp.b)
         np.testing.assert_array_equal(sigma, prob.lp.c)

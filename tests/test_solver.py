@@ -57,8 +57,8 @@ def scheme_id(value):
 
 def no_vertex(lp, basis):
     """A stand-in for linsys._basic_vertex, patched where solver looks it up,
-    that finds no vertex, so that no polish is attempted and a run keeps the
-    loop's own iterates."""
+    that finds no vertex, so that no polish attempt verifies and a run keeps
+    the loop's own iterates."""
     return None
 
 
@@ -86,6 +86,20 @@ class PartitionPolish(solver_module._Polish):
         basis = np.flatnonzero(z[:n] > z[n + m :])
         previous, self.previous = self.previous, basis
         if basis.size != m or not np.array_equal(basis, previous):
+            return None
+        return self._attempt(basis, spec)
+
+
+class StablePolish(solver_module._Polish):
+    """The rule without the look-ahead, the reference of the never-later
+    test: the top-m basis is tried only once it equals the previous
+    iterate's and is new."""
+
+    def __call__(self, z, spec):
+        n, m = self.lp.n, self.lp.m
+        basis = np.sort(np.argpartition(z[n + m :] - z[:n], m - 1)[:m])
+        previous, self.previous = self.previous, basis
+        if not np.array_equal(basis, previous):
             return None
         return self._attempt(basis, spec)
 
@@ -361,7 +375,10 @@ class TestSolve:
 
 class TestFactorizationFailures:
     """The mu-escalation ladder, reached by fakes of the two linear solves
-    that raise FactorizationFailure; the merit kind picks which one."""
+    that raise FactorizationFailure; the merit kind picks which one.  The
+    polish is stubbed out in the solve tests: the look-ahead at the start
+    verifies the vertex of (3, 6, 0), which would end the run before any
+    step."""
 
     CFG = SolverConfig(Algorithm.HOMOTOPY, nu0=0.0, max_iter=1)
 
@@ -386,6 +403,7 @@ class TestFactorizationFailures:
             calls, lambda args: args[0][6] >= 1e-6, solver_module.solve_structured
         )
         monkeypatch.setattr(solver_module, "solve_structured", fake)
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
         assert out.status is SolveStatus.ITERATION_LIMIT
         tried = [args[0][6] for args in calls]
@@ -395,6 +413,7 @@ class TestFactorizationFailures:
         structured, dense = [], []
         monkeypatch.setattr(solver_module, "solve_structured", self._failing(structured))
         monkeypatch.setattr(solver_module, "solve_dense", self._failing(dense))
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
         assert out.status is SolveStatus.NUMERICAL_FAILURE
         assert out.iterations == 0
@@ -408,6 +427,7 @@ class TestFactorizationFailures:
         monkeypatch.setattr(
             merit_module, "penalty_diagonal_at", lambda spec, lp, z: np.full(z.size, bad)
         )
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
         assert out.status is SolveStatus.NUMERICAL_FAILURE
         assert out.iterations == 0
@@ -512,6 +532,8 @@ class TestFailurePathsOnRealInputs:
             return math.inf
 
         monkeypatch.setattr(merit_module, "value_at", infinite_value)
+        # the look-ahead at the start would verify the vertex before any step
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         out = solve(generate_optimal_lp(3, 6, 0).lp, BASE_MERIT)
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.iterations == 0
@@ -520,7 +542,8 @@ class TestFailurePathsOnRealInputs:
 
 class TestNonFiniteSteps:
     """A Newton step holding a NaN, faked in place of the linear solves, ends
-    the run before its slope is tested."""
+    the run before its slope is tested.  ``solve`` runs with the polish
+    stubbed out, whose look-ahead would verify the start's vertex."""
 
     CFG = BASE_MERIT
 
@@ -529,6 +552,7 @@ class TestNonFiniteSteps:
             return np.full(rhs.shape, np.nan)
 
         monkeypatch.setattr(solver_module, "solve_structured", nan_step)
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         out = solve(generate_optimal_lp(3, 6, 0).lp, self.CFG)
         assert out.status is SolveStatus.NUMERICAL_FAILURE
         assert out.iterations == 0
@@ -822,9 +846,9 @@ class TestPolish:
     @pytest.mark.parametrize(
         "config,m,n,expected",
         [
-            (HOMOTOPY, 5, 10, [3, 4, 4, 4, 4, 2, 2, 3, 6, 3]),
-            (HOMOTOPY, 50, 75, [6, 16, 5]),
-            (BASE_MERIT, 5, 10, [3, 2, 2, 3, 3, 2, 2, 4, 4, 5]),
+            (HOMOTOPY, 5, 10, [2, 1, 1, 3, 1, 1, 1, 2, 1, 3]),
+            (HOMOTOPY, 50, 75, [5, 11, 4]),
+            (BASE_MERIT, 5, 10, [2, 1, 1, 2, 1, 1, 1, 3, 1, 4]),
         ],
         ids=scheme_id,
     )
@@ -870,14 +894,15 @@ class TestPolish:
         assert out.iterations == first.iterations - 1
 
     def test_singular_basis_leaves_the_run_as_it_was(self, monkeypatch):
-        """Column 6 duplicates column 2, which is basic at the optimum; the
-        iterates keep the two alike, so the basis {1, 2, 6} is tried, and
-        LU finds an exactly zero pivot in it, quietly.  The basis {1, 2, 3}
-        verifies next; stopped before that attempt, the run is the run
-        without the polish."""
+        """Column 6 duplicates column 1, which is basic at the optimum; the
+        iterates keep the two alike, so the basis {1, 2, 6} is tried once it
+        is stable (the look-ahead's LU has already screened it out at the
+        start), and LU finds an exactly zero pivot in it, quietly.  The
+        basis {1, 2, 3} verifies next; stopped before that attempt, the run
+        is the run without the polish."""
         lp = generate_optimal_lp(3, 6, 1).lp
-        A = np.column_stack([lp.A, lp.A[:, 2]])
-        dup = StandardFormLp(A, lp.b, np.append(lp.c, lp.c[2]))
+        A = np.column_stack([lp.A, lp.A[:, 1]])
+        dup = StandardFormLp(A, lp.b, np.append(lp.c, lp.c[1]))
         log = log_vertex_calls(monkeypatch)
         out = solve(dup, self.HOMOTOPY)
         assert out.polished
@@ -888,6 +913,7 @@ class TestPolish:
         self._assert_same_run(dup, config, monkeypatch)
         assert log == [([1, 2, 6], False)]
         assert solver_module._basic_vertex(dup, np.array([1, 2, 6])) is None
+        assert solver_module._look_ahead_basis(dup, np.array([1, 2, 6])) is None
 
     def test_ill_conditioned_basis_is_rejected_quietly(self):
         """Column 2 is column 1 plus 1e-13 times a fixed vector: A_B is
@@ -903,10 +929,10 @@ class TestPolish:
         assert solver_module._basic_vertex(StandardFormLp(A, lp.b, lp.c), basis) is None
 
     def test_sign_infeasible_vertex_leaves_the_run_as_it_was(self, monkeypatch):
-        """On (5, 10, 8) the first basis tried has a vertex with x_B < 0
+        """On (5, 10, 36) the first basis tried has a vertex with x_B < 0
         or s_N < 0; the second one verifies.  Stopped before the second
         attempt, the run is the run without the polish."""
-        prob = generate_optimal_lp(5, 10, 8)
+        prob = generate_optimal_lp(5, 10, 36)
         log = log_vertex_calls(monkeypatch)
         out = solve(prob.lp, self.HOMOTOPY)
         assert out.polished
@@ -1010,3 +1036,92 @@ class TestPolish:
             assert not reference.polished
             assert out.iterations == reference.iterations
             assert out.point.as_vector().tobytes() == reference.point.as_vector().tobytes()
+
+    @pytest.mark.parametrize("m,n,seeds", [(5, 10, 60), (20, 30, 20)])
+    def test_look_ahead_never_stops_later(self, m, n, seeds, monkeypatch):
+        """With the look-ahead stubbed to find nothing, every run is the run
+        of the stable rule alone bit for bit: status, iterations, attempts,
+        point and trace.  With it, every run keeps its status and ends no
+        later, and the (5, 10) panel ends 111 iterations earlier in all."""
+        config = SolverConfig(Algorithm.HOMOTOPY)
+        lps = [generate_optimal_lp(m, n, seed).lp for seed in range(seeds)]
+        ahead = [solve(lp, config) for lp in lps]
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_Polish", StablePolish)
+            stable = [solve(lp, config) for lp in lps]
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_look_ahead_basis", lambda lp, basis: None)
+            screened_out = [solve(lp, config) for lp in lps]
+        for plain, reference in zip(screened_out, stable):
+            assert (plain.status, plain.iterations, plain.polished, plain.polish_attempts) == (
+                reference.status,
+                reference.iterations,
+                reference.polished,
+                reference.polish_attempts,
+            )
+            assert plain.point.as_vector().tobytes() == reference.point.as_vector().tobytes()
+            assert self._rows(plain) == self._rows(reference)
+        assert [out.status for out in ahead] == [out.status for out in stable]
+        assert [
+            seed for seed, (out, ref) in enumerate(zip(ahead, stable))
+            if out.iterations > ref.iterations
+        ] == []
+        if (m, n) == (5, 10):
+            assert sum(out.iterations for out in stable) == 230
+            assert sum(out.iterations for out in ahead) == 119
+
+    def test_look_ahead_runs_at_the_start_and_after_one_index_moves(self, monkeypatch):
+        """Fed iterates whose top-m bases go {0, 1}, {2, 3}, {2, 4}, {2, 4},
+        the polish looks ahead at the start and after the one-index move
+        only, and tries the stable basis directly; a basis that the look-ahead
+        screens out is not counted as tried."""
+        lp = generate_optimal_lp(2, 5, 0).lp
+        looked, tried = [], []
+        monkeypatch.setattr(
+            solver_module,
+            "_look_ahead_basis",
+            lambda lp, basis: looked.append(basis.tolist()),
+        )
+        monkeypatch.setattr(
+            solver_module, "_basic_vertex", lambda lp, basis: tried.append(basis.tolist())
+        )
+        polish = solver_module._Polish(lp, stop=None)
+        spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=2.1)
+        for top in ([0, 1], [2, 3], [2, 4], [2, 4]):
+            x = np.zeros(lp.n)
+            x[top] = 1.0
+            assert polish(np.concatenate([x, np.zeros(lp.m), -x]), spec) is None
+        assert looked == [[0, 1], [2, 4]]
+        assert tried == [[2, 4]]
+        assert polish.tried == {np.array([2, 4]).tobytes()}
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param((5, 10, 0, "columns", np.logspace(-4, 4, 10)), id="columns-1e-4..1e4"),
+            pytest.param((5, 10, 2, "uniform", 1e8), id="A,b-x1e8"),
+            pytest.param((5, 10, 2, "uniform", 1e10), id="A,b-x1e10"),
+            pytest.param((10, 15, 1, "rows", np.logspace(-4, 4, 10)), id="rows-1e-4..1e4"),
+        ],
+    )
+    def test_look_ahead_polishes_badly_scaled_inputs(self, case):
+        """Inputs on which the run without the look-ahead ends
+        IterationLimit: the columns of A and c of (5, 10, 0) scaled by
+        logspace(-4, 4) (at 500 iterations, KKT 1.9e-5), A and b of
+        (5, 10, 2) x 1e8 and x 1e10 (at iteration 0, on a first Newton step
+        that climbs), the rows of A and b of (10, 15, 1) scaled by
+        logspace(-4, 4).  Each now ends at a verified vertex; the scaled
+        uniform and row inputs at iteration 1, the start's look-ahead."""
+        m, n, seed, kind, factor = case
+        prob = generate_optimal_lp(m, n, seed)
+        A, b, c = prob.lp.A, prob.lp.b, prob.lp.c
+        if kind == "columns":
+            lp = StandardFormLp(A * factor, b, c * factor)
+        elif kind == "rows":
+            lp = StandardFormLp(A * factor[:, None], b * factor, c)
+        else:
+            lp = StandardFormLp(A * factor, b * factor, c)
+        out = solve(lp, SolverConfig(Algorithm.HOMOTOPY, trace=False))
+        assert out.status is SolveStatus.OPTIMAL and out.polished
+        assert max(point_kkt(lp, out.point).values()) <= 1e-12
+        assert out.iterations == (19 if kind == "columns" else 1)
