@@ -31,9 +31,7 @@ from .merit import (
     HessianParts,
     MeritKind,
     MeritSpec,
-    eval_gradient,
     eval_hessian,
-    eval_value,
 )
 from .problems import (
     GENERATOR_NAME,
@@ -98,9 +96,7 @@ __all__ = [
     "brute_force_optimum",
     "build_reduced",
     "cholesky_rank_one_update",
-    "eval_gradient",
     "eval_hessian",
-    "eval_value",
     "generate_optimal_lp",
     "generate_unbounded_lp",
     "kkt_residuals",

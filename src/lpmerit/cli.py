@@ -56,7 +56,7 @@ TRACE_HEADER = ",".join("iter" if name == "k" else name for name in _TRACE_FIELD
 
 #: The solve flags that set a SolverConfig field, by field name; a flag that
 #: is not given leaves the field at SolverConfig's default.
-_CONFIG_FLAGS = ("q", "mu_const", "theta", "nu0", "max_iter", "tol_grad", "tol_f")
+_CONFIG_FLAGS = ("nu0", "max_iter", "tol_grad", "tol_f")
 
 _STATUS_EXIT = {
     SolveStatus.OPTIMAL: 0,
@@ -130,12 +130,6 @@ def cmd_solve(args) -> int:
     except LpMeritError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.algorithm is Algorithm.LM_ADAPTIVE and config.q != 3.0:
-        print(
-            f"warning: the unit Lipschitz bound backing the adaptive schedule "
-            f"holds for q = 3; running with q = {config.q} anyway",
-            file=sys.stderr,
-        )
     x_star = problem.known_optimum.x if problem.known_optimum is not None else None
     try:
         outcome = solve(problem.lp, config, x_star=x_star)
@@ -238,13 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver variant (default: homotopy)",
     )
     # no defaults here: a flag left out keeps SolverConfig's default
-    slv.add_argument("--q", type=float, help="hinge power (default per variant)")
-    slv.add_argument(
-        "--theta",
-        type=float,
-        help="homotopy decay factor of nu after a backtracked step; half of it after a full step",
-    )
-    slv.add_argument("--mu", type=float, dest="mu_const", help="constant regularization")
     slv.add_argument(
         "--nu0",
         type=float,

@@ -254,14 +254,6 @@ def _point_vector(spec, point):
     return point.as_vector()
 
 
-def eval_value(spec: MeritSpec, lp: StandardFormLp, point) -> float:
-    return value_at(spec, lp, _point_vector(spec, point))
-
-
-def eval_gradient(spec: MeritSpec, lp: StandardFormLp, point) -> np.ndarray:
-    return gradient_at(spec, lp, _point_vector(spec, point))
-
-
 def eval_hessian(spec: MeritSpec, lp: StandardFormLp, point) -> HessianParts:
     z = _point_vector(spec, point)
     J = _jacobian(spec, lp)

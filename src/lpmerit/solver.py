@@ -4,13 +4,15 @@ One loop serves ``solve`` (the primal-dual merit) and ``solve_homogeneous``
 (the homogeneous embedding).  It evaluates each flat iterate once, through
 ``merit.evaluate``, and builds a point object only at exit.
 
-Two regularization policies are provided.  ``LM_ADAPTIVE`` sets
-mu_k = sqrt(L * ||grad||_2 / 2) and takes full steps, the setting with a
-global worst-case guarantee for q = 3.  ``HOMOTOPY`` keeps a small fixed mu,
-backtracks with Armijo, and minimizes the nu-modified merit from nu = nu0,
-decaying nu by theta after a backtracked step and by theta * _FULL_STEP_SHRINK
-after a full one, where the Newton model fitted the iterate.  That merit is
-the base merit at nu = 0, so nu0 = 0 is the constant-mu method on it.
+Two regularization policies are provided, each with fixed constants.
+``LM_ADAPTIVE`` sets mu_k = sqrt(L * ||grad||_2 / 2) with
+L = ``_HESSIAN_LIPSCHITZ`` and takes full steps on the merit with q = 3, the
+setting with a global worst-case guarantee.  ``HOMOTOPY`` keeps mu at
+``_MU``, backtracks with Armijo, and minimizes the nu-modified merit with
+q = 2.1 from nu = nu0, decaying nu by ``_THETA`` after a backtracked step and
+by ``_THETA * _FULL_STEP_SHRINK`` after a full one, where the Newton model
+fitted the iterate.  That merit is the base merit at nu = 0, so nu0 = 0 is
+the constant-mu method on it.
 
 ``solve`` starts at the least-squares point of ``linsys.least_squares_start``,
 where Ax = b, A'lam + s = c and c.x = b.lam hold to rounding and only the
@@ -97,9 +99,18 @@ _C1 = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 
-#: HOMOTOPY decays nu by theta after a backtracked step and by
-#: theta * _FULL_STEP_SHRINK after a full one; 1.0 gives nu_k = nu0 * theta**k.
+#: HOMOTOPY decays nu by _THETA after a backtracked step and by
+#: _THETA * _FULL_STEP_SHRINK after a full one; a shrink of 1.0 would give
+#: nu_k = nu0 * _THETA**k.
+_THETA = 0.8
 _FULL_STEP_SHRINK = 0.5
+
+#: HOMOTOPY's constant regularization mu, and its default initial nu.
+_MU = 1e-9
+_NU0 = 0.05
+
+#: LM_ADAPTIVE's Lipschitz constant L of the Hessian in mu_k = sqrt(L * ||grad|| / 2).
+_HESSIAN_LIPSCHITZ = 1.0
 
 
 class Algorithm(Enum):
@@ -107,12 +118,9 @@ class Algorithm(Enum):
     HOMOTOPY = "homotopy"
 
 
-#: The SolverConfig fields that each algorithm never reads: LM_ADAPTIVE sets
-#: mu from hessian_lipschitz and keeps nu at 0, HOMOTOPY keeps mu at mu_const.
-_UNREAD = {
-    Algorithm.LM_ADAPTIVE: ("mu_const", "theta", "nu0"),
-    Algorithm.HOMOTOPY: ("hessian_lipschitz",),
-}
+#: The hinge power q of each algorithm's merit: 3 for the adaptive scheme,
+#: which takes full steps, and 2.1 for the homotopy, which backtracks.
+_Q = {Algorithm.LM_ADAPTIVE: 3.0, Algorithm.HOMOTOPY: 2.1}
 
 
 class SolveStatus(Enum):
@@ -136,52 +144,36 @@ class HomogeneousStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Algorithm variant, schedules, and stopping tolerances.
+    """Algorithm variant, homotopy start, and stopping tolerances.
 
-    ``q`` defaults to 3 for the adaptive scheme, which takes full steps, and
-    to 2.1 for the homotopy, which backtracks with Armijo.  Every number must
-    be finite.  Stopping thresholds are scale-relative: optimal needs value
-    <= tol_f * scale^2 and grad <= tol_grad * scale^2, and then every
-    relative KKT residual at most ``KKT_TOL``; a certified no-optimum needs
-    the same gradient bound with value >= NO_OPTIMUM_TOL * scale^2.
-    ``max_iter`` must be a nonnegative integer.  HOMOTOPY starts nu at
-    ``nu0`` >= 0, by default 0.05, which suffices from the least-squares
-    start; 0 runs on the base merit throughout.  It multiplies nu by
-    ``theta``, in (0, 1), after a backtracked step and by half of it after a
-    full one.  A field that the algorithm never reads, as stated in
-    ``_UNREAD``, must keep its default.
+    The rest of each variant is fixed: the hinge power ``_Q``, the
+    homotopy's ``_MU`` and ``_THETA``, and the adaptive scheme's
+    ``_HESSIAN_LIPSCHITZ``.  Every number must be finite.  Stopping
+    thresholds are scale-relative: optimal needs value <= tol_f * scale^2
+    and grad <= tol_grad * scale^2, and then every relative KKT residual at
+    most ``KKT_TOL``; a certified no-optimum needs the same gradient bound
+    with value >= NO_OPTIMUM_TOL * scale^2.  ``max_iter`` must be a
+    nonnegative integer.  HOMOTOPY starts nu at ``nu0`` >= 0, by default
+    0.05, which suffices from the least-squares start; 0 runs on the base
+    merit throughout.  LM_ADAPTIVE never reads ``nu0``, so it must keep its
+    default there.
     """
 
     algorithm: Algorithm
-    q: float | None = None
-    mu_const: float = 1e-9
-    hessian_lipschitz: float = 1.0
-    theta: float = 0.8
-    nu0: float = 0.05
+    nu0: float = _NU0
     max_iter: int = 500
     tol_grad: float = 1e-10
     tol_f: float = 1e-16
     trace: bool = True
 
     def __post_init__(self):
-        if self.algorithm not in _UNREAD:
+        if not isinstance(self.algorithm, Algorithm):
             raise InvalidConfig(f"algorithm must be an Algorithm, got {self.algorithm!r}")
-        for f in fields(self):
-            if f.name in _UNREAD[self.algorithm] and getattr(self, f.name) != f.default:
-                raise InvalidConfig(
-                    f"{self.algorithm.value} never reads {f.name}; leave it at {f.default}"
-                )
-        if self.q is None:
-            object.__setattr__(
-                self, "q", 3.0 if self.algorithm is Algorithm.LM_ADAPTIVE else 2.1
-            )
-        if not (math.isfinite(self.q) and self.q > 2.0):
-            raise InvalidConfig(f"q must be finite and exceed 2, got {self.q}")
-        if not 0.0 < self.theta < 1.0:
-            raise InvalidConfig(f"theta must lie in (0, 1), got {self.theta}")
+        if "nu0" not in self.read_fields() and self.nu0 != _NU0:
+            raise InvalidConfig(f"{self.algorithm.value} never reads nu0; leave it at {_NU0}")
         if not (math.isfinite(self.nu0) and self.nu0 >= 0.0):
             raise InvalidConfig(f"nu0 must be finite and nonnegative, got {self.nu0}")
-        for name in ("mu_const", "hessian_lipschitz", "tol_grad", "tol_f"):
+        for name in ("tol_grad", "tol_f"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidConfig(f"{name} must be finite and positive, got {value}")
@@ -193,7 +185,8 @@ class SolverConfig:
 
     def read_fields(self) -> tuple[str, ...]:
         """The names of the fields that the algorithm reads, in declaration order."""
-        return tuple(f.name for f in fields(self) if f.name not in _UNREAD[self.algorithm])
+        unread = "nu0" if self.algorithm is Algorithm.LM_ADAPTIVE else None
+        return tuple(f.name for f in fields(self) if f.name != unread)
 
 
 @dataclass
@@ -380,8 +373,8 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None):
 
     Minimizes the merit ``spec`` at nu = 0 from the flat iterate ``z``.  While
     nu > 0, starting from ``spec.nu``, steps are taken on the nu-surrogate,
-    whose nu decays by theta after a backtracked step and by
-    theta * _FULL_STEP_SHRINK after a full one; one ``merit.evaluate`` call
+    whose nu decays by _THETA after a backtracked step and by
+    _THETA * _FULL_STEP_SHRINK after a full one; one ``merit.evaluate`` call
     gives it with the merit at nu = 0.
     ``stop(z, f, g_inf, res)`` returns the status that ends the run at the
     iterate ``z``, with residuals ``res``, or None.  ``record``, if given,
@@ -390,7 +383,7 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None):
     ``polish``, if given, is a ``_Polish`` tried at each iterate below
     ``max_iter`` before ``stop``; a vertex it returns is the next iterate,
     with the evaluation it returns, and ``stop`` ends the run there.  Its
-    row keeps alpha 0, and nu decays by theta, as after a backtracked step.
+    row keeps alpha 0, and nu decays by _THETA, as after a backtracked step.
     Returns (z, k, f, g_inf, status) at the last finite iterate; f is the
     last merit value and g_inf the last finite gradient max-norm.
     """
@@ -412,16 +405,16 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None):
         g_cur_norm = float(np.linalg.norm(g_cur))
 
         if config.algorithm is Algorithm.LM_ADAPTIVE:
-            mu = math.sqrt(config.hessian_lipschitz * g_cur_norm / 2.0)
+            mu = math.sqrt(_HESSIAN_LIPSCHITZ * g_cur_norm / 2.0)
         else:
-            mu = config.mu_const
+            mu = _MU
 
         row = record(k, z, res, f_cur, g_cur_norm, mu, nu) if record is not None else None
         if polish is not None and k < config.max_iter:
-            verified = polish(z, spec_at(nu * config.theta))
+            verified = polish(z, spec_at(nu * _THETA))
             if verified is not None:
                 z, pending = verified
-                nu *= config.theta
+                nu *= _THETA
                 continue
         status = stop(z, f, g_inf, res)
         # mu = 0 only at a zero gradient whose value ``stop`` leaves undecided
@@ -436,7 +429,7 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None):
         if row is not None:
             row.alpha = alpha
         z = z_next
-        nu *= config.theta * _FULL_STEP_SHRINK if alpha == 1.0 else config.theta
+        nu *= _THETA * _FULL_STEP_SHRINK if alpha == 1.0 else _THETA
 
 
 def solve(
@@ -503,7 +496,7 @@ def solve(
     nu = config.nu0 if config.algorithm is Algorithm.HOMOTOPY else 0.0
     polish = _Polish(lp, stop)
     z, iterations, f, g_inf, status = _minimize(
-        lp, config, MeritSpec(MeritKind.PRIMAL_DUAL, q=config.q, nu=nu),
+        lp, config, MeritSpec(MeritKind.PRIMAL_DUAL, q=_Q[config.algorithm], nu=nu),
         least_squares_start(lp), stop,
         record=record if config.trace else None, polish=polish,
     )
@@ -552,7 +545,7 @@ def solve_homogeneous(
         return SolveStatus.OPTIMAL if g_inf <= tol_grad else None
 
     z, _, _, _, status = _minimize(
-        lp, config, MeritSpec(MeritKind.HOMOGENEOUS, q=config.q),
+        lp, config, MeritSpec(MeritKind.HOMOGENEOUS, q=_Q[config.algorithm]),
         np.ones(2 * lp.n + lp.m + 2), stop,
     )
     point = HomogeneousPoint.from_vector(z, lp.n, lp.m)

@@ -92,7 +92,7 @@ class TestSolve:
         final_rel_err = float(lines[-1].split(",")[-1])
         assert final_rel_err <= 1e-8
         assert doc["config"]["algorithm"] == "homotopy"
-        assert doc["config"]["theta"] == 0.8
+        assert list(doc["config"]) == ["algorithm", "nu0", "max_iter", "tol_grad", "tol_f"]
         assert abs(doc["objective_primal"] - doc["objective_dual"]) <= 1e-6
 
     def test_large_problem_homotopy_solve(self, tmp_path):
@@ -146,16 +146,6 @@ class TestSolve:
         doc = json.loads(report.read_text())
         assert doc["homogeneous"]["status"] == "DualInfeasible"
         assert doc["homogeneous"]["kappa"] > 0
-
-    def test_adaptive_with_nonstandard_q_warns_but_runs(self, tmp_path, capsys):
-        path = _gen(tmp_path, 3, 6)
-        code = main(
-            ["solve", "--input", str(path), "--alg", "lm-adaptive", "--q", "2.1",
-             "--max-iter", "30"]
-        )
-        err = capsys.readouterr().err
-        assert "warning" in err
-        assert code in (0, 11)
 
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "absent.json")]) == 3
@@ -217,7 +207,7 @@ class TestSolve:
         assert code == 2
         assert f"invalid problem file {path}: {keys[0].split('.')[0]}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--tol-grad", "--tol-f", "--mu", "--nu0", "--q"])
+    @pytest.mark.parametrize("flag", ["--tol-grad", "--tol-f", "--nu0"])
     def test_non_finite_setting_exits_2(self, tmp_path, capsys, flag):
         """An infinite tolerance would certify the starting point; it is
         rejected as an invalid flag before any iteration runs."""
@@ -225,29 +215,35 @@ class TestSolve:
         assert main(["solve", "--input", str(path), flag, "inf"]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,text", [("--q", "3"), ("--mu", "1e-9"), ("--theta", "0.8")])
+    def test_a_removed_tuning_flag_exits_2(self, tmp_path, capsys, flag, text):
+        """q, mu and theta are fixed per variant; a flag for one of them fails
+        loudly instead of being ignored, even at the fixed value."""
+        path = _gen(tmp_path, 3, 6)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", str(path), flag, text])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+
     def test_report_config_lists_the_solver_settings(self, tmp_path):
-        """The homotopy reads every setting but hessian_lipschitz."""
+        """The homotopy reads every setting."""
         path = _gen(tmp_path, 3, 6)
         report = tmp_path / "report.json"
         assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
         config = json.loads(report.read_text())["config"]
-        assert list(config) == [
-            "algorithm", "q", "mu_const", "theta", "nu0", "max_iter", "tol_grad", "tol_f",
-        ]
+        assert list(config) == ["algorithm", "nu0", "max_iter", "tol_grad", "tol_f"]
         assert config["algorithm"] == "homotopy"
         assert config["max_iter"] == 500
 
     def test_adaptive_report_config_lists_the_settings_it_reads(self, tmp_path):
-        """The adaptive scheme reads neither mu_const, theta nor nu0."""
+        """The adaptive scheme does not read nu0."""
         path = _gen(tmp_path, 3, 6)
         report = tmp_path / "report.json"
         code = main(["solve", "--input", str(path), "--alg", "lm-adaptive",
                      "--report", str(report)])
         assert code == 0
         config = json.loads(report.read_text())["config"]
-        assert list(config) == [
-            "algorithm", "q", "hessian_lipschitz", "max_iter", "tol_grad", "tol_f",
-        ]
+        assert list(config) == ["algorithm", "max_iter", "tol_grad", "tol_f"]
         assert config == cli._config_document(SolverConfig(Algorithm.LM_ADAPTIVE))
 
     def test_a_setting_the_adaptive_scheme_never_reads_exits_2(self, tmp_path, capsys):
@@ -399,9 +395,6 @@ class TestSingleSources:
     @pytest.mark.parametrize(
         "flag,text,field,value",
         [
-            ("--q", "2.5", "q", 2.5),
-            ("--mu", "3e-8", "mu_const", 3e-8),
-            ("--theta", "0.5", "theta", 0.5),
             ("--nu0", "2.5", "nu0", 2.5),
             ("--max-iter", "0", "max_iter", 0),
             ("--tol-grad", "1e-9", "tol_grad", 1e-9),

@@ -15,13 +15,12 @@ from lpmerit import (
     SolverConfig,
     StandardFormLp,
     brute_force_optimum,
-    eval_gradient,
-    eval_value,
     generate_optimal_lp,
     generate_unbounded_lp,
     recover_primal_dual,
     solve_homogeneous,
 )
+from lpmerit.merit import gradient_at, value_at
 
 CFG = SolverConfig(Algorithm.HOMOTOPY)
 
@@ -30,8 +29,8 @@ def test_origin_is_stationary():
     lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
     spec = MeritSpec(MeritKind.HOMOGENEOUS, q=2.1)
     zero = HomogeneousPoint([0.0, 0.0], [0.0], [0.0, 0.0], 0.0, 0.0)
-    assert eval_value(spec, lp, zero) == 0.0
-    np.testing.assert_array_equal(eval_gradient(spec, lp, zero), np.zeros(7))
+    assert value_at(spec, lp, zero.as_vector()) == 0.0
+    np.testing.assert_array_equal(gradient_at(spec, lp, zero.as_vector()), np.zeros(7))
 
 
 def test_desk_problem_recovers_an_optimal_point():

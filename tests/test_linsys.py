@@ -8,6 +8,7 @@ from scipy.linalg import cho_solve
 from helpers import duplicated_row_lp, filled_point, random_homogeneous, random_primal_dual
 
 from lpmerit import linsys
+from lpmerit.merit import gradient_at
 from lpmerit import (
     FactorizationFailure,
     HomogeneousPoint,
@@ -19,7 +20,6 @@ from lpmerit import (
     StandardFormLp,
     build_reduced,
     cholesky_rank_one_update,
-    eval_gradient,
     eval_hessian,
     generate_optimal_lp,
     generate_unbounded_lp,
@@ -58,27 +58,27 @@ def _newton_solve(spec, lp, z, mu, rhs):
 class TestBuildReduced:
     def test_nonnegative_point_gives_pure_mu_diagonals(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-        p = PrimalDualPoint([0.5, 0.2], [0.3], [0.1, 0.4])
-        d, _ = build_reduced(BASE3, lp, p.as_vector(), 1e-2, eval_gradient(BASE3, lp, p))
+        z = PrimalDualPoint([0.5, 0.2], [0.3], [0.1, 0.4]).as_vector()
+        d, _ = build_reduced(BASE3, lp, z, 1e-2, gradient_at(BASE3, lp, z))
         np.testing.assert_array_equal(d, [1e-2] * 5)
 
     def test_negative_x_feeds_the_penalty_diagonal(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
-        p = PrimalDualPoint([-2.0, 1.0], [0.0], [0.5, 0.5])
-        d, _ = build_reduced(BASE3, lp, p.as_vector(), 0.5, eval_gradient(BASE3, lp, p))
+        z = PrimalDualPoint([-2.0, 1.0], [0.0], [0.5, 0.5]).as_vector()
+        d, _ = build_reduced(BASE3, lp, z, 0.5, gradient_at(BASE3, lp, z))
         np.testing.assert_array_equal(d[:2], [2.5, 0.5])
 
     def test_homotopy_adds_two_nu_to_the_lambda_block(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0, nu=0.1)
-        p = PrimalDualPoint([0.0, 0.0], [0.7], [0.0, 0.0])
-        d, _ = build_reduced(spec, lp, p.as_vector(), 1e-9, eval_gradient(spec, lp, p))
+        z = PrimalDualPoint([0.0, 0.0], [0.7], [0.0, 0.0]).as_vector()
+        d, _ = build_reduced(spec, lp, z, 1e-9, gradient_at(spec, lp, z))
         np.testing.assert_allclose(d[2:3], [1e-9 + 0.2], rtol=0, atol=0)
 
     def test_rhs_is_negative_gradient(self):
         prob = generate_optimal_lp(3, 6, 0)
         p = random_primal_dual(np.random.default_rng(1), 6, 3)
-        g = eval_gradient(BASE3, prob.lp, p)
+        g = gradient_at(BASE3, prob.lp, p.as_vector())
         _, rhs = build_reduced(BASE3, prob.lp, p.as_vector(), 1e-3, g)
         np.testing.assert_array_equal(rhs, -g)
 
@@ -236,7 +236,7 @@ class TestSolveDense:
             generate = generate_unbounded_lp if seed % 2 else generate_optimal_lp
             lp = generate(8, 20, seed).lp
             point = random_homogeneous(rng, 20, 8, scale=2.0)
-            g = eval_gradient(HOMOGENEOUS3, lp, point)
+            g = gradient_at(HOMOGENEOUS3, lp, point.as_vector())
             delta = solve_dense(HOMOGENEOUS3, lp, point.as_vector(), 1e-9, -g)
             H = eval_hessian(HOMOGENEOUS3, lp, point).full()
             H[np.diag_indices_from(H)] += 1e-9
@@ -272,7 +272,7 @@ class TestSolveDense:
         monkeypatch.setattr(linsys, "cho_solve", counting_solve)
         prob = generate_optimal_lp(4, 9, 2)
         point = _random_point(spec, np.random.default_rng(5), 9, 4)
-        g = eval_gradient(spec, prob.lp, point)
+        g = gradient_at(spec, prob.lp, point.as_vector())
         _newton_solve(spec, prob.lp, point.as_vector(), 1e-6, -g)
         assert factored == factored_orders
         assert solved == solved_shapes
@@ -285,7 +285,7 @@ class TestSolveDense:
         m, n = 150, 450
         lp = generate_unbounded_lp(m, n, 0).lp
         point = filled_point(HomogeneousPoint, n, m, 1.0)
-        g = eval_gradient(HOMOGENEOUS3, lp, point)
+        g = gradient_at(HOMOGENEOUS3, lp, point.as_vector())
         lp.gram
         tracemalloc.start()
         try:
@@ -297,7 +297,7 @@ class TestSolveDense:
 
 
 def _structured_vs_oracle(spec, lp, point, mu):
-    g = eval_gradient(spec, lp, point)
+    g = gradient_at(spec, lp, point.as_vector())
     delta = solve_structured(*build_reduced(spec, lp, point.as_vector(), mu, g), lp)
     expected = _oracle(spec, lp, point, mu, -g)
     assert np.linalg.norm(delta - expected) <= 1e-8 * (1.0 + np.linalg.norm(expected))
@@ -338,9 +338,8 @@ class TestSolveStructured:
             mu = 10.0 ** rng.uniform(-6, -1)
             spec = HOMOTOPY3 if seed % 2 else BASE3
             _structured_vs_oracle(spec, prob.lp, point, mu)
-            d, rhs = build_reduced(
-                spec, prob.lp, point.as_vector(), mu, eval_gradient(spec, prob.lp, point)
-            )
+            z = point.as_vector()
+            d, rhs = build_reduced(spec, prob.lp, z, mu, gradient_at(spec, prob.lp, z))
             u = solve_structured(d, rhs, prob.lp)[: n + m]
             expected = _reduced_reference(d, rhs, prob.lp, reference)
             assert np.linalg.norm(u - expected) <= 1e-8 * (1.0 + np.linalg.norm(expected))
@@ -353,7 +352,7 @@ class TestSolveStructured:
         for seed in range(10):
             prob = generate_optimal_lp(8, 20, seed)
             point = random_primal_dual(rng, 20, 8, scale=2.0)
-            g = eval_gradient(BASE3, prob.lp, point)
+            g = gradient_at(BASE3, prob.lp, point.as_vector())
             d, rhs = build_reduced(BASE3, prob.lp, point.as_vector(), 1e-9, g)
             delta = solve_structured(d, rhs, prob.lp)
             H = eval_hessian(BASE3, prob.lp, point).full()
@@ -397,7 +396,7 @@ class TestSolveStructured:
         monkeypatch.setattr(linsys, "_factor", recording_factor)
         prob = generate_optimal_lp(4, 9, 2)
         point = random_primal_dual(np.random.default_rng(5), 9, 4)
-        g = eval_gradient(BASE3, prob.lp, point)
+        g = gradient_at(BASE3, prob.lp, point.as_vector())
         solve_structured(*build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert factored == [(9, 9), (4, 4)]
 
@@ -408,7 +407,7 @@ class TestSolveStructured:
             prob = generate_optimal_lp(3, 7, seed)
             point = random_primal_dual(rng, 7, 3, scale=2.0)
             mu = 10.0 ** rng.uniform(-9, -1)
-            g = eval_gradient(BASE3, prob.lp, point)
+            g = gradient_at(BASE3, prob.lp, point.as_vector())
             d, rhs = build_reduced(BASE3, prob.lp, point.as_vector(), mu, g)
             assert g @ solve_structured(d, rhs, prob.lp) < 0.0
 
@@ -438,7 +437,7 @@ class TestSolveStructured:
         monkeypatch.setattr(linsys, "cho_solve", counting)
         prob = generate_optimal_lp(4, 9, 2)
         point = random_primal_dual(np.random.default_rng(5), 9, 4)
-        g = eval_gradient(BASE3, prob.lp, point)
+        g = gradient_at(BASE3, prob.lp, point.as_vector())
         solve_structured(*build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert calls == [(9, 2), (4, 2), (9,), (4,)]
 
@@ -446,7 +445,7 @@ class TestSolveStructured:
         prob = generate_optimal_lp(4, 9, 3)
         before = prob.lp.gram.copy()
         point = random_primal_dual(np.random.default_rng(8), 9, 4)
-        g = eval_gradient(BASE3, prob.lp, point)
+        g = gradient_at(BASE3, prob.lp, point.as_vector())
         solve_structured(*build_reduced(BASE3, prob.lp, point.as_vector(), 1e-6, g), prob.lp)
         assert np.array_equal(prob.lp.gram, before)
 

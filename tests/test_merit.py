@@ -24,13 +24,12 @@ from lpmerit import (
     MeritSpec,
     PrimalDualPoint,
     StandardFormLp,
-    eval_gradient,
     eval_hessian,
-    eval_value,
     generate_optimal_lp,
     residuals,
 )
 from lpmerit import merit
+from lpmerit.merit import gradient_at, value_at
 
 BASE3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0)
 
@@ -42,23 +41,24 @@ def desk_lp():
 
 class TestDeskValues:
     def test_zero_at_the_optimal_point(self, desk_lp):
-        assert eval_value(BASE3, desk_lp, PrimalDualPoint([1.0], [1.0], [0.0])) == 0.0
+        assert value_at(BASE3, desk_lp, PrimalDualPoint([1.0], [1.0], [0.0]).as_vector()) == 0.0
 
     def test_value_at_origin(self, desk_lp):
         # gamma = 0, rho = 1, sigma = 1, no penalty
-        assert eval_value(BASE3, desk_lp, filled_point(PrimalDualPoint, 1, 1, 0.0)) == 1.0
+        origin = filled_point(PrimalDualPoint, 1, 1, 0.0).as_vector()
+        assert value_at(BASE3, desk_lp, origin) == 1.0
 
     def test_value_with_negative_x(self, desk_lp):
         # gamma = -1, rho = 2, sigma = 1, penalty (1/6)*1
         p = PrimalDualPoint([-1.0], [0.0], [0.0])
-        assert eval_value(BASE3, desk_lp, p) == pytest.approx(19.0 / 6.0, rel=1e-15)
+        assert value_at(BASE3, desk_lp, p.as_vector()) == pytest.approx(19.0 / 6.0, rel=1e-15)
 
     def test_gradient_at_origin(self, desk_lp):
-        g = eval_gradient(BASE3, desk_lp, filled_point(PrimalDualPoint, 1, 1, 0.0))
+        g = gradient_at(BASE3, desk_lp, filled_point(PrimalDualPoint, 1, 1, 0.0).as_vector())
         np.testing.assert_array_equal(g, [-1.0, -1.0, -1.0])
 
     def test_gradient_vanishes_at_the_optimum(self, desk_lp):
-        g = eval_gradient(BASE3, desk_lp, PrimalDualPoint([1.0], [1.0], [0.0]))
+        g = gradient_at(BASE3, desk_lp, PrimalDualPoint([1.0], [1.0], [0.0]).as_vector())
         np.testing.assert_array_equal(g, [0.0, 0.0, 0.0])
 
     def test_desk_hessian_base(self, desk_lp):
@@ -73,8 +73,8 @@ class TestDeskValues:
     def test_homogeneous_zero_point(self, desk_lp):
         spec = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
         z = HomogeneousPoint([0.0], [0.0], [0.0], 0.0, 0.0)
-        assert eval_value(spec, desk_lp, z) == 0.0
-        np.testing.assert_array_equal(eval_gradient(spec, desk_lp, z), np.zeros(5))
+        assert value_at(spec, desk_lp, z.as_vector()) == 0.0
+        np.testing.assert_array_equal(gradient_at(spec, desk_lp, z.as_vector()), np.zeros(5))
 
 
 def _spec_grid():
@@ -102,9 +102,8 @@ def test_gradient_matches_finite_differences(spec):
     dim = 2 * 5 + 3 + (2 if spec.kind is MeritKind.HOMOGENEOUS else 0)
     for _ in range(5):
         z = rng.standard_normal(dim)
-        point = _point_for(spec, z)
-        g = eval_gradient(spec, prob.lp, point)
-        g_fd = central_gradient(lambda zz: eval_value(spec, prob.lp, _point_for(spec, zz)), z)
+        g = gradient_at(spec, prob.lp, z)
+        g_fd = central_gradient(lambda zz: value_at(spec, prob.lp, zz), z)
         err = np.abs(g - g_fd).max() / (1.0 + np.abs(g).max())
         assert err <= 1e-5
 
@@ -117,9 +116,7 @@ def test_hessian_matches_finite_differences(spec):
     for _ in range(3):
         z = rng.standard_normal(dim)
         full = eval_hessian(spec, prob.lp, _point_for(spec, z)).full()
-        fd = central_jacobian(
-            lambda zz: eval_gradient(spec, prob.lp, _point_for(spec, zz)), z
-        )
+        fd = central_jacobian(lambda zz: gradient_at(spec, prob.lp, zz), z)
         tol = 1e-4 * (1.0 + np.linalg.norm(full, "fro"))
         assert np.abs(full - fd).max() <= tol
 
@@ -141,14 +138,14 @@ class TestInvariants:
                     point = random_homogeneous(rng, 7, 4, scale=3.0)
                 else:
                     point = random_primal_dual(rng, 7, 4, scale=3.0)
-                assert eval_value(spec, prob.lp, point) >= 0.0
+                assert value_at(spec, prob.lp, point.as_vector()) >= 0.0
 
     def test_zero_at_generated_optimum(self):
         for seed in range(10):
             prob = generate_optimal_lp(4, 9, seed)
             s2 = prob.lp.scale**2
-            assert eval_value(BASE3, prob.lp, prob.known_optimum) <= 1e-20 * s2
-            g = eval_gradient(BASE3, prob.lp, prob.known_optimum)
+            assert value_at(BASE3, prob.lp, prob.known_optimum.as_vector()) <= 1e-20 * s2
+            g = gradient_at(BASE3, prob.lp, prob.known_optimum.as_vector())
             assert np.abs(g).max() <= 1e-12 * s2
 
     def test_midpoint_convexity_sampled(self):
@@ -157,9 +154,9 @@ class TestInvariants:
         for _ in range(100):
             u = rng.standard_normal(15) * 2.0
             v = rng.standard_normal(15) * 2.0
-            fu = eval_value(BASE3, prob.lp, PrimalDualPoint.from_vector(u, 6, 3))
-            fv = eval_value(BASE3, prob.lp, PrimalDualPoint.from_vector(v, 6, 3))
-            fm = eval_value(BASE3, prob.lp, PrimalDualPoint.from_vector((u + v) / 2.0, 6, 3))
+            fu = value_at(BASE3, prob.lp, u)
+            fv = value_at(BASE3, prob.lp, v)
+            fm = value_at(BASE3, prob.lp, (u + v) / 2.0)
             assert fm <= 0.5 * fu + 0.5 * fv + 1e-10 * (1.0 + abs(fu) + abs(fv))
 
     def test_full_hessian_positive_semidefinite(self):
@@ -223,7 +220,7 @@ class TestInvariants:
             t = np.concatenate([point.x, point.s])
             closed = 0.5 * (gamma**2 + rho @ rho + sigma @ sigma)
             closed += (np.maximum(-t, 0.0) ** spec.q).sum() / (spec.q * (spec.q - 1.0))
-            assert eval_value(spec, prob.lp, point) == pytest.approx(closed, rel=1e-13)
+            assert value_at(spec, prob.lp, point.as_vector()) == pytest.approx(closed, rel=1e-13)
             (f0, g0), (f, g), _ = merit.evaluate(spec, prob.lp, point.as_vector())
             assert f0 == f and np.array_equal(g0, g)
             diag = eval_hessian(spec, prob.lp, point).diag_add
@@ -310,15 +307,15 @@ class TestGuards:
     def test_overflow_saturates_to_inf(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         p = PrimalDualPoint([1e200, 0.0], [0.0], [0.0, 0.0])
-        v = eval_value(BASE3, lp, p)
+        v = value_at(BASE3, lp, p.as_vector())
         assert v == math.inf
 
     def test_fractional_q_handles_negative_coordinates(self):
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         spec = MeritSpec(MeritKind.PRIMAL_DUAL, q=2.1)
         p = PrimalDualPoint([-0.5, 0.3], [0.2], [-0.1, 0.0])
-        assert math.isfinite(eval_value(spec, lp, p))
-        assert np.isfinite(eval_gradient(spec, lp, p)).all()
+        assert math.isfinite(value_at(spec, lp, p.as_vector()))
+        assert np.isfinite(gradient_at(spec, lp, p.as_vector())).all()
         assert np.isfinite(eval_hessian(spec, lp, p).diag_add).all()
 
     def test_q_must_exceed_two(self):
@@ -346,9 +343,9 @@ class TestGuards:
         lp = StandardFormLp([[1.0, 1.0]], [1.0], [1.0, 0.0])
         hom = MeritSpec(MeritKind.HOMOGENEOUS, q=3.0)
         with pytest.raises(KindMismatch):
-            eval_value(hom, lp, filled_point(PrimalDualPoint, 2, 1, 0.0))
+            eval_hessian(hom, lp, filled_point(PrimalDualPoint, 2, 1, 0.0))
         with pytest.raises(KindMismatch):
-            eval_value(BASE3, lp, filled_point(HomogeneousPoint, 2, 1, 1.0))
+            eval_hessian(BASE3, lp, filled_point(HomogeneousPoint, 2, 1, 1.0))
 
 
 _COORDINATES = st.one_of(

@@ -42,7 +42,7 @@ from lpmerit import (
 
 #: The homotopy from nu0 = 0: constant mu with Armijo on the base merit.
 BASE_MERIT = SolverConfig(Algorithm.HOMOTOPY, nu0=0.0)
-#: The two Armijo schemes, the homotopy from its default nu0 = 1 and from
+#: The two Armijo schemes, the homotopy from its default nu0 = 0.05 and from
 #: nu0 = 0, and every scheme.  Each takes its own iterates.
 ARMIJO = [SolverConfig(Algorithm.HOMOTOPY), BASE_MERIT]
 SCHEMES = [SolverConfig(Algorithm.LM_ADAPTIVE)] + ARMIJO
@@ -150,26 +150,19 @@ class TestArmijo:
 
 class TestConfig:
     def test_variant_defaults(self):
-        adaptive = SolverConfig(Algorithm.LM_ADAPTIVE)
-        assert adaptive.q == 3.0
-        cfg = SolverConfig(Algorithm.HOMOTOPY)
-        assert (cfg.q, cfg.mu_const, cfg.theta, cfg.nu0) == (2.1, 1e-9, 0.8, 0.05)
+        assert solver_module._Q == {Algorithm.LM_ADAPTIVE: 3.0, Algorithm.HOMOTOPY: 2.1}
+        assert (solver_module._MU, solver_module._THETA) == (1e-9, 0.8)
+        assert solver_module._HESSIAN_LIPSCHITZ == 1.0
+        assert SolverConfig(Algorithm.HOMOTOPY).nu0 == 0.05
         assert BASE_MERIT.nu0 == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"q": 2.0},
-            {"theta": 1.0},
-            {"theta": 0.0},
             {"nu0": -1.0},
             {"nu0": math.nan},
-            {"mu_const": 0.0},
             {"tol_grad": 0.0},
             {"max_iter": -1},
-            {"q": math.inf},
-            {"mu_const": math.inf},
-            {"hessian_lipschitz": math.inf},
             {"nu0": math.inf},
             {"nu0": -math.inf},
             {"tol_grad": math.inf},
@@ -188,12 +181,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "algorithm,name,value",
-        [
-            (Algorithm.LM_ADAPTIVE, "mu_const", 1e-3),
-            (Algorithm.LM_ADAPTIVE, "theta", 0.3),
-            (Algorithm.LM_ADAPTIVE, "nu0", 5.0),
-            (Algorithm.HOMOTOPY, "hessian_lipschitz", 2.0),
-        ],
+        [(Algorithm.LM_ADAPTIVE, "nu0", 5.0)],
     )
     def test_a_setting_the_algorithm_never_reads_is_rejected(self, algorithm, name, value):
         """Such a setting would change nothing in the run; at its default it
@@ -225,7 +213,7 @@ class TestSolve:
     def test_homotopy_schedule_is_exact(self, monkeypatch):
         monkeypatch.setattr(solver_module, "_FULL_STEP_SHRINK", 1.0)
         prob = generate_optimal_lp(3, 6, 1)
-        cfg = SolverConfig(Algorithm.HOMOTOPY, theta=0.8, nu0=1.0)
+        cfg = SolverConfig(Algorithm.HOMOTOPY, nu0=1.0)
         out = solve(prob.lp, cfg)
         nu = 1.0
         for record in out.trace:
@@ -233,7 +221,7 @@ class TestSolve:
             nu *= 0.8
 
     def test_homotopy_decay_follows_the_step_length(self):
-        """nu falls by theta after a backtracked step and by half of it after
+        """nu falls by _THETA after a backtracked step and by half of it after
         a full one; the run takes both kinds of step."""
         prob = generate_optimal_lp(5, 10, 0)
         cfg = SolverConfig(Algorithm.HOMOTOPY)
@@ -241,7 +229,8 @@ class TestSolve:
         assert out.status is SolveStatus.OPTIMAL
         steps = list(zip(out.trace, out.trace[1:]))
         for row, following in steps:
-            factor = cfg.theta * 0.5 if row.alpha == 1.0 else cfg.theta
+            theta = solver_module._THETA
+            factor = theta * 0.5 if row.alpha == 1.0 else theta
             assert following.nu == factor * row.nu
         alphas = {row.alpha == 1.0 for row, _ in steps}
         assert alphas == {True, False}
@@ -304,7 +293,8 @@ class TestSolve:
         assert abs(gamma) <= eps_norm
         assert np.linalg.norm(rho) <= eps_norm
         assert np.linalg.norm(sigma) <= eps_norm
-        eps_sign = (cfg.q * (cfg.q - 1.0) * out.final_f) ** (1.0 / cfg.q) + slack
+        q = solver_module._Q[cfg.algorithm]
+        eps_sign = (q * (q - 1.0) * out.final_f) ** (1.0 / q) + slack
         assert out.point.x.min() >= -eps_sign
         assert out.point.s.min() >= -eps_sign
 
@@ -867,7 +857,7 @@ class TestPolish:
 
     def test_polished_vertex_is_the_last_row(self):
         """The vertex is iterate k + 1; its row comes from the evaluation
-        that verified it, at nu decayed by theta, and the row before it
+        that verified it, at nu decayed by _THETA, and the row before it
         took no Newton step."""
         prob = generate_optimal_lp(5, 10, 6)
         out = solve(prob.lp, self.HOMOTOPY, x_star=prob.known_optimum.x)
@@ -875,8 +865,9 @@ class TestPolish:
         assert len(out.trace) == out.iterations + 1
         before, last = out.trace[-2:]
         assert before.alpha == 0.0 and last.alpha == 0.0
-        assert last.nu == before.nu * self.HOMOTOPY.theta
-        surrogate = MeritSpec(MeritKind.PRIMAL_DUAL, q=self.HOMOTOPY.q, nu=last.nu)
+        assert last.nu == before.nu * solver_module._THETA
+        q = solver_module._Q[self.HOMOTOPY.algorithm]
+        surrogate = MeritSpec(MeritKind.PRIMAL_DUAL, q=q, nu=last.nu)
         assert last.f == merit_module.value_at(surrogate, prob.lp, out.point.as_vector())
         assert max(last.gap, last.primal_res, last.dual_res, last.rel_err_x) < 1e-12
         assert last.min_x == last.min_s == 0.0
