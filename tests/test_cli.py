@@ -215,13 +215,14 @@ class TestSolve:
         assert main(["solve", "--input", str(path), flag, "inf"]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alg", ["homotopy", "lm-adaptive"])
     @pytest.mark.parametrize("flag,text", [("--q", "3"), ("--mu", "1e-9"), ("--theta", "0.8")])
-    def test_a_removed_tuning_flag_exits_2(self, tmp_path, capsys, flag, text):
+    def test_a_removed_tuning_flag_exits_2(self, tmp_path, capsys, flag, text, alg):
         """q, mu and theta are fixed per variant; a flag for one of them fails
         loudly instead of being ignored, even at the fixed value."""
         path = _gen(tmp_path, 3, 6)
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--input", str(path), flag, text])
+            main(["solve", "--input", str(path), "--alg", alg, flag, text])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
 
@@ -245,6 +246,13 @@ class TestSolve:
         config = json.loads(report.read_text())["config"]
         assert list(config) == ["algorithm", "max_iter", "tol_grad", "tol_f"]
         assert config == cli._config_document(SolverConfig(Algorithm.LM_ADAPTIVE))
+
+    def test_adaptive_run_warns_of_nothing(self, tmp_path, capsys):
+        """With q fixed at 3 per variant, no setting can leave the adaptive
+        scheme's guarantee, so the run has nothing to warn about."""
+        path = _gen(tmp_path, 3, 6)
+        assert main(["solve", "--input", str(path), "--alg", "lm-adaptive"]) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_a_setting_the_adaptive_scheme_never_reads_exits_2(self, tmp_path, capsys):
         path = _gen(tmp_path, 3, 6)

@@ -169,6 +169,13 @@ class TestConfig:
             {"tol_f": math.inf},
             {"max_iter": 5.0},
             {"max_iter": True},
+            {"tol_f": 0.0},
+            {"tol_f": math.nan},
+            {"tol_f": -1e-16},
+            {"tol_grad": math.nan},
+            {"tol_grad": -1e-10},
+            {"max_iter": "5"},
+            {"max_iter": None},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -190,6 +197,15 @@ class TestConfig:
             SolverConfig(algorithm, **{name: value})
         config = SolverConfig(algorithm, **{name: getattr(SolverConfig(algorithm), name)})
         assert name not in config.read_fields()
+
+    @pytest.mark.parametrize(
+        "name,value", [("q", 3.0), ("mu_const", 1e-9), ("theta", 0.8), ("hessian_lipschitz", 1.0)]
+    )
+    def test_a_fixed_setting_is_not_a_field(self, name, value):
+        """q, mu, theta and L are solver constants; passing one fails loudly,
+        even at its fixed value, instead of being ignored."""
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            SolverConfig(Algorithm.HOMOTOPY, **{name: value})
 
 
 class TestSolve:
