@@ -43,6 +43,7 @@ from .problems import (
 )
 from .solver import (
     Algorithm,
+    Classification,
     IterationRecord,
     SolveStatus,
     SolverConfig,
@@ -154,7 +155,11 @@ def cmd_solve(args) -> int:
         "config": _config_document(config),
     }
     if args.homogeneous_escalate and outcome.status is SolveStatus.NO_OPTIMAL_SOLUTION:
-        hom_point, hom_status = solve_homogeneous(problem.lp, config)
+        # a primal-feasible no-optimum point carries the dual-infeasibility ray
+        unbounded = outcome.classification is Classification.PRIMAL_FEASIBLE_DUAL_INFEASIBLE
+        hom_point, hom_status = solve_homogeneous(
+            problem.lp, config, near=outcome.point if unbounded else None
+        )
         report["homogeneous"] = {
             "status": hom_status.value,
             "tau": hom_point.tau,
@@ -246,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument(
         "--homogeneous-escalate",
         action="store_true",
-        help="on a certified no-optimum outcome, classify via the homogeneous embedding",
+        help="on a certified no-optimum outcome, classify via the homogeneous embedding, "
+        "started at the run's dual-infeasibility ray when it is classified "
+        "PrimalFeasibleDualInfeasible and at the all-ones point otherwise",
     )
     slv.set_defaults(func=cmd_solve)
 

@@ -523,14 +523,48 @@ def solve(
     )
 
 
+def _ray_start(lp: StandardFormLp, near: PrimalDualPoint) -> np.ndarray | None:
+    """The homogeneous start x = d / (-c.d), lam = 0, s = 0, tau = 0,
+    kappa = 1 from d = max(A'lam + s - c, 0) at ``near``, or None unless d
+    and c.d are finite, c.d < 0 and ||d|| > KKT_TOL * (1 + ||c||).
+
+    There gamma and sigma of the embedding are exactly zero and rho = -Ax is
+    as small as A d: at a primal-dual run's certified no-optimum with a
+    feasible primal, d is its dual-infeasibility ray to rounding.  The norm
+    bound keeps the rounding-level d of a dual-feasible point, such as a
+    verified optimum, whose c.d may be negative, from passing for a ray.
+    """
+    if near.lam.shape != (lp.m,) or near.s.shape != (lp.n,):
+        raise DimensionMismatch(
+            f"near has sizes (m={near.lam.size}, n={near.s.size}), "
+            f"problem has (m={lp.m}, n={lp.n})"
+        )
+    d = np.maximum(lp.A.T @ near.lam + near.s - lp.c, 0.0)
+    if not np.isfinite(d).all():
+        return None
+    cd = float(lp.c @ d)
+    large = float(np.linalg.norm(d)) > KKT_TOL * (1.0 + float(np.linalg.norm(lp.c)))
+    if not (math.isfinite(cd) and cd < 0.0 and large):
+        return None
+    z = np.zeros(2 * lp.n + lp.m + 2)
+    z[: lp.n] = d / -cd
+    z[-1] = 1.0
+    return z
+
+
 def solve_homogeneous(
-    lp: StandardFormLp, config: SolverConfig
+    lp: StandardFormLp, config: SolverConfig, *, near: PrimalDualPoint | None = None
 ) -> tuple[HomogeneousPoint, HomogeneousStatus]:
     """Minimize the homogeneous-embedding merit and classify the solution.
 
     The run starts at the all-ones point, since the all-zero point is a global
-    minimizer of this merit.  It stops on the gradient test alone, and
-    ``config.algorithm`` picks only the mu rule and the line search: nu is 0
+    minimizer of this merit, unless ``near`` is given and names a ray:
+    d = max(A'lam + s - c, 0) at ``near`` has c.d < 0 and fails the dual KKT
+    test.  Then it starts at x = d / (-c.d), kappa = 1 and the rest zero (see
+    ``_ray_start``).  ``near`` is meant to be the point of a ``solve`` run
+    classified PrimalFeasibleDualInfeasible; at any other point whose d is
+    no ray the run is the one from all-ones.  It stops on the gradient test
+    alone, and ``config.algorithm`` picks only the mu rule and the line search: nu is 0
     whatever ``nu0`` is.  Iterations use solve_dense, which eliminates only
     the s block and factors the remainder over (x, lam, tau, kappa), since the
     structured elimination does not cover the two extra dense rows.  On
@@ -544,9 +578,10 @@ def solve_homogeneous(
     def stop(z, f, g_inf, res):
         return SolveStatus.OPTIMAL if g_inf <= tol_grad else None
 
+    start = _ray_start(lp, near) if near is not None else None
     z, _, _, _, status = _minimize(
         lp, config, MeritSpec(MeritKind.HOMOGENEOUS, q=_Q[config.algorithm]),
-        np.ones(2 * lp.n + lp.m + 2), stop,
+        np.ones(2 * lp.n + lp.m + 2) if start is None else start, stop,
     )
     point = HomogeneousPoint.from_vector(z, lp.n, lp.m)
     if status is not SolveStatus.OPTIMAL:

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference oracles, random and constant
-point factories, the KKT residuals of a point and a rank-deficient problem."""
+point factories, the KKT residuals of a point, a rank-deficient problem and
+a primal-infeasible one."""
 
 import numpy as np
 
@@ -76,3 +77,16 @@ def duplicated_row_lp(m, n, seed):
     A[-1] = A[0]
     opt = prob.known_optimum
     return StandardFormLp(A, A @ opt.x, A.T @ opt.lam + opt.s)
+
+
+def primal_infeasible_lp(m, n, seed):
+    """A problem with no x >= 0 solving Ax = b: the columns of a Gaussian A
+    with A'y > 0 are negated, so A'y <= 0, and b = 5 y / ||y|| plus 0.1
+    times Gaussian noise, so b.y > 0 (Farkas); c is uniform in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    y = rng.standard_normal(m)
+    A[:, A.T @ y > 0] *= -1.0
+    b = 5.0 * y / np.linalg.norm(y) + 0.1 * rng.standard_normal(m)
+    c = rng.uniform(0.5, 2.0, n)
+    return StandardFormLp(A, b, c)

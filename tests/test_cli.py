@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import primal_infeasible_lp
 
 from lpmerit import (
     Algorithm,
@@ -145,7 +146,47 @@ class TestSolve:
         assert code == 10
         doc = json.loads(report.read_text())
         assert doc["homogeneous"]["status"] == "DualInfeasible"
-        assert doc["homogeneous"]["kappa"] > 0
+        kappa = doc["homogeneous"]["kappa"]
+        assert kappa > 0
+        # the certificate the benchmark's unbounded check requires
+        assert abs(doc["homogeneous"]["tau"]) <= 1e-3 * kappa
+
+    def _escalate(self, tmp_path, monkeypatch, path):
+        """Run ``solve --homogeneous-escalate`` on ``path`` and return its
+        exit code, its report and the ``near`` given to solve_homogeneous."""
+        nears = []
+        real = cli.solve_homogeneous
+
+        def spying(lp, config, **kwargs):
+            nears.append(kwargs.get("near"))
+            return real(lp, config, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_homogeneous", spying)
+        report = tmp_path / "report.json"
+        code = main(
+            ["solve", "--input", str(path), "--homogeneous-escalate", "--report", str(report)]
+        )
+        assert len(nears) == 1
+        return code, json.loads(report.read_text()), nears[0]
+
+    def test_unbounded_escalation_starts_at_the_run_point(self, tmp_path, monkeypatch):
+        path = _gen(tmp_path, 3, 8, kind="unbounded")
+        code, doc, near = self._escalate(tmp_path, monkeypatch, path)
+        assert code == 10
+        assert doc["classification"] == "PrimalFeasibleDualInfeasible"
+        assert doc["homogeneous"]["status"] == "DualInfeasible"
+        assert near is not None
+        assert near.x.tolist() == doc["point"]["x"]
+
+    def test_unclassified_escalation_passes_no_near(self, tmp_path, monkeypatch):
+        path = tmp_path / "infeasible.json"
+        lp = primal_infeasible_lp(20, 30, 0)
+        save_problem(path, GeneratedProblem(lp, None, None, None, 0, ProblemKind.UNKNOWN))
+        code, doc, near = self._escalate(tmp_path, monkeypatch, path)
+        assert code == 10
+        assert doc["classification"] == "Unclassified"
+        assert near is None
+        assert doc["homogeneous"]["status"] == "PrimalInfeasible"
 
     def test_missing_input_exits_3(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "absent.json")]) == 3

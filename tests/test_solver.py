@@ -156,26 +156,28 @@ class TestConfig:
         assert SolverConfig(Algorithm.HOMOTOPY).nu0 == 0.05
         assert BASE_MERIT.nu0 == 0.0
 
+    # each case keeps, as its own id, the name pytest gave it by position,
+    # so that removing a case renames no other
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"nu0": -1.0},
-            {"nu0": math.nan},
-            {"tol_grad": 0.0},
-            {"max_iter": -1},
-            {"nu0": math.inf},
-            {"nu0": -math.inf},
-            {"tol_grad": math.inf},
-            {"tol_f": math.inf},
-            {"max_iter": 5.0},
-            {"max_iter": True},
-            {"tol_f": 0.0},
-            {"tol_f": math.nan},
-            {"tol_f": -1e-16},
-            {"tol_grad": math.nan},
-            {"tol_grad": -1e-10},
-            {"max_iter": "5"},
-            {"max_iter": None},
+            pytest.param({"nu0": -1.0}, id="kwargs0"),
+            pytest.param({"nu0": math.nan}, id="kwargs1"),
+            pytest.param({"tol_grad": 0.0}, id="kwargs2"),
+            pytest.param({"max_iter": -1}, id="kwargs3"),
+            pytest.param({"nu0": math.inf}, id="kwargs4"),
+            pytest.param({"nu0": -math.inf}, id="kwargs5"),
+            pytest.param({"tol_grad": math.inf}, id="kwargs6"),
+            pytest.param({"tol_f": math.inf}, id="kwargs7"),
+            pytest.param({"max_iter": 5.0}, id="kwargs8"),
+            pytest.param({"max_iter": True}, id="kwargs9"),
+            pytest.param({"tol_f": 0.0}, id="kwargs10"),
+            pytest.param({"tol_f": math.nan}, id="kwargs11"),
+            pytest.param({"tol_f": -1e-16}, id="kwargs12"),
+            pytest.param({"tol_grad": math.nan}, id="kwargs13"),
+            pytest.param({"tol_grad": -1e-10}, id="kwargs14"),
+            pytest.param({"max_iter": "5"}, id="kwargs15"),
+            pytest.param({"max_iter": None}, id="kwargs16"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
