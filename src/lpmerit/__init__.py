@@ -36,14 +36,17 @@ from .merit import (
 from .problems import (
     GENERATOR_NAME,
     KKT_TOL,
+    RAY_TOL,
     GeneratedProblem,
     HomogeneousPoint,
     PrimalDualPoint,
     ProblemKind,
     StandardFormLp,
     brute_force_optimum,
+    certificate_residuals,
     generate_optimal_lp,
     generate_unbounded_lp,
+    is_dual_ray,
     kkt_residuals,
     residuals,
 )
@@ -87,6 +90,7 @@ __all__ = [
     "NotDescentDirection",
     "PrimalDualPoint",
     "ProblemKind",
+    "RAY_TOL",
     "ShapeViolation",
     "SolveOutcome",
     "SolveStatus",
@@ -95,10 +99,12 @@ __all__ = [
     "armijo_search",
     "brute_force_optimum",
     "build_reduced",
+    "certificate_residuals",
     "cholesky_rank_one_update",
     "eval_hessian",
     "generate_optimal_lp",
     "generate_unbounded_lp",
+    "is_dual_ray",
     "kkt_residuals",
     "least_squares_start",
     "load_problem",

@@ -149,6 +149,8 @@ def cmd_solve(args) -> int:
         "iterations": outcome.iterations,
         "polished": outcome.polished,
         "polish_attempts": outcome.polish_attempts,
+        "ray": outcome.ray,
+        "ray_verified_at": outcome.ray_verified_at,
         "objective_primal": float(problem.lp.c @ outcome.point.x),
         "objective_dual": float(problem.lp.b @ outcome.point.lam),
         "point": serialize.point_document(outcome.point),
@@ -179,6 +181,11 @@ def cmd_solve(args) -> int:
         f"{outcome.status.value}: iterations={outcome.iterations} "
         f"f={outcome.final_f:.3e} grad_inf={outcome.final_grad_norm:.3e}"
         + (" stopped-by=polished-vertex" if outcome.polished else "")
+        + (
+            f" ray-verified-at={outcome.ray_verified_at}"
+            if outcome.ray_verified_at is not None
+            else ""
+        )
         + (
             f" classification={outcome.classification.value}"
             if outcome.classification is not None

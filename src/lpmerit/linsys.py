@@ -22,7 +22,9 @@ nearly singular along null(A) at small mu, cancels catastrophically.
 Both Newton solves return the flat step.
 
 least_squares_start gives solve its starting point from one m x m Cholesky
-factorization of A A'.
+factorization of A A' + delta*I, and project_ray projects a candidate dual
+ray onto null(A_P) from the same factorization of the columns P that carry
+it.
 
 The polish takes two LU factorizations of a square basis A_B.
 ``_basic_vertex`` gives its vertex, each solve refined once in long double.
@@ -51,6 +53,10 @@ _potrf, _potrs, _getrf, _getrs = get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64
 )
 
+#: project_ray keeps the entries of a candidate ray above this fraction of
+#: its largest.
+_RAY_SUPPORT = 1e-3
+
 
 def least_squares_start(lp: StandardFormLp) -> np.ndarray:
     """The least-squares primal-dual point (x0, lam0, s0) as a flat iterate.
@@ -65,15 +71,42 @@ def least_squares_start(lp: StandardFormLp) -> np.ndarray:
     FactorizationFailure when AA' overflows.
     """
     A = lp.A
-    # AA' is symmetric, so its transpose is the column-major copy potrf takes
-    M = (A @ A.T).T
-    # delta covers Cholesky's backward error on AA', m*eps*||A||_F^2 with
-    # ||A||_F^2 = trace(AA'), so that a rank-deficient A factors; the 1 keeps
-    # it positive at A = 0, where the start is x0 = lam0 = 0
-    M[np.diag_indices(lp.m)] += lp.m * np.finfo(float).eps * (1.0 + M.trace())
-    y = cho_solve(_factor(M), np.column_stack([lp.b, A @ lp.c]))
+    y = cho_solve(_row_gram_factor(A), np.column_stack([lp.b, A @ lp.c]))
     lam = y[:, 1]
     return np.concatenate([A.T @ y[:, 0], lam, lp.c - A.T @ lam])
+
+
+def _row_gram_factor(A: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of AA' + delta*I for the rows of ``A``.
+
+    delta = m*eps*(1 + trace(AA')) covers Cholesky's backward error on AA',
+    m*eps*||A||_F^2 with ||A||_F^2 = trace(AA'), so that a rank-deficient A
+    factors; the 1 keeps it positive at A = 0.  Raises FactorizationFailure
+    when AA' overflows.
+    """
+    m = A.shape[0]
+    # AA' is symmetric, so its transpose is the column-major copy potrf takes
+    M = (A @ A.T).T
+    M[np.diag_indices(m)] += m * np.finfo(float).eps * (1.0 + M.trace())
+    return _factor(M)
+
+
+def project_ray(lp: StandardFormLp, d: np.ndarray) -> np.ndarray:
+    """The projection of a candidate dual ray ``d`` >= 0 onto null(A_P).
+
+    P = {j : d_j > _RAY_SUPPORT * max d} keeps the entries that carry the
+    ray; off P the result is exactly zero, and on P it is
+    d_P - A_P'(A_P A_P' + delta*I)^{-1} A_P d_P, the least-squares projection
+    from one Cholesky factorization with the delta of least_squares_start.
+    ``problems.is_dual_ray`` decides on it.  Raises FactorizationFailure
+    when A_P A_P' overflows.
+    """
+    support = np.flatnonzero(d > _RAY_SUPPORT * d.max())
+    A_P = lp.A[:, support]
+    d_P = d[support]
+    ray = np.zeros(lp.n)
+    ray[support] = d_P - A_P.T @ cho_solve(_row_gram_factor(A_P), A_P @ d_P)
+    return ray
 
 
 def build_reduced(

@@ -196,6 +196,44 @@ def kkt_residuals(lp: StandardFormLp, x, lam, s, res) -> dict:
     }
 
 
+#: A dual ray d verifies when its "null" certificate residual is at most this.
+RAY_TOL = 1e-12
+
+
+def certificate_residuals(lp: StandardFormLp, d) -> dict:
+    """The three scale-free residuals of ``d`` as a dual-infeasibility ray,
+    a direction with d >= 0, A d = 0 and c.d < 0, along which a feasible
+    primal point's objective falls without bound, at O(mn) cost:
+
+    sign max(0, -min d) / ||d||,  null ||A d|| / (||A_P||_F ||d||), where P is
+    the support {j : d_j != 0},  objective c.d / (||c|| ||d||).
+
+    ``is_dual_ray`` states the bounds.  Each residual is inf when d is zero
+    or not finite; null is 0 when A_P is, and objective when c is.
+    """
+    d = np.asarray(d, dtype=float)
+    d_norm = float(np.linalg.norm(d))
+    if not (np.isfinite(d).all() and d_norm > 0.0):
+        return {"sign": np.inf, "null": np.inf, "objective": np.inf}
+    support = d != 0.0
+    A_P = lp.A[:, support]
+    a_norm, c_norm = float(np.linalg.norm(A_P, "fro")), float(np.linalg.norm(lp.c))
+    null = float(np.linalg.norm(A_P @ d[support]))
+    return {
+        "sign": max(0.0, -float(d.min())) / d_norm,
+        "null": null / (a_norm * d_norm) if a_norm > 0.0 else 0.0,
+        "objective": float(lp.c @ d) / (c_norm * d_norm) if c_norm > 0.0 else 0.0,
+    }
+
+
+def is_dual_ray(lp: StandardFormLp, d) -> bool:
+    """Whether ``d`` verifies as a dual-infeasibility ray: by its
+    ``certificate_residuals``, min d >= 0 exactly,
+    ||A_P d_P|| <= RAY_TOL * ||A_P||_F ||d_P|| and c.d < 0."""
+    cert = certificate_residuals(lp, d)
+    return cert["sign"] == 0.0 and cert["null"] <= RAY_TOL and cert["objective"] < 0.0
+
+
 class ProblemKind(Enum):
     OPTIMAL = "optimal"
     UNBOUNDED = "unbounded"

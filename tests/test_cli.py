@@ -19,6 +19,7 @@ from lpmerit import (
     SolverConfig,
     StandardFormLp,
     generate_optimal_lp,
+    is_dual_ray,
     load_problem,
     save_problem,
 )
@@ -326,6 +327,25 @@ class TestSolve:
         main(["solve", "--input", str(path), "--nu0", nu0, "--report", str(report)])
         assert json.loads(report.read_text())["polished"] is polished
         assert ("stopped-by=polished-vertex" in capsys.readouterr().out) is polished
+
+    @pytest.mark.parametrize("kind", ["optimal", "unbounded"])
+    def test_report_and_summary_give_the_verified_ray(self, tmp_path, capsys, kind):
+        """An unbounded run reports its verified ray and the iteration where
+        it verified, which the summary names; an optimal run reports null."""
+        path = _gen(tmp_path, 3, 8, kind=kind)
+        report = tmp_path / "report.json"
+        main(["solve", "--input", str(path), "--report", str(report)])
+        doc = json.loads(report.read_text())
+        printed = capsys.readouterr().out
+        if kind == "optimal":
+            assert doc["ray"] is None and doc["ray_verified_at"] is None
+            assert "ray-verified-at=" not in printed
+            return
+        at = doc["ray_verified_at"]
+        assert isinstance(at, int) and 0 <= at <= doc["iterations"]
+        assert f" ray-verified-at={at} " in printed
+        lp = load_problem(path).lp
+        assert is_dual_ray(lp, np.array(doc["ray"]))
 
 
 class TestCheck:

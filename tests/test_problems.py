@@ -12,19 +12,27 @@ from lpmerit import (
     DimensionMismatch,
     GeneratedProblem,
     HomogeneousPoint,
+    KKT_TOL,
+    RAY_TOL,
+    Algorithm,
     InstanceTooLarge,
     NonFiniteEntry,
     PrimalDualPoint,
     ProblemKind,
     ShapeViolation,
+    SolverConfig,
+    SolveStatus,
     StandardFormLp,
     brute_force_optimum,
+    certificate_residuals,
     generate_optimal_lp,
     generate_unbounded_lp,
+    is_dual_ray,
     kkt_residuals,
     load_problem,
     residuals,
     save_problem,
+    solve,
 )
 from lpmerit import serialize
 
@@ -100,6 +108,85 @@ class TestResiduals:
         kkt = kkt_residuals(lp, p.x, p.lam, p.s, residuals(lp, p))
         expected = {"primal": primal, "dual": dual, "gap": 10 / 11, "sign": sign}
         assert kkt == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+class TestCertificateResiduals:
+    """The kernel of a dual-infeasibility ray: min d >= 0, a null residual
+    ||A_P d_P|| / (||A_P||_F ||d_P||) at most RAY_TOL and c.d < 0."""
+
+    @pytest.mark.parametrize("m,n", [(3, 8), (150, 450)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_generators_ray_passes(self, m, n, seed):
+        prob = generate_unbounded_lp(m, n, seed)
+        cert = certificate_residuals(prob.lp, prob.known_ray)
+        assert cert["sign"] == 0.0 and cert["null"] <= RAY_TOL and cert["objective"] < 0.0
+        assert is_dual_ray(prob.lp, prob.known_ray)
+
+    @pytest.mark.parametrize("m,n", [(3, 8), (150, 450)])
+    def test_a_negative_entry_fails(self, m, n):
+        """A null direction of A with one entry at -0.1, under a c that
+        keeps c.d < 0: only the sign rule fails."""
+        prob = generate_unbounded_lp(m, n, 0)
+        A, ray = prob.lp.A, prob.known_ray
+        v = np.linalg.svd(A)[2][-1]
+        j = int(np.argmax(np.abs(v)))
+        d = ray - (ray[j] + 0.1) / v[j] * v
+        lp = StandardFormLp(A, prob.lp.b, -d)
+        cert = certificate_residuals(lp, d)
+        assert d[j] < 0.0 and cert["null"] <= RAY_TOL and cert["objective"] < 0.0
+        assert cert["sign"] > 0.0
+        assert not is_dual_ray(lp, d)
+
+    @pytest.mark.parametrize("m,n", [(3, 8), (150, 450)])
+    def test_a_ray_off_the_null_space_by_1e_8_fails(self, m, n):
+        prob = generate_unbounded_lp(m, n, 0)
+        A, ray = prob.lp.A, prob.known_ray
+        w = A.T @ np.ones(m)
+        d = ray + w * (1e-8 * np.linalg.norm(A) * np.linalg.norm(ray) / np.linalg.norm(A @ w))
+        cert = certificate_residuals(prob.lp, d)
+        assert cert["sign"] == 0.0 and cert["objective"] < 0.0
+        assert cert["null"] == pytest.approx(1e-8, rel=1e-3)
+        assert not is_dual_ray(prob.lp, d)
+
+    @pytest.mark.parametrize("flip", [-1.0, 0.0], ids=["c.d>0", "c.d=0"])
+    def test_a_ray_that_does_not_lower_the_objective_fails(self, flip):
+        prob = generate_unbounded_lp(3, 8, 0)
+        lp = StandardFormLp(prob.lp.A, prob.lp.b, flip * prob.lp.c)
+        cert = certificate_residuals(lp, prob.known_ray)
+        assert cert["sign"] == 0.0 and cert["null"] <= RAY_TOL
+        assert cert["objective"] >= 0.0
+        assert not is_dual_ray(lp, prob.known_ray)
+
+    def test_the_rounding_at_a_verified_optimum_fails(self):
+        """d = max(A'lam + s - c, 0) at the verified optimum of (5, 10, 0) is
+        rounding with c.d < 0; it passes the norm-free rules but not A d = 0."""
+        lp = generate_optimal_lp(5, 10, 0).lp
+        outcome = solve(lp, SolverConfig(Algorithm.HOMOTOPY))
+        assert outcome.status is SolveStatus.OPTIMAL
+        d = np.maximum(lp.A.T @ outcome.point.lam + outcome.point.s - lp.c, 0.0)
+        assert 0.0 < np.linalg.norm(d) <= KKT_TOL and lp.c @ d < 0.0
+        cert = certificate_residuals(lp, d)
+        assert cert["sign"] == 0.0 and cert["objective"] < 0.0
+        assert cert["null"] > RAY_TOL
+        assert not is_dual_ray(lp, d)
+
+    @pytest.mark.parametrize(
+        "d", [np.zeros(8), np.full(8, np.inf), np.full(8, np.nan)], ids=["zero", "inf", "nan"]
+    )
+    def test_a_zero_or_non_finite_direction_fails(self, d):
+        lp = generate_unbounded_lp(3, 8, 0).lp
+        assert certificate_residuals(lp, d) == {
+            "sign": math.inf, "null": math.inf, "objective": math.inf
+        }
+        assert not is_dual_ray(lp, d)
+
+    def test_a_free_column_of_negative_cost_is_a_ray(self):
+        """A zero column of A with c_j < 0: A_P = 0, so its null residual is 0."""
+        lp = StandardFormLp([[1.0, 1.0, 0.0]], [1.0], [1.0, 1.0, -1.0])
+        d = np.array([0.0, 0.0, 2.0])
+        cert = certificate_residuals(lp, d)
+        assert cert == {"sign": 0.0, "null": 0.0, "objective": pytest.approx(-1 / math.sqrt(3))}
+        assert is_dual_ray(lp, d)
 
 
 @pytest.mark.parametrize("m,n", [(3, 6), (10, 30)])

@@ -33,11 +33,13 @@ from lpmerit import (
     brute_force_optimum,
     generate_optimal_lp,
     generate_unbounded_lp,
+    is_dual_ray,
     least_squares_start,
     residuals,
     solve,
     solve_homogeneous,
 )
+from lpmerit.linsys import project_ray
 
 
 #: The homotopy from nu0 = 0: constant mu with Armijo on the base merit.
@@ -1134,3 +1136,113 @@ class TestPolish:
         assert out.status is SolveStatus.OPTIMAL and out.polished
         assert max(point_kkt(lp, out.point).values()) <= 1e-12
         assert out.iterations == (19 if kind == "columns" else 1)
+
+
+class TestRayCheck:
+    """The dual-ray check of solve: a screen at every HOMOTOPY iterate, a
+    projection and the kernel only where the screen passes, and after the
+    first verified ray no polish and one more factor in each nu decay."""
+
+    #: The unbounded-escalate panel: iterations and the iterate whose ray
+    #: verified (111 iterations in all, 11 or 12 each, without the check).
+    PANEL_ITERATIONS = [9, 8, 8, 8, 8, 9, 7, 10, 8, 8]
+    PANEL_VERIFIED_AT = [5, 4, 3, 3, 4, 5, 2, 3, 3, 3]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Counts of the projections and kernel calls that solve makes."""
+        counts = {"project_ray": 0, "is_dual_ray": 0}
+        for name in counts:
+            real = getattr(solver_module, name)
+
+            def counting(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(solver_module, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("config", SCHEMES, ids=scheme_id)
+    def test_optimal_runs_only_pay_the_screen(self, config, monkeypatch):
+        """No iterate of a problem with an optimum passes the screen, so no
+        run projects or calls the kernel, and none reports a ray."""
+        counts = self._spy(monkeypatch)
+        config = replace(config, trace=False)
+        for m, n, seeds in [(5, 10, 60), (20, 30, 20), (300, 450, 3)]:
+            for seed in range(seeds):
+                out = solve(generate_optimal_lp(m, n, seed).lp, config)
+                assert out.ray is None and out.ray_verified_at is None
+        assert counts == {"project_ray": 0, "is_dual_ray": 0}
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_no_iterate_of_a_c_scaled_input_verifies(self, seed, monkeypatch):
+        """c x 1e8 on (5, 10, seed), which has an optimum: neither the raw d
+        nor its projection passes the kernel at any iterate."""
+        prob = generate_optimal_lp(5, 10, seed).lp
+        lp = StandardFormLp(prob.A, prob.b, prob.c * 1e8)
+        sigmas = []
+        real_evaluate = merit_module.evaluate
+
+        def recording(spec, lp, z):
+            evaluation = real_evaluate(spec, lp, z)
+            sigmas.append(evaluation[2][2])
+            return evaluation
+
+        monkeypatch.setattr(merit_module, "evaluate", recording)
+        out = solve(lp, SolverConfig(Algorithm.HOMOTOPY))
+        assert out.ray is None and out.ray_verified_at is None
+        assert len(sigmas) == out.iterations + 1
+        for sigma in sigmas:
+            d = np.maximum(-sigma, 0.0)
+            assert not is_dual_ray(lp, d)
+            if d.max() > 0.0:
+                assert not is_dual_ray(lp, project_ray(lp, d))
+
+    def test_panel_verifies_a_ray_and_stops_polishing(self, monkeypatch):
+        """On the panel the ray verifies at iterate 2 to 5, the polish is
+        tried at the iterates before it only, and the runs end earlier with
+        the same label."""
+        calls = []
+
+        class CountingPolish(solver_module._Polish):
+            def __call__(self, z, spec):
+                calls.append(None)
+                return super().__call__(z, spec)
+
+        monkeypatch.setattr(solver_module, "_Polish", CountingPolish)
+        config = SolverConfig(Algorithm.HOMOTOPY, trace=False)
+        iterations, verified_at = [], []
+        for seed in range(10):
+            lp = generate_unbounded_lp(150, 450, seed).lp
+            calls.clear()
+            out = solve(lp, config)
+            assert out.status is SolveStatus.NO_OPTIMAL_SOLUTION
+            assert out.classification is Classification.PRIMAL_FEASIBLE_DUAL_INFEASIBLE
+            assert is_dual_ray(lp, out.ray)
+            assert len(calls) == out.ray_verified_at
+            assert not out.polished
+            iterations.append(out.iterations)
+            verified_at.append(out.ray_verified_at)
+        assert iterations == self.PANEL_ITERATIONS
+        assert verified_at == self.PANEL_VERIFIED_AT
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_certified_decay_takes_one_more_factor(self, seed):
+        """nu falls by _THETA or _THETA * _FULL_STEP_SHRINK, as the step
+        length says, and from the verified iterate on by one more
+        _THETA * _FULL_STEP_SHRINK."""
+        out = solve(generate_unbounded_lp(150, 450, seed).lp, SolverConfig(Algorithm.HOMOTOPY))
+        full = solver_module._THETA * solver_module._FULL_STEP_SHRINK
+        for row, following in zip(out.trace, out.trace[1:]):
+            factor = full if row.alpha == 1.0 else solver_module._THETA
+            extra = full if row.k >= out.ray_verified_at else 1.0
+            assert following.nu == row.nu * (factor * extra)
+
+    def test_the_adaptive_scheme_runs_no_check(self, monkeypatch):
+        """LM_ADAPTIVE has no nu to decay and keeps its polish: its runs on
+        an unbounded problem never project."""
+        counts = self._spy(monkeypatch)
+        out = solve(generate_unbounded_lp(3, 8, 0).lp, SolverConfig(Algorithm.LM_ADAPTIVE))
+        assert out.status is SolveStatus.NO_OPTIMAL_SOLUTION
+        assert out.ray is None and out.ray_verified_at is None
+        assert counts == {"project_ray": 0, "is_dual_ray": 0}
