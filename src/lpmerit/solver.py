@@ -411,6 +411,7 @@ class _RayCheck:
 
     def __init__(self, lp):
         self.lp = lp
+        self.screen = _RAY_SCREEN * float(np.linalg.norm(lp.A, "fro"))
         self.ray = None
         self.verified_at = None
 
@@ -420,8 +421,7 @@ class _RayCheck:
         d = np.maximum(-res[2], 0.0)
         if _ray_objective(lp, d) is None:
             return False
-        screen = _RAY_SCREEN * float(np.linalg.norm(lp.A, "fro")) * float(np.linalg.norm(d))
-        if not float(np.linalg.norm(lp.A @ d)) <= screen:
+        if not float(np.linalg.norm(lp.A @ d)) <= self.screen * float(np.linalg.norm(d)):
             return False
         try:
             ray = project_ray(lp, d)
@@ -611,12 +611,14 @@ def _ray_objective(lp: StandardFormLp, d: np.ndarray) -> float | None:
 
     The norm bound keeps the rounding-level d of a dual-feasible point, such
     as a verified optimum, whose c.d may be negative, from passing for a ray.
+    c.d is tested first, as ``solve`` runs this at every iterate and c.d >= 0
+    at most iterates of a problem with an optimum: a finite c.d already
+    means a finite d, since an inf or nan entry of d makes the sum inf or nan.
     """
-    if not np.isfinite(d).all():
-        return None
     cd = float(lp.c @ d)
-    large = float(np.linalg.norm(d)) > KKT_TOL * (1.0 + float(np.linalg.norm(lp.c)))
-    if not (math.isfinite(cd) and cd < 0.0 and large):
+    if not (math.isfinite(cd) and cd < 0.0):
+        return None
+    if not float(np.linalg.norm(d)) > KKT_TOL * (1.0 + float(np.linalg.norm(lp.c))):
         return None
     return cd
 

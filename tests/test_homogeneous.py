@@ -207,6 +207,20 @@ def test_a_primal_infeasible_point_leaves_the_all_ones_start(seed):
     _assert_same_run(cold, solve_homogeneous(lp, CFG, near=outcome.point))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_direction_names_no_ray(bad):
+    """The rule of the ray start and of solve's ray check rejects a d with
+    an inf or nan entry, whatever the sign of c_j there, c.d = -inf where
+    c_j < 0 included, though the generator's ray passes it."""
+    generated = generate_unbounded_lp(3, 8, 0)
+    lp = generated.lp
+    assert solver_module._ray_objective(lp, generated.known_ray) is not None
+    for j in (int(np.argmin(lp.c)), int(np.argmax(lp.c))):
+        d = generated.known_ray.copy()
+        d[j] = bad
+        assert solver_module._ray_objective(lp, d) is None
+
+
 def test_near_of_the_wrong_size_is_rejected():
     lp = generate_unbounded_lp(3, 8, 0).lp
     near = PrimalDualPoint(np.ones(8), np.ones(2), np.ones(8))
