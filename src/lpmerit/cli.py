@@ -57,7 +57,7 @@ TRACE_HEADER = ",".join("iter" if name == "k" else name for name in _TRACE_FIELD
 
 #: The solve flags that set a SolverConfig field, by field name; a flag that
 #: is not given leaves the field at SolverConfig's default.
-_CONFIG_FLAGS = ("nu0", "max_iter", "tol_grad", "tol_f")
+_CONFIG_FLAGS = ("nu0", "max_iter")
 
 _STATUS_EXIT = {
     SolveStatus.OPTIMAL: 0,
@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         "0 runs on the base merit",
     )
     slv.add_argument("--max-iter", type=int)
-    slv.add_argument("--tol-grad", type=float)
-    slv.add_argument("--tol-f", type=float)
     slv.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
     slv.add_argument("--report", default=None, help="write outcome report JSON here")
     slv.add_argument(

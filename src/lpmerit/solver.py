@@ -18,11 +18,12 @@ the constant-mu method on it.
 where Ax = b, A'lam + s = c and c.x = b.lam hold to rounding and only the
 signs of x and s are left to fix; from there nu0 = 0.05 suffices.
 
-Termination is measured on the base merit and the KKT kernel: a small value
-and gradient end the run as Optimal only when every relative KKT residual of
-``problems.kkt_residuals`` is at most ``KKT_TOL``, and a vanishing gradient
-with a value bounded away from zero certifies that no primal-dual optimum
-exists.
+Termination is measured on the base merit and the KKT kernel, with fixed
+scale-relative thresholds: a value within ``VALUE_TOL`` and a gradient
+within ``GRADIENT_TOL`` end the run as Optimal only when every relative KKT
+residual of ``problems.kkt_residuals`` is at most ``KKT_TOL``, and a gradient
+within ``GRADIENT_TOL`` with a value of at least ``NO_OPTIMUM_TOL``
+certifies that no primal-dual optimum exists.
 
 ``solve`` also tries to polish each iterate onto a vertex before that test.
 The m indices with the largest x_j - s_j at the iterate name a basis B; when
@@ -51,8 +52,8 @@ would have been, and the look-ahead only adds attempts, each of which
 leaves the iterates as they were when it fails: no run ends later or with
 a worse status than without it.
 
-Under HOMOTOPY, ``solve`` also checks each iterate for a dual-infeasibility
-ray (``_RayCheck``, the test that PDLP applies to its iterates: Applegate,
+``solve`` also checks each iterate for a dual-infeasibility ray
+(``_RayCheck``, the test that PDLP applies to its iterates: Applegate,
 Diaz, Lubin & Hinder, SIAM J. Optim. 2024).  The candidate
 d = max(A'lam + s - c, 0) comes from the iterate's residuals.  A screen of
 O(n) work and one product A d passes it only when c.d < 0,
@@ -65,8 +66,8 @@ longer tried and each decay of nu takes one more factor
 _THETA * _FULL_STEP_SHRINK: a full step shrinks nu by 0.16 instead of 0.4.
 The stopping test and the classification are as before, and the ray and
 the iterate where it verified are reported.  A run in which no ray
-verifies is the run without the check bit for bit.  LM_ADAPTIVE runs no
-check: it has no nu to decay.
+verifies is the run without the check bit for bit.  Both schemes run the
+check; LM_ADAPTIVE, whose nu stays 0, only stops polishing.
 """
 
 from __future__ import annotations
@@ -103,6 +104,11 @@ from .problems import (
 #: Scale-relative primal-residual threshold below which a certified
 #: no-optimum outcome is attributed to dual infeasibility (unboundedness).
 PRIMAL_FEASIBLE_TOL = 1e-6
+
+#: Scale-relative merit value and gradient max-norm at or below which an
+#: iterate stops the run: as Optimal when its KKT residuals pass ``KKT_TOL``.
+VALUE_TOL = 1e-16
+GRADIENT_TOL = 1e-10
 
 #: Scale-relative merit value at or above which a vanishing gradient
 #: certifies that no primal-dual optimum exists.
@@ -169,26 +175,21 @@ class HomogeneousStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Algorithm variant, homotopy start, and stopping tolerances.
+    """Algorithm variant, homotopy start, and iteration budget.
 
     The rest of each variant is fixed: the hinge power ``_Q``, the
     homotopy's ``_MU`` and ``_THETA``, and the adaptive scheme's
-    ``_HESSIAN_LIPSCHITZ``.  Every number must be finite.  Stopping
-    thresholds are scale-relative: optimal needs value <= tol_f * scale^2
-    and grad <= tol_grad * scale^2, and then every relative KKT residual at
-    most ``KKT_TOL``; a certified no-optimum needs the same gradient bound
-    with value >= NO_OPTIMUM_TOL * scale^2.  ``max_iter`` must be a
-    nonnegative integer.  HOMOTOPY starts nu at ``nu0`` >= 0, by default
-    0.05, which suffices from the least-squares start; 0 runs on the base
-    merit throughout.  LM_ADAPTIVE never reads ``nu0``, so it must keep its
-    default there.
+    ``_HESSIAN_LIPSCHITZ``, and so are the stopping thresholds
+    ``VALUE_TOL``, ``GRADIENT_TOL``, ``NO_OPTIMUM_TOL`` and ``KKT_TOL``.
+    ``max_iter`` must be a nonnegative integer.  HOMOTOPY starts nu at a
+    finite ``nu0`` >= 0, by default 0.05, which suffices from the
+    least-squares start; 0 runs on the base merit throughout.  LM_ADAPTIVE
+    never reads ``nu0``, so it must keep its default there.
     """
 
     algorithm: Algorithm
     nu0: float = _NU0
     max_iter: int = 500
-    tol_grad: float = 1e-10
-    tol_f: float = 1e-16
     trace: bool = True
 
     def __post_init__(self):
@@ -198,10 +199,6 @@ class SolverConfig:
             raise InvalidConfig(f"{self.algorithm.value} never reads nu0; leave it at {_NU0}")
         if not (math.isfinite(self.nu0) and self.nu0 >= 0.0):
             raise InvalidConfig(f"nu0 must be finite and nonnegative, got {self.nu0}")
-        for name in ("tol_grad", "tol_f"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidConfig(f"{name} must be finite and positive, got {value}")
         integral = isinstance(self.max_iter, numbers.Integral) and not isinstance(
             self.max_iter, bool
         )
@@ -452,7 +449,7 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None, ray=None):
     ``ray``, if given, is a ``_RayCheck`` run at each iterate, before the
     polish, until it verifies a dual-infeasibility ray.  From that iterate on
     the problem has no optimum, so no vertex can verify: the polish is no
-    longer tried, and each decay of nu takes one more factor
+    longer tried, and each decay of nu, if nu > 0, takes one more factor
     _THETA * _FULL_STEP_SHRINK.  A run in which no ray verifies is the run
     without ``ray`` bit for bit.
     Returns (z, k, f, g_inf, status) at the last finite iterate; f is the
@@ -513,22 +510,23 @@ def solve(
     """Minimize the merit function from the least-squares point and classify the outcome.
 
     ``x_star``, when known, adds the relative primal error to each trace
-    row.  The returned status follows the scale-relative thresholds in
-    :class:`SolverConfig`, and Optimal also needs every relative KKT
-    residual at most ``KKT_TOL``, computed once per such decision from the
-    iterate's own residuals; an iterate that misses it does not stop the
-    run.  On a certified no-optimum outcome, a near-zero primal residual is
-    the evidence used to report the problem as primal feasible but dual
-    infeasible.  Under HOMOTOPY each iterate is also checked for a
-    dual-infeasibility ray (``_RayCheck``); the first that verifies is
-    returned with its iteration, and from it on the run neither polishes nor
-    decays nu at the old rate.  Raises FactorizationFailure when AA'
-    overflows, so that the start cannot be formed.
+    row.  Optimal needs value <= VALUE_TOL * scale^2 and gradient max-norm
+    <= GRADIENT_TOL * scale^2, and then every relative KKT residual at most
+    ``KKT_TOL``, computed once per such decision from the iterate's own
+    residuals; an iterate that misses it does not stop the run.  A certified
+    no-optimum needs the same gradient bound with value >= NO_OPTIMUM_TOL *
+    scale^2; a near-zero primal residual then is the evidence used to report
+    the problem as primal feasible but dual infeasible.  Each iterate is
+    also checked for a dual-infeasibility ray (``_RayCheck``); the first
+    that verifies is returned with its iteration, and from it on the run
+    neither polishes nor decays nu at the old rate.  Raises
+    FactorizationFailure when AA' overflows, so that the start cannot be
+    formed.
     """
     n, m = lp.n, lp.m
     scale2 = lp.scale**2
-    tol_f = config.tol_f * scale2
-    tol_grad = config.tol_grad * scale2
+    tol_f = VALUE_TOL * scale2
+    tol_grad = GRADIENT_TOL * scale2
     tol_no_opt = NO_OPTIMUM_TOL * scale2
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
@@ -577,8 +575,7 @@ def solve(
     z, iterations, f, g_inf, status = _minimize(
         lp, config, MeritSpec(MeritKind.PRIMAL_DUAL, q=_Q[config.algorithm], nu=nu),
         least_squares_start(lp), stop,
-        record=record if config.trace else None, polish=polish,
-        ray=ray if config.algorithm is Algorithm.HOMOTOPY else None,
+        record=record if config.trace else None, polish=polish, ray=ray,
     )
     point = PrimalDualPoint.from_vector(z, n, m)
     classification = None
@@ -668,7 +665,7 @@ def solve_homogeneous(
     run that stops before convergence, on a failed factorization or a
     non-finite step included, is Inconclusive.
     """
-    tol_grad = config.tol_grad * lp.scale**2
+    tol_grad = GRADIENT_TOL * lp.scale**2
 
     def stop(z, f, g_inf, res):
         return SolveStatus.OPTIMAL if g_inf <= tol_grad else None

@@ -10,7 +10,7 @@ import time
 import numpy as np
 from helpers import central_gradient, central_jacobian, filled_point, point_kkt
 
-from lpmerit import linsys
+from lpmerit import linsys, solver
 from lpmerit.merit import gradient_at, value_at
 from lpmerit import (
     KKT_TOL,
@@ -38,9 +38,12 @@ from lpmerit import (
 
 BASE3 = MeritSpec(MeritKind.PRIMAL_DUAL, q=3.0)
 
-#: Tolerances tight enough that no stopping rule fires; used where a criterion
-#: quantifies behavior across a fixed number of iterations.
-NO_STOP = {"tol_f": 1e-300, "tol_grad": 1e-300}
+
+def _no_stop(monkeypatch):
+    """Set the stopping thresholds so tight that no stopping rule fires; used
+    where a criterion quantifies behavior across a fixed number of iterations."""
+    monkeypatch.setattr(solver, "VALUE_TOL", 1e-300)
+    monkeypatch.setattr(solver, "GRADIENT_TOL", 1e-300)
 
 
 def _report(num, description, failures, elapsed, budget):
@@ -185,12 +188,13 @@ def test_criterion_5_structured_solve_matches_dense(monkeypatch):
     _report(5, "structured solve vs dense oracle", failures, time.perf_counter() - t0, 10.0)
 
 
-def test_criterion_6_high_accuracy_convergence():
+def test_criterion_6_high_accuracy_convergence(monkeypatch):
+    _no_stop(monkeypatch)
     t0 = time.perf_counter()
     failures = []
     configs = {
-        "constant-mu": SolverConfig(Algorithm.HOMOTOPY, nu0=0.0, max_iter=200, **NO_STOP),
-        "homotopy": SolverConfig(Algorithm.HOMOTOPY, max_iter=200, **NO_STOP),
+        "constant-mu": SolverConfig(Algorithm.HOMOTOPY, nu0=0.0, max_iter=200),
+        "homotopy": SolverConfig(Algorithm.HOMOTOPY, max_iter=200),
     }
     for (m, n), seed in [((20, 30), 1), ((50, 75), 2), ((100, 150), 3)]:
         prob = generate_optimal_lp(m, n, seed)
@@ -202,11 +206,12 @@ def test_criterion_6_high_accuracy_convergence():
     _report(6, "1e-8 relative error within 200 iterations", failures, time.perf_counter() - t0, 60.0)
 
 
-def test_criterion_7_adaptive_regularization_decreases_monotonically():
+def test_criterion_7_adaptive_regularization_decreases_monotonically(monkeypatch):
+    _no_stop(monkeypatch)
     t0 = time.perf_counter()
     failures = []
     prob = generate_optimal_lp(20, 30, 4)
-    cfg = SolverConfig(Algorithm.LM_ADAPTIVE, max_iter=2000, **NO_STOP)
+    cfg = SolverConfig(Algorithm.LM_ADAPTIVE, max_iter=2000)
     out = solve(prob.lp, cfg)
     values = np.array([r.f for r in out.trace])
     if len(values) != 2001:

@@ -80,8 +80,7 @@ class TestSolve:
         report = tmp_path / "report.json"
         code = main(
             ["solve", "--input", str(path), "--alg", "homotopy",
-             "--tol-f", "1e-30", "--tol-grad", "1e-17", "--max-iter", "400",
-             "--trace", str(trace), "--report", str(report)]
+             "--max-iter", "400", "--trace", str(trace), "--report", str(report)]
         )
         assert code == 0
         lines = trace.read_text().splitlines()
@@ -94,7 +93,7 @@ class TestSolve:
         final_rel_err = float(lines[-1].split(",")[-1])
         assert final_rel_err <= 1e-8
         assert doc["config"]["algorithm"] == "homotopy"
-        assert list(doc["config"]) == ["algorithm", "nu0", "max_iter", "tol_grad", "tol_f"]
+        assert list(doc["config"]) == ["algorithm", "nu0", "max_iter"]
         assert abs(doc["objective_primal"] - doc["objective_dual"]) <= 1e-6
 
     def test_large_problem_homotopy_solve(self, tmp_path):
@@ -103,8 +102,7 @@ class TestSolve:
         trace = tmp_path / "trace.csv"
         code = main(
             ["solve", "--input", str(path), "--alg", "homotopy",
-             "--tol-f", "1e-30", "--tol-grad", "1e-17", "--max-iter", "400",
-             "--trace", str(trace)]
+             "--max-iter", "400", "--trace", str(trace)]
         )
         assert code == 0
         final_rel_err = float(trace.read_text().splitlines()[-1].split(",")[-1])
@@ -249,19 +247,29 @@ class TestSolve:
         assert code == 2
         assert f"invalid problem file {path}: {keys[0].split('.')[0]}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--tol-grad", "--tol-f", "--nu0"])
+    @pytest.mark.parametrize("flag", ["--nu0"])
     def test_non_finite_setting_exits_2(self, tmp_path, capsys, flag):
-        """An infinite tolerance would certify the starting point; it is
-        rejected as an invalid flag before any iteration runs."""
+        """A non-finite setting is rejected as an invalid flag before any
+        iteration runs."""
         path = _gen(tmp_path, 5, 10)
         assert main(["solve", "--input", str(path), flag, "inf"]) == 2
         assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alg", ["homotopy", "lm-adaptive"])
-    @pytest.mark.parametrize("flag,text", [("--q", "3"), ("--mu", "1e-9"), ("--theta", "0.8")])
+    @pytest.mark.parametrize(
+        "flag,text",
+        [
+            ("--q", "3"),
+            ("--mu", "1e-9"),
+            ("--theta", "0.8"),
+            ("--tol-grad", "1e-10"),
+            ("--tol-f", "1e-16"),
+        ],
+    )
     def test_a_removed_tuning_flag_exits_2(self, tmp_path, capsys, flag, text, alg):
-        """q, mu and theta are fixed per variant; a flag for one of them fails
-        loudly instead of being ignored, even at the fixed value."""
+        """q, mu and theta are fixed per variant, and the stopping thresholds
+        for both; a flag for one of them fails loudly instead of being
+        ignored, even at the fixed value."""
         path = _gen(tmp_path, 3, 6)
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--input", str(path), "--alg", alg, flag, text])
@@ -274,7 +282,7 @@ class TestSolve:
         report = tmp_path / "report.json"
         assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
         config = json.loads(report.read_text())["config"]
-        assert list(config) == ["algorithm", "nu0", "max_iter", "tol_grad", "tol_f"]
+        assert list(config) == ["algorithm", "nu0", "max_iter"]
         assert config["algorithm"] == "homotopy"
         assert config["max_iter"] == 500
 
@@ -286,7 +294,7 @@ class TestSolve:
                      "--report", str(report)])
         assert code == 0
         config = json.loads(report.read_text())["config"]
-        assert list(config) == ["algorithm", "max_iter", "tol_grad", "tol_f"]
+        assert list(config) == ["algorithm", "max_iter"]
         assert config == cli._config_document(SolverConfig(Algorithm.LM_ADAPTIVE))
 
     def test_adaptive_run_warns_of_nothing(self, tmp_path, capsys):
@@ -466,8 +474,6 @@ class TestSingleSources:
         [
             ("--nu0", "2.5", "nu0", 2.5),
             ("--max-iter", "0", "max_iter", 0),
-            ("--tol-grad", "1e-9", "tol_grad", 1e-9),
-            ("--tol-f", "1e-15", "tol_f", 1e-15),
         ],
     )
     def test_a_given_flag_reaches_its_config_field(self, tmp_path, flag, text, field, value):
