@@ -27,12 +27,7 @@ from .linsys import (
     solve_dense,
     solve_structured,
 )
-from .merit import (
-    HessianParts,
-    MeritKind,
-    MeritSpec,
-    eval_hessian,
-)
+from .merit import MeritKind, MeritSpec
 from .problems import (
     GENERATOR_NAME,
     KKT_TOL,
@@ -74,7 +69,6 @@ __all__ = [
     "FactorizationFailure",
     "GENERATOR_NAME",
     "GeneratedProblem",
-    "HessianParts",
     "HomogeneousPoint",
     "HomogeneousStatus",
     "InstanceTooLarge",
@@ -101,7 +95,6 @@ __all__ = [
     "build_reduced",
     "certificate_residuals",
     "cholesky_rank_one_update",
-    "eval_hessian",
     "generate_optimal_lp",
     "generate_unbounded_lp",
     "is_dual_ray",

@@ -26,10 +26,17 @@ factorization of A A' + delta*I, and project_ray projects a candidate dual
 ray onto null(A_P) from the same factorization of the columns P that carry
 it.
 
-The polish takes two LU factorizations of a square basis A_B.
-``_basic_vertex`` gives its vertex, each solve refined once in long double.
-``_look_ahead_basis`` screens a basis with plain solves and no refinement, and
-reuses its one LU for a dual- or primal-simplex pivot to a neighbour.
+The polish factors a square basis A_B with LU.  ``_look_ahead_basis``
+screens a basis with plain solves and no refinement, and reuses its one LU
+for a dual- or primal-simplex pivot to a neighbour.  ``_basic_vertex`` gives
+a basis's vertex, each solve refined once in long double; a basis that the
+screen named as itself brings its LU and plain solves along, so each basis
+the polish tries is factored once.
+
+The hot paths call ``ndarray.dot``, the same BLAS call as ``@`` at about
+half its dispatch cost on small arrays, and write their results into
+per-call buffers instead of concatenating; the diagonals of the blocks are
+updated through a strided view, without index arrays.
 
 LAPACK is bound once and called directly, without scipy's per-call wrappers:
 potrf and potrs for the start and the Newton solves, getrf and getrs for the
@@ -47,7 +54,7 @@ from scipy.linalg import get_lapack_funcs
 from . import merit
 from .errors import FactorizationFailure, KindMismatch, NonPositiveRegularization
 from .merit import MeritKind, MeritSpec
-from .problems import StandardFormLp
+from .problems import StandardFormLp, _all_finite
 
 _potrf, _potrs, _getrf, _getrs = get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64
@@ -56,6 +63,8 @@ _potrf, _potrs, _getrf, _getrs = get_lapack_funcs(
 #: project_ray keeps the entries of a candidate ray above this fraction of
 #: its largest.
 _RAY_SUPPORT = 1e-3
+
+_EPS = float(np.finfo(float).eps)
 
 
 def least_squares_start(lp: StandardFormLp) -> np.ndarray:
@@ -70,10 +79,17 @@ def least_squares_start(lp: StandardFormLp) -> np.ndarray:
     right-hand sides b and Ac are solved in one two-column potrs.  Raises
     FactorizationFailure when AA' overflows.
     """
-    A = lp.A
-    y = cho_solve(_row_gram_factor(A), np.column_stack([lp.b, A @ lp.c]))
-    lam = y[:, 1]
-    return np.concatenate([A.T @ y[:, 0], lam, lp.c - A.T @ lam])
+    A, n, m = lp.A, lp.n, lp.m
+    # both right-hand sides, as the columns of the column-major array potrs takes
+    rhs = np.empty((m, 2), order="F")
+    rhs[:, 0] = lp.b
+    rhs[:, 1] = A.dot(lp.c)
+    y = cho_solve(_row_gram_factor(A), rhs)
+    z = np.empty(2 * n + m)
+    z[:n] = A.T.dot(y[:, 0])
+    z[n : n + m] = y[:, 1]
+    z[n + m :] = lp.c - A.T.dot(y[:, 1])
+    return z
 
 
 def _row_gram_factor(A: np.ndarray) -> np.ndarray:
@@ -86,9 +102,16 @@ def _row_gram_factor(A: np.ndarray) -> np.ndarray:
     """
     m = A.shape[0]
     # AA' is symmetric, so its transpose is the column-major copy potrf takes
-    M = (A @ A.T).T
-    M[np.diag_indices(m)] += m * np.finfo(float).eps * (1.0 + M.trace())
+    M = A.dot(A.T).T
+    diagonal = _diagonal(M)
+    diagonal += m * _EPS * (1.0 + M.trace())
     return _factor(M)
+
+
+def _diagonal(M: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of the square contiguous matrix ``M``,
+    of either memory order."""
+    return M.ravel(order="K")[:: M.shape[0] + 1]
 
 
 def project_ray(lp: StandardFormLp, d: np.ndarray) -> np.ndarray:
@@ -161,47 +184,63 @@ def solve_structured(d: np.ndarray, rhs: np.ndarray, lp: StandardFormLp) -> np.n
     matrix A'A plus D1; the m x m block A W A' + D2 is built as B B' with
     B = A sqrt(W), which BLAS forms with a symmetric rank-k update.  Both are
     Cholesky-factored in LAPACK's column-major layout.  The rank-one coupling
-    v v', v = (c; -b), is absorbed by a Sherman-Morrison correction, whose
-    denominator 1 + v'M^{-1}v is at least one; M^{-1}v and the first solve
-    share one two-column triangular solve per block.  One step of iterative
-    refinement on the reduced (n+m) system keeps its residual near round-off
-    at tiny mu.  Raises FactorizationFailure when a block is not numerically
-    SPD or not finite.
+    v v', v = (c; -b) (the problem's cached ``coupling``), is absorbed by a
+    Sherman-Morrison correction, whose denominator 1 + v'M^{-1}v is at least
+    one; M^{-1}v and the first solve share one two-column triangular solve
+    per block.  One step of iterative refinement on the reduced (n+m) system
+    keeps its residual near round-off at tiny mu.  Raises
+    FactorizationFailure when a block is not numerically SPD or not finite.
     """
-    A, m, n = lp.A, lp.m, lp.n
-    d1, d2, d3 = d[:n], d[n : n + m], d[n + m :]
-    rhs_s = rhs[n + m :]
+    A, m, n, v = lp.A, lp.m, lp.n, lp.coupling
+    p = n + m
+    d1, d2, d3 = d[:n], d[n:p], d[p:]
+    rhs_s = rhs[p:]
     shift = 1.0 + d3
     B = A * np.sqrt(d3 / shift)
     # both blocks are symmetric, so their transposes are the column-major
     # copies that LAPACK factors in place; the refinement residual below
     # applies the blocks through A'A and B instead
     M_x = lp.gram.copy().T
-    M_x[np.diag_indices(n)] += d1
-    M_lam = (B @ B.T).T
-    M_lam[np.diag_indices(m)] += d2
+    diagonal = _diagonal(M_x)
+    diagonal += d1
+    M_lam = B.dot(B.T).T
+    diagonal = _diagonal(M_lam)
+    diagonal += d2
     F_x = _factor(M_x)
     F_lam = _factor(M_lam)
-    v = np.concatenate([lp.c, -lp.b])
 
-    # _factor has checked both blocks for NaN and inf, so their factors are finite
+    # _factor has checked both blocks for NaN and inf, so their factors are
+    # finite; each block solve writes the rows of its block in place
     def block_solve(r):
-        return np.concatenate([cho_solve(F_x, r[:n]), cho_solve(F_lam, r[n:])])
+        r[:n] = cho_solve(F_x, r[:n])
+        r[n:] = cho_solve(F_lam, r[n:])
+        return r
 
-    r = np.concatenate([rhs[:n], rhs[n : n + m] - A @ (rhs_s / shift)])
-    y, u0 = block_solve(np.column_stack([v, r])).T
-    denominator = 1.0 + float(v @ y)
+    # the columns v and r, column-major, so that each block solve takes both;
+    # r is kept apart, since the solve overwrites them
+    vr = np.empty((p, 2), order="F")
+    vr[:, 0] = v
+    vr[:n, 1] = rhs[:n]
+    np.subtract(rhs[n:p], A.dot(rhs_s / shift), out=vr[n:, 1])
+    r = vr[:, 1].copy()
+    y, u0 = block_solve(vr).T
+    denominator = 1.0 + float(v.dot(y))
 
     def rank_one_corrected(w):
-        return w - y * (float(v @ w) / denominator)
+        return w - y * (float(v.dot(w)) / denominator)
 
     u = rank_one_corrected(u0)
     ux, ul = u[:n], u[n:]
-    applied = np.concatenate([lp.gram @ ux + d1 * ux, B @ (B.T @ ul) + d2 * ul])
-    applied += v * float(v @ u)
-    u += rank_one_corrected(block_solve(r - applied))
-    ds = (rhs_s - A.T @ u[n:]) / shift
-    return np.concatenate([u, ds])
+    applied = np.empty(p)
+    np.add(lp.gram.dot(ux), d1 * ux, out=applied[:n])
+    np.add(B.dot(B.T.dot(ul)), d2 * ul, out=applied[n:])
+    applied += v * float(v.dot(u))
+    r -= applied
+    u += rank_one_corrected(block_solve(r))
+    step = np.empty(p + n)
+    step[:p] = u
+    np.divide(rhs_s - A.T.dot(u[n:]), shift, out=step[p:])
+    return step
 
 
 def solve_dense(
@@ -270,7 +309,7 @@ def _factor(M: np.ndarray) -> np.ndarray:
     above the diagonal are left as they were.  Raises FactorizationFailure
     when ``M`` holds a NaN or inf or is not numerically SPD.
     """
-    if not np.isfinite(M).all():
+    if not _all_finite(M):
         raise FactorizationFailure("Cholesky factorization failed: the matrix is not finite")
     factor, info = _potrf(M, lower=1, overwrite_a=1, clean=0)
     if info != 0:
@@ -286,12 +325,28 @@ def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _potrs(factor, rhs, lower=1)[0]
 
 
+class _FactoredBasis(np.ndarray):
+    """A basis, as the sorted index array, that carries its LU factors.
+
+    ``_look_ahead_basis`` returns one when it names the basis it was given:
+    ``factors`` = (A_B, c_B, lu, piv, x_B, lam) holds the gathered columns,
+    the LU factors of A_B and the plain solves x_B = A_B^{-1} b and
+    lam = A_B^{-T} c_B, which ``_basic_vertex`` refines instead of factoring
+    A_B again.  It is read, never written, so a basis tried twice gives the
+    same vertex twice.
+    """
+
+    factors = None
+
+
 def _basic_vertex(lp, basis):
     """The vertex of the square basis ``basis`` as a flat iterate, or None.
 
     x_B = A_B^{-1} b and lam = A_B^{-T} c_B from one LU factorization, with
-    x_N = 0 and s = c - A'lam but s_B = 0 exactly.  Each solve takes one step
-    of iterative refinement on the same factors, its residual accumulated in
+    x_N = 0 and s = c - A'lam but s_B = 0 exactly; a basis that
+    ``_look_ahead_basis`` returned factored brings both plain solves with
+    it, and A_B is not factored again.  Each solve takes one step of
+    iterative refinement on the same factors, its residual accumulated in
     long double (Moler, JACM 1967): the plain LU solves leave residuals that
     grow with the pivots and, on a problem whose objective nearly cancels,
     a duality gap far above rounding; the step brings both down to the
@@ -300,22 +355,29 @@ def _basic_vertex(lp, basis):
     or a negative x or s; an ill-conditioned A_B is left to those tests and
     the caller's.
     """
-    A_B = lp.A[:, basis]
-    c_B = lp.c[basis]
-    lu, piv, info = _getrf(A_B)
-    if info != 0:
-        return None
-    x_B, _ = _getrs(lu, piv, lp.b)
-    lam, _ = _getrs(lu, piv, c_B, trans=1)
+    factors = getattr(basis, "factors", None)
+    if factors is None:
+        A_B = lp.A.take(basis, axis=1)
+        lu, piv, info = _getrf(A_B)
+        if info != 0:
+            return None
+        c_B = lp.c[basis]
+        x_B = _getrs(lu, piv, lp.b)[0]
+        lam = _getrs(lu, piv, c_B, trans=1)[0]
+    else:
+        A_B, c_B, lu, piv, x_B, lam = factors
+    n, p = lp.n, lp.n + lp.m
     wide = A_B.astype(np.longdouble)
+    z = np.zeros(p + n)
+    s = z[p:]
     with np.errstate(over="ignore", invalid="ignore"):
-        x_B += _getrs(lu, piv, (lp.b - wide @ x_B).astype(np.float64))[0]
-        lam += _getrs(lu, piv, (c_B - wide.T @ lam).astype(np.float64), trans=1)[0]
-        s = lp.c - lp.A.T @ lam
+        x_B = x_B + _getrs(lu, piv, (lp.b - wide.dot(x_B)).astype(np.float64))[0]
+        lam = lam + _getrs(lu, piv, (c_B - wide.T.dot(lam)).astype(np.float64), trans=1)[0]
+        np.subtract(lp.c, lp.A.T.dot(lam), out=s)
     s[basis] = 0.0
-    z = np.concatenate([np.zeros(lp.n), lam, s])
+    z[n:p] = lam
     z[basis] = x_B
-    if not (np.isfinite(z).all() and x_B.min() >= 0.0 and s.min() >= 0.0):
+    if not (_all_finite(z) and x_B.min() >= 0.0 and s.min() >= 0.0):
         return None
     return z
 
@@ -335,22 +397,30 @@ def _look_ahead_basis(lp, basis):
     exactly zero pivot, the vertex has a non-finite entry, both sides have a
     negative entry or the ratio test is empty.  The returned basis, sorted,
     is a guess only: ``_basic_vertex`` and the caller's test decide on it.
+    When it is ``basis`` itself, it comes as a ``_FactoredBasis`` that carries
+    the LU and both plain solves, so that ``_basic_vertex`` refines them
+    without a second factorization.
     """
     A = lp.A
-    lu, piv, info = _getrf(A[:, basis])
+    A_B = A.take(basis, axis=1)
+    lu, piv, info = _getrf(A_B)
     if info != 0:
         return None
+    c_B = lp.c[basis]
     # an overflow gives an inf or NaN, which the finiteness test or the
     # ratio tests reject, so it needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
         x_B = _getrs(lu, piv, lp.b)[0]
-        s = lp.c - A.T @ _getrs(lu, piv, lp.c[basis], trans=1)[0]
+        lam = _getrs(lu, piv, c_B, trans=1)[0]
+        s = lp.c - A.T.dot(lam)
         s[basis] = 0.0
-        if not (np.isfinite(x_B).all() and np.isfinite(s).all()):
+        if not (_all_finite(x_B) and _all_finite(s)):
             return None
         primal, dual = x_B.min() >= 0.0, s.min() >= 0.0
         if primal and dual:
-            return basis
+            named = basis.view(_FactoredBasis)
+            named.factors = A_B, c_B, lu, piv, x_B, lam
+            return named
         if primal == dual:
             return None
         if dual:

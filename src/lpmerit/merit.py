@@ -13,15 +13,18 @@ Two kinds share one interface:
   in (x, lam, s, tau, kappa), whose residuals are c.x - b.lam + kappa,
   b*tau - A x and c*tau - A'lam - s.  It takes no nu.
 
-The solver works on flat iterates.  ``evaluate`` computes the residuals
-(gamma, rho, sigma) once and returns them together with two value-gradient
-pairs: the merit at nu = 0 and the merit of the given spec, which differ only
-when nu > 0.  ``value_at`` and ``gradient_at`` reuse the same code.  Every
-hinge power max(-t, 0)**p, and the nu-weighted max(t, 0)**p, comes from one
-helper over the sign-constrained coordinates.  The residuals are affine, so
-the Hessian is J'J for their constant Jacobian J plus a nonnegative diagonal
-recomputed per point.  ``eval_hessian`` forms J'J from an explicit J; the
-homogeneous Newton solve needs only the block of J'J over
+The solver works on flat iterates.  One kernel, ``_kernel``, computes all
+of the merit at one iterate: the residuals (gamma, rho, sigma) once, |t| and
+the sign masks of the sign-constrained coordinates t once, and from them,
+under one ``np.errstate``, the hinge powers max(-t, 0)**p and their
+nu-weighted mirror max(t, 0)**p for p = q (the value), q - 1 (the gradient)
+and q - 2 (the Newton diagonal), as each caller asks.  ``evaluate`` returns the residuals
+with two value-gradient pairs, the merit at nu = 0 and the merit of the
+given spec, which differ only when nu > 0; ``value_at``, ``gradient_at`` and
+``penalty_diagonal_at`` are thin wrappers over the same kernel, so each
+equals its part of ``evaluate`` bit for bit.  The residuals are affine, so
+the Hessian is J'J for their constant Jacobian J plus that nonnegative
+diagonal; the homogeneous Newton solve needs only the block of J'J over
 (x, lam, tau, kappa), which ``hessian_base`` caches per problem.
 """
 
@@ -34,12 +37,17 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, KindMismatch
-from .problems import HomogeneousPoint, PrimalDualPoint, StandardFormLp
+from .errors import DimensionMismatch, InvalidConfig
+from .problems import StandardFormLp
 
 #: Any intermediate term beyond this saturates the value to +inf so that
 #: divergent line-search probes fail cleanly instead of propagating NaNs.
 OVERFLOW_LIMIT = 1e300
+
+_sum = np.add.reduce
+
+#: Rows -1 and 1: their product with t is positive where t < 0 and t > 0.
+_SIGNS = np.array([[-1.0], [1.0]])
 
 
 class MeritKind(Enum):
@@ -66,91 +74,90 @@ class MeritSpec:
             raise InvalidConfig(f"the homogeneous merit takes no nu, got {self.nu}")
 
 
-@dataclass(frozen=True)
-class HessianParts:
-    """Hessian as iterate-independent ``base`` = J'J plus diag(``diag_add``)."""
+def _kernel(spec, lp, z, *, value=False, gradient=False, diagonal=False):
+    """The merit ``spec`` at the flat iterate ``z``, in the parts asked for.
 
-    base: np.ndarray
-    diag_add: np.ndarray
+    Returns (res, values, gradients, diag): res = (gamma, rho, sigma, A x,
+    A' lam) unless only the diagonal is asked for; values = (f0, f) and
+    gradients = (g0, g), the value and gradient at nu = 0 and of ``spec``,
+    when ``value`` and ``gradient`` are set; diag, the Hessian's penalty
+    diagonal, when ``diagonal`` is.  Parts not asked for are None.
 
-    def full(self) -> np.ndarray:
-        out = self.base.copy()
-        out[np.diag_indices_from(out)] += self.diag_add
-        return out
-
-
-def _expect_length(lp, spec, z):
+    t is ``z`` with the sign-free lam block set to zero.  |t| and the sign
+    masks, the rows t < 0 and, for nu > 0, t > 0, are formed once; each
+    power p then takes one ``np.power`` of |t| and one ``np.where`` through
+    the masks, whose rows are max(-t, 0)**p and max(t, 0)**p.  Sums over x
+    and over the rest are kept apart, and taken for every row in one
+    reduction each.  Everything runs under one errstate: an overflow here
+    saturates the value (``_saturating_sum``) or leaves a non-finite entry
+    for the caller.
+    """
     size = 2 * lp.n + lp.m
-    if spec.kind is MeritKind.HOMOGENEOUS:
+    homogeneous = spec.kind is MeritKind.HOMOGENEOUS
+    if homogeneous:
         size += 2
     if z.shape != (size,):
         raise DimensionMismatch(f"expected point of length {size}, got {z.shape}")
-
-
-def _hinge_powers(spec, lp, z, p):
-    """(max(-t, 0)**p, max(t, 0)**p) in the layout of ``z``, where t is ``z``
-    with the sign-free lam block set to zero; both come from one power of |t|.
-    The second is None unless ``spec`` has nu > 0."""
-    t = z.copy()
-    t[lp.n : lp.n + lp.m] = 0.0
+    A, b, c, q, nu, n, m = lp.A, lp.b, lp.c, spec.q, spec.nu, lp.n, lp.m
+    p = n + m  # the lam block is [n, p)
+    res = values = gradients = diag = None
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.power(np.abs(t), p)
-    neg = np.where(t < 0, a, 0.0)
-    if spec.nu > 0.0:
-        return neg, np.where(t > 0, a, 0.0)
-    return neg, None
+        # the mask rows t < 0 and, for nu > 0, t > 0 (-t > 0 is t < 0, for
+        # -0.0 and NaN too); a power p of |t| through them gives the rows
+        # max(-t, 0)**p and max(t, 0)**p
+        magnitude = np.abs(z)
+        signs = _SIGNS * z > 0.0 if nu > 0.0 else z[None] < 0.0
+        signs[:, n:p] = False
 
+        def hinge(power):
+            return np.where(signs, np.power(magnitude, power), 0.0)
 
-# ---------------------------------------------------------------------------
-# flat-vector evaluation: evaluate at the solver's iterates, value_at at its
-# Armijo probes, both on one residual computation
-# ---------------------------------------------------------------------------
+        if value or gradient:
+            x, lam, s = z[:n], z[n:p], z[p : p + n]
+            Ax, ATlam = A.dot(x), A.T.dot(lam)
+            if homogeneous:
+                tau = z[-2]
+                gamma = float(c.dot(x)) - float(b.dot(lam)) + float(z[-1])
+                rho, sigma = b * tau - Ax, c * tau - ATlam - s
+            else:
+                gamma = float(c.dot(x)) - float(b.dot(lam))
+                rho, sigma = b - Ax, c - ATlam - s
+            res = gamma, rho, sigma, Ax, ATlam
 
+        if value:
+            hinge_q = hinge(q)
+            sums = _sum(hinge_q[:, :n], axis=1) + _sum(hinge_q[:, p:], axis=1)
+            penalty = sums[0] / (q * (q - 1.0))
+            squares = 0.5 * float(rho.dot(rho)), 0.5 * float(sigma.dot(sigma))
+            f0 = _saturating_sum([0.5 * gamma * gamma, *squares, penalty])
+            if nu > 0.0:
+                nu_penalty = nu * sums[1] / (q * (q - 1.0))
+                values = f0, _saturating_sum([nu * float(lam.dot(lam)), nu_penalty], f0)
+            else:
+                values = f0, f0
 
-def _residuals(spec, lp, z):
-    """(gamma, rho, sigma, A x, A' lam) at the flat iterate ``z``."""
-    _expect_length(lp, spec, z)
-    A, b, c, n, m = lp.A, lp.b, lp.c, lp.n, lp.m
-    x, lam, s = z[:n], z[n : n + m], z[n + m : 2 * n + m]
-    with np.errstate(over="ignore", invalid="ignore"):
-        Ax, ATlam = A @ x, A.T @ lam
-        if spec.kind is MeritKind.HOMOGENEOUS:
-            tau, kappa = z[-2], z[-1]
-            return float(c @ x - b @ lam + kappa), b * tau - Ax, c * tau - ATlam - s, Ax, ATlam
-        return float(c @ x - b @ lam), b - Ax, c - ATlam - s, Ax, ATlam
+        if gradient:
+            hinge_g = hinge(q - 1)
+            tail = -sigma
+            if homogeneous:
+                w = float(Ax @ b + (ATlam + z[p:-2]) @ c - (b @ b + c @ c) * tau)
+                tail = np.concatenate([tail, [-w, gamma]])
+            g0 = np.concatenate([gamma * c - A.T.dot(rho), -gamma * b - A.dot(sigma), tail])
+            g0 -= hinge_g[0] / (q - 1.0)
+            if nu > 0.0:
+                nu_part = nu * hinge_g[1] / (q - 1.0)
+                nu_part[n:p] = 2.0 * nu * lam
+                gradients = g0, g0 + nu_part
+            else:
+                gradients = g0, g0
 
-
-def _values(spec, lp, z, gamma, rho, sigma):
-    """(value at nu = 0, value of ``spec``), the second adding the nu terms
-    to the first; sums over x and over the rest are kept apart."""
-    q, n, m = spec.q, lp.n, lp.m
-    neg, pos = _hinge_powers(spec, lp, z, q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        penalty = (neg[:n].sum() + neg[n + m :].sum()) / (q * (q - 1.0))
-        f0 = _saturating_sum(
-            [0.5 * gamma * gamma, 0.5 * float(rho @ rho), 0.5 * float(sigma @ sigma), penalty]
-        )
-        if pos is None:
-            return f0, f0
-        lam = z[n : n + m]
-        nu_penalty = spec.nu * (pos[:n].sum() + pos[n + m :].sum()) / (q * (q - 1.0))
-        return f0, _saturating_sum([spec.nu * float(lam @ lam), nu_penalty], f0)
-
-
-def _gradients(spec, lp, z, gamma, rho, sigma, Ax, ATlam):
-    """(gradient at nu = 0, gradient of ``spec``), in the layout of ``z``."""
-    A, b, c, q, n, m = lp.A, lp.b, lp.c, spec.q, lp.n, lp.m
-    neg, pos = _hinge_powers(spec, lp, z, q - 1)
-    tail = -sigma
-    if spec.kind is MeritKind.HOMOGENEOUS:
-        w = float(Ax @ b + (ATlam + z[n + m : -2]) @ c - (b @ b + c @ c) * z[-2])
-        tail = np.concatenate([tail, [-w, gamma]])
-    g0 = np.concatenate([gamma * c - A.T @ rho, -gamma * b - A @ sigma, tail]) - neg / (q - 1.0)
-    if pos is None:
-        return g0, g0
-    nu_part = spec.nu * pos / (q - 1.0)
-    nu_part[n : n + m] = 2.0 * spec.nu * z[n : n + m]
-    return g0, g0 + nu_part
+        if diagonal:
+            hinge_d = hinge(q - 2)
+            diag = hinge_d[0]
+            if nu > 0.0:
+                diag = diag + nu * hinge_d[1]
+                diag[n:p] = 2.0 * nu
+    return res, values, gradients, diag
 
 
 def evaluate(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray):
@@ -159,20 +166,23 @@ def evaluate(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray):
     merit for a PRIMAL_DUAL spec) and of ``spec``, each pair equal to
     value_at and gradient_at of its spec bit for bit, and the residuals both
     were built on."""
-    gamma, rho, sigma, Ax, ATlam = _residuals(spec, lp, z)
-    f0, f = _values(spec, lp, z, gamma, rho, sigma)
-    g0, g = _gradients(spec, lp, z, gamma, rho, sigma, Ax, ATlam)
-    return (f0, g0), (f, g), (gamma, rho, sigma)
+    res, (f0, f), (g0, g), _ = _kernel(spec, lp, z, value=True, gradient=True)
+    return (f0, g0), (f, g), res[:3]
 
 
 def value_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> float:
     """Merit value at the flat iterate ``z``; saturates to +inf on overflow."""
-    return _values(spec, lp, z, *_residuals(spec, lp, z)[:3])[1]
+    return _kernel(spec, lp, z, value=True)[1][1]
 
 
 def gradient_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarray:
     """Analytic gradient at the flat iterate ``z``."""
-    return _gradients(spec, lp, z, *_residuals(spec, lp, z))[1]
+    return _kernel(spec, lp, z, gradient=True)[2][1]
+
+
+def penalty_diagonal_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarray:
+    """The nonnegative diagonal added to the base Hessian at ``z``."""
+    return _kernel(spec, lp, z, diagonal=True)[3]
 
 
 def _saturating_sum(terms, total=0.0):
@@ -183,17 +193,6 @@ def _saturating_sum(terms, total=0.0):
             return math.inf
         total += t
     return total
-
-
-def penalty_diagonal_at(spec: MeritSpec, lp: StandardFormLp, z: np.ndarray) -> np.ndarray:
-    """The nonnegative diagonal added to the base Hessian at ``z``."""
-    _expect_length(lp, spec, z)
-    neg, pos = _hinge_powers(spec, lp, z, spec.q - 2)
-    if pos is None:
-        return neg
-    d = neg + spec.nu * pos
-    d[lp.n : lp.n + lp.m] = 2.0 * spec.nu
-    return d
 
 
 _BASE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -223,38 +222,3 @@ def hessian_base(lp: StandardFormLp) -> np.ndarray:
         H.flags.writeable = False
         _BASE_CACHE[lp] = H
     return H
-
-
-def _jacobian(spec, lp):
-    """The constant Jacobian of (gamma, rho, sigma) in the layout of the flat
-    iterate: one row for gamma, then m for rho and n for sigma."""
-    A, b, c, m, n = lp.A, lp.b, lp.c, lp.m, lp.n
-    p, t = n + m, 2 * n + m  # the s block is [p, t), tau and kappa follow
-    J = np.zeros((1 + m + n, t + 2 if spec.kind is MeritKind.HOMOGENEOUS else t))
-    J[0, :n], J[0, n:p] = c, -b
-    J[1 : 1 + m, :n] = -A
-    J[1 + m :, n:p] = -A.T
-    J[1 + m :, p:t] = -np.eye(n)
-    if spec.kind is MeritKind.HOMOGENEOUS:
-        J[1 : 1 + m, t] = b
-        J[1 + m :, t] = c
-        J[0, t + 1] = 1.0
-    return J
-
-
-# ---------------------------------------------------------------------------
-# point-based interface
-# ---------------------------------------------------------------------------
-
-
-def _point_vector(spec, point):
-    expected = HomogeneousPoint if spec.kind is MeritKind.HOMOGENEOUS else PrimalDualPoint
-    if not isinstance(point, expected):
-        raise KindMismatch(f"{spec.kind.name} merit requires a {expected.__name__}")
-    return point.as_vector()
-
-
-def eval_hessian(spec: MeritSpec, lp: StandardFormLp, point) -> HessianParts:
-    z = _point_vector(spec, point)
-    J = _jacobian(spec, lp)
-    return HessianParts(base=J.T @ J, diag_add=penalty_diagonal_at(spec, lp, z))

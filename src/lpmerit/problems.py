@@ -7,11 +7,17 @@ A problem is the triple (A, b, c) of the primal
 whose dual is  max b.lam  subject to  A'lam + s = c,  s >= 0.  The solver
 iterates over joint primal-dual points (x, lam, s), which may be infeasible;
 the homogeneous embedding additionally carries the scaling pair (tau, kappa).
+
+A problem computes what depends on its data alone once, on first use: the
+norms ||A||_F, ||b|| and ||c|| with the scale built on them, the coupling
+vector v = (c; -b) of the primal-dual Hessian, and the Gram matrix A'A.
+Nothing larger than A'A is kept.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -68,13 +74,23 @@ class StandardFormLp:
         self.m, self.n = m, n
 
     @cached_property
+    def norms(self) -> tuple[float, float, float]:
+        """(||A||_F, ||b||_2, ||c||_2), computed once per problem."""
+        return _norm(self.A.ravel()), _norm(self.b), _norm(self.c)
+
+    @cached_property
     def scale(self) -> float:
         """Problem magnitude 1 + ||A||_F + ||b||_2 + ||c||_2 used by relative tolerances."""
-        return 1.0 + float(
-            np.linalg.norm(self.A, "fro")
-            + np.linalg.norm(self.b)
-            + np.linalg.norm(self.c)
-        )
+        a_norm, b_norm, c_norm = self.norms
+        return 1.0 + (a_norm + b_norm + c_norm)
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """The vector v = (c; -b) of the rank-one coupling v v' in the
+        primal-dual merit's Hessian, computed once per problem and read-only."""
+        v = np.concatenate([self.c, -self.b])
+        v.flags.writeable = False
+        return v
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -85,6 +101,19 @@ class StandardFormLp:
 
     def __repr__(self):
         return f"StandardFormLp(m={self.m}, n={self.n})"
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of the contiguous vector ``v``, bit for bit np.linalg.norm(v):
+    the square root of the same dot product, without its dispatch."""
+    return math.sqrt(float(v.dot(v)))
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite: np.isfinite(a).all(), with
+    the count of np.count_nonzero in place of the Python-level dispatch of
+    ``all``."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 def _freeze_blocks(point) -> None:
@@ -98,7 +127,7 @@ def _freeze_blocks(point) -> None:
         v = np.array(getattr(point, name), dtype=float)
         if v.shape != (v.size,):
             raise DimensionMismatch(f"{name} must have shape ({v.size},), got {v.shape}")
-        if not np.isfinite(v).all():
+        if not _all_finite(v):
             raise NonFiniteEntry(f"{name} contains NaN or infinite entries")
         v.flags.writeable = False
         object.__setattr__(point, name, v)
@@ -187,10 +216,11 @@ def kkt_residuals(lp: StandardFormLp, x, lam, s, res) -> dict:
     The blocks may be views of a flat iterate; nothing is validated.
     """
     gamma, rho, sigma = res
-    cx, blam = float(lp.c @ x), float(lp.b @ lam)
+    _, b_norm, c_norm = lp.norms
+    cx, blam = float(lp.c.dot(x)), float(lp.b.dot(lam))
     return {
-        "primal": float(np.linalg.norm(rho)) / (1.0 + float(np.linalg.norm(lp.b))),
-        "dual": float(np.linalg.norm(sigma)) / (1.0 + float(np.linalg.norm(lp.c))),
+        "primal": _norm(rho) / (1.0 + b_norm),
+        "dual": _norm(sigma) / (1.0 + c_norm),
         "gap": abs(gamma) / (1.0 + abs(cx) + abs(blam)),
         "sign": max(0.0, -float(x.min()), -float(s.min())),
     }

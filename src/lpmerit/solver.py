@@ -46,7 +46,9 @@ in ``linsys._look_ahead_basis`` names B itself when its vertex has the right
 signs, or the neighbour one dual- or primal-simplex pivot away when only
 x_B or only s has a negative entry (the crossover of Megiddo, ORSA J.
 Comput. 1991, and of Bixby & Saltzman, Oper. Res. Lett. 1994, cut to one
-pivot).  That basis takes the same refined attempt.  A B that the screen
+pivot).  That basis takes the same refined attempt; when it is B itself,
+the attempt refines the screen's LU and solves instead of factoring A_B a
+second time.  A B that the screen
 rejects is not marked tried, so every stable B is still tried when it
 would have been, and the look-ahead only adds attempts, each of which
 leaves the iterates as they were when it fails: no run ends later or with
@@ -65,8 +67,10 @@ first iterate whose ray verifies on, the certified phase, the polish is no
 longer tried and each decay of nu takes one more factor
 _THETA * _FULL_STEP_SHRINK: a full step shrinks nu by 0.16 instead of 0.4.
 The stopping test and the classification are as before, and the ray and
-the iterate where it verified are reported.  A run in which no ray
-verifies is the run without the check bit for bit.  Both schemes run the
+the iterate where it verified are reported; a run that would end
+IterationLimit while it holds a verified ray ends NoOptimalSolution
+instead, since the ray certifies that no optimum exists.  A run in which no
+ray verifies is the run without the check bit for bit.  Both schemes run the
 check; LM_ADAPTIVE, whose nu stays 0, only stops polishing.
 """
 
@@ -74,7 +78,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -96,6 +100,8 @@ from .problems import (
     HomogeneousPoint,
     PrimalDualPoint,
     StandardFormLp,
+    _all_finite,
+    _norm,
     is_dual_ray,
     kkt_residuals,
     residuals,
@@ -306,10 +312,12 @@ def _step(spec, lp, config, z, f, g, mu):
     except FactorizationFailure:
         return None, None, SolveStatus.NUMERICAL_FAILURE
     # the back-substitutions check nothing for finiteness, so a NaN or inf
-    # in the right-hand side or its refinement residual surfaces here
-    if not np.isfinite(delta).all():
+    # in the right-hand side or its refinement residual surfaces here: a
+    # non-finite entry of delta makes the slope inf or NaN, so only a
+    # non-finite slope, which also comes of an overflow, needs the full test
+    slope = float(g.dot(delta))
+    if not math.isfinite(slope) and not np.isfinite(delta).all():
         return None, None, SolveStatus.NUMERICAL_FAILURE
-    slope = float(g @ delta)
     if not slope < 0.0:
         return None, None, SolveStatus.ITERATION_LIMIT
     alpha = 1.0
@@ -320,7 +328,7 @@ def _step(spec, lp, config, z, f, g, mu):
         if stagnated:
             return None, None, SolveStatus.ITERATION_LIMIT
     z_next = z + alpha * delta
-    if not np.isfinite(z_next).all():
+    if not _all_finite(z_next):
         return None, None, SolveStatus.NUMERICAL_FAILURE
     return alpha, z_next, None
 
@@ -363,13 +371,21 @@ class _Polish:
         for a new T at the start or one index away from the previous T;
         otherwise None."""
         n, m = self.lp.n, self.lp.m
-        basis = np.sort(np.argpartition(z[n + m :] - z[:n], m - 1)[:m])
+        basis = (z[n + m :] - z[:n]).argpartition(m - 1)[:m]
+        basis.sort()
         previous, self.previous = self.previous, basis
-        if np.array_equal(basis, previous):
+        key = basis.tobytes()
+        if key == previous.tobytes():
             return self._attempt(basis, spec)
-        kept = np.intersect1d(basis, previous, assume_unique=True).size
-        if (previous.size and kept != m - 1) or basis.tobytes() in self.tried:
+        if key in self.tried:
             return None
+        if previous.size:
+            # T is one index away from the previous T when m - 1 of its
+            # indices are in the previous T
+            member = np.zeros(n, dtype=bool)
+            member[previous] = True
+            if np.count_nonzero(member[basis]) != m - 1:
+                return None
         ahead = _look_ahead_basis(self.lp, basis)
         if ahead is None:
             return None
@@ -408,7 +424,7 @@ class _RayCheck:
 
     def __init__(self, lp):
         self.lp = lp
-        self.screen = _RAY_SCREEN * float(np.linalg.norm(lp.A, "fro"))
+        self.screen = _RAY_SCREEN * lp.norms[0]
         self.ray = None
         self.verified_at = None
 
@@ -418,7 +434,7 @@ class _RayCheck:
         d = np.maximum(-res[2], 0.0)
         if _ray_objective(lp, d) is None:
             return False
-        if not float(np.linalg.norm(lp.A @ d)) <= self.screen * float(np.linalg.norm(d)):
+        if not _norm(lp.A.dot(d)) <= self.screen * _norm(d):
             return False
         try:
             ray = project_ray(lp, d)
@@ -444,8 +460,10 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None, ray=None):
     once the step is taken.
     ``polish``, if given, is a ``_Polish`` tried at each iterate below
     ``max_iter`` before ``stop``; a vertex it returns is the next iterate,
-    with the evaluation it returns, and ``stop`` ends the run there.  Its
-    row keeps alpha 0, and nu decays by _THETA, as after a backtracked step.
+    with the evaluation it returns.  ``stop`` has found it Optimal, so the
+    run ends there without a second test, unless the polish at that iterate
+    returns another vertex.  Its row keeps alpha 0, and nu decays by
+    _THETA, as after a backtracked step.
     ``ray``, if given, is a ``_RayCheck`` run at each iterate, before the
     polish, until it verifies a dual-infeasibility ray.  From that iterate on
     the problem has no optimum, so no vertex can verify: the polish is no
@@ -456,39 +474,47 @@ def _minimize(lp, config, spec, z, stop, *, record=None, polish=None, ray=None):
     last merit value and g_inf the last finite gradient max-norm.
     """
 
-    def spec_at(weight):
-        return replace(spec, nu=weight)
-
+    kind, q = spec.kind, spec.q
+    adaptive = config.algorithm is Algorithm.LM_ADAPTIVE
     nu = spec.nu
     g_inf = math.inf
     pending = None  # the evaluation of a verified vertex, the next iterate
     certified = 1.0  # the extra nu decay once a ray has verified
     for k in range(config.max_iter + 1):
-        cur_spec = spec_at(nu)
-        (f, g), (f_cur, g_cur), res = pending or merit.evaluate(cur_spec, lp, z)
-        if not (math.isfinite(f) and np.isfinite(g).all()):
-            return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
-        g_inf = float(np.abs(g).max())
-        if not (math.isfinite(f_cur) and np.isfinite(g_cur).all()):
-            return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
-        g_cur_norm = float(np.linalg.norm(g_cur))
-
-        if config.algorithm is Algorithm.LM_ADAPTIVE:
-            mu = math.sqrt(_HESSIAN_LIPSCHITZ * g_cur_norm / 2.0)
+        cur_spec = spec if nu == spec.nu else MeritSpec(kind, q, nu)
+        if pending is None:
+            (f, g), (f_cur, g_cur), res = merit.evaluate(cur_spec, lp, z)
+            status = None
         else:
-            mu = _MU
+            # the polish returns a vertex only once ``stop`` has found it Optimal
+            (f, g), (f_cur, g_cur), res = pending
+            status = SolveStatus.OPTIMAL
+        # a NaN or inf entry makes a norm NaN or inf, so only a norm that is
+        # not finite, which also comes of an overflow, needs the full test
+        g_max = float(np.abs(g).max())
+        if not (math.isfinite(f) and math.isfinite(g_max)):
+            return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
+        g_inf = g_max
+        g_cur_norm = _norm(g_cur)
+        if not (
+            math.isfinite(f_cur) and (math.isfinite(g_cur_norm) or np.isfinite(g_cur).all())
+        ):
+            return z, k, f, g_inf, SolveStatus.NUMERICAL_FAILURE
+
+        mu = math.sqrt(_HESSIAN_LIPSCHITZ * g_cur_norm / 2.0) if adaptive else _MU
 
         row = record(k, z, res, f_cur, g_cur_norm, mu, nu) if record is not None else None
         if ray is not None and ray(k, res):
             polish = ray = None
             certified = _THETA * _FULL_STEP_SHRINK
         if polish is not None and k < config.max_iter:
-            verified = polish(z, spec_at(nu * _THETA))
+            verified = polish(z, MeritSpec(kind, q, nu * _THETA))
             if verified is not None:
                 z, pending = verified
                 nu *= _THETA
                 continue
-        status = stop(z, f, g_inf, res)
+        if status is None:
+            status = stop(z, f, g_inf, res)
         # mu = 0 only at a zero gradient whose value ``stop`` leaves undecided
         if status is None and (k == config.max_iter or mu <= 0.0):
             status = SolveStatus.ITERATION_LIMIT
@@ -519,7 +545,9 @@ def solve(
     the problem as primal feasible but dual infeasible.  Each iterate is
     also checked for a dual-infeasibility ray (``_RayCheck``); the first
     that verifies is returned with its iteration, and from it on the run
-    neither polishes nor decays nu at the old rate.  Raises
+    neither polishes nor decays nu at the old rate.  A run that ends
+    IterationLimit while it holds a verified ray is NoOptimalSolution,
+    classified by the same primal-residual rule.  Raises
     FactorizationFailure when AA' overflows, so that the start cannot be
     formed.
     """
@@ -578,6 +606,10 @@ def solve(
         record=record if config.trace else None, polish=polish, ray=ray,
     )
     point = PrimalDualPoint.from_vector(z, n, m)
+    # a verified ray certifies that no optimum exists, also when the run
+    # stopped on a failed step or at max_iter
+    if status is SolveStatus.ITERATION_LIMIT and ray.ray is not None:
+        status = SolveStatus.NO_OPTIMAL_SOLUTION
     classification = None
     if status is SolveStatus.NO_OPTIMAL_SOLUTION:
         _, rho, _ = residuals(lp, point)
@@ -612,10 +644,10 @@ def _ray_objective(lp: StandardFormLp, d: np.ndarray) -> float | None:
     at most iterates of a problem with an optimum: a finite c.d already
     means a finite d, since an inf or nan entry of d makes the sum inf or nan.
     """
-    cd = float(lp.c @ d)
+    cd = float(lp.c.dot(d))
     if not (math.isfinite(cd) and cd < 0.0):
         return None
-    if not float(np.linalg.norm(d)) > KKT_TOL * (1.0 + float(np.linalg.norm(lp.c))):
+    if not _norm(d) > KKT_TOL * (1.0 + lp.norms[2]):
         return None
     return cd
 

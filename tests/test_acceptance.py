@@ -8,7 +8,7 @@ whose expected behavior is deterministic under the fixed seeds below.
 import time
 
 import numpy as np
-from helpers import central_gradient, central_jacobian, filled_point, point_kkt
+from helpers import central_gradient, central_jacobian, eval_hessian, filled_point, point_kkt
 
 from lpmerit import linsys, solver
 from lpmerit.merit import gradient_at, value_at
@@ -26,7 +26,6 @@ from lpmerit import (
     StandardFormLp,
     brute_force_optimum,
     build_reduced,
-    eval_hessian,
     generate_optimal_lp,
     generate_unbounded_lp,
     recover_primal_dual,

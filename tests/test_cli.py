@@ -19,6 +19,7 @@ from lpmerit import (
     SolverConfig,
     StandardFormLp,
     generate_optimal_lp,
+    generate_unbounded_lp,
     is_dual_ray,
     load_problem,
     save_problem,
@@ -107,6 +108,25 @@ class TestSolve:
         assert code == 0
         final_rel_err = float(trace.read_text().splitlines()[-1].split(",")[-1])
         assert final_rel_err <= 1e-8
+
+    def test_a_run_that_ends_holding_a_verified_ray_exits_10(self, tmp_path):
+        """A and b x 1e4 on an unbounded (10, 30) problem: the run verifies a
+        ray, then stops on a failed step, and reports no optimum."""
+        lp = generate_unbounded_lp(10, 30, 0).lp
+        path = tmp_path / "scaled.json"
+        save_problem(
+            path,
+            GeneratedProblem(
+                StandardFormLp(lp.A * 1e4, lp.b * 1e4, lp.c), None, None, None, 0,
+                ProblemKind.UNKNOWN,
+            ),
+        )
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 10
+        doc = json.loads(report.read_text())
+        assert doc["status"] == "NoOptimalSolution"
+        assert doc["classification"] == "PrimalFeasibleDualInfeasible"
+        assert type(doc["ray_verified_at"]) is int
 
     def test_unbounded_solve_exits_10_with_classification(self, tmp_path):
         path = _gen(tmp_path, 3, 8, kind="unbounded")

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
-from helpers import duplicated_row_lp, filled_point, random_homogeneous, random_primal_dual
+from helpers import (
+    duplicated_row_lp,
+    eval_hessian,
+    filled_point,
+    random_homogeneous,
+    random_primal_dual,
+)
 
 from lpmerit import linsys
 from lpmerit.merit import gradient_at
@@ -20,7 +26,6 @@ from lpmerit import (
     StandardFormLp,
     build_reduced,
     cholesky_rank_one_update,
-    eval_hessian,
     generate_optimal_lp,
     generate_unbounded_lp,
     least_squares_start,

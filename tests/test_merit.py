@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 from helpers import (
     central_gradient,
     central_jacobian,
+    eval_hessian,
     filled_point,
     random_homogeneous,
     random_primal_dual,
+    reference_gradients,
+    reference_penalty_diagonal,
+    reference_residuals,
+    reference_values,
 )
 
 from lpmerit import (
@@ -24,7 +29,6 @@ from lpmerit import (
     MeritSpec,
     PrimalDualPoint,
     StandardFormLp,
-    eval_hessian,
     generate_optimal_lp,
     residuals,
 )
@@ -236,6 +240,68 @@ def _assert_evaluate_matches(spec, lp, z):
     for (f, g), of in zip(merit.evaluate(spec, lp, z)[:2], (at_nu_zero, spec)):
         assert np.float64(f).tobytes() == np.float64(merit.value_at(of, lp, z)).tobytes()
         assert g.tobytes() == merit.gradient_at(of, lp, z).tobytes()
+
+
+def _kernel_points(lp, size):
+    """Points of length ``size`` that reach every branch of the kernel:
+    Gaussian entries with exact zeros, -0.0 and negative entries on the
+    sign-constrained blocks and on lam, and 1e200 entries that overflow the
+    squared residuals and the hinge powers to inf."""
+    rng = np.random.default_rng(31)
+    n, m = lp.n, lp.m
+    points = []
+    for trial in range(12):
+        z = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
+        z[rng.integers(0, size, 3)] = 0.0
+        z[rng.integers(0, size, 3)] = -0.0
+        z[[0, n, n + m]] = -np.abs(z[[0, n, n + m]])
+        if trial % 3 == 1:
+            z[rng.integers(0, size, 2)] = 1e200
+        if trial % 3 == 2:
+            z[rng.integers(0, size, 2)] = -1e200
+        points.append(z)
+    points.append(np.zeros(size))
+    points.append(np.full(size, -0.0))
+    return points
+
+
+@pytest.mark.parametrize("q", [2.1, 3.0])
+@pytest.mark.parametrize(
+    "kind,nu",
+    [(MeritKind.PRIMAL_DUAL, 0.0), (MeritKind.PRIMAL_DUAL, 0.05), (MeritKind.HOMOGENEOUS, 0.0)],
+)
+def test_kernel_matches_the_reference_bit_for_bit(kind, nu, q):
+    """The fused kernel computes the floating-point operations of the separate
+    residual, value, gradient and diagonal functions it replaced, in the same
+    order: (f0, g0), (f, g), the residuals and the Newton diagonal are equal
+    byte for byte, and so are the types of the values."""
+    spec = MeritSpec(kind, q=q, nu=nu)
+    at_nu_zero = MeritSpec(kind, q=q)
+    lp = generate_optimal_lp(3, 7, 4).lp
+    size = 2 * lp.n + lp.m + (2 if kind is MeritKind.HOMOGENEOUS else 0)
+    saturated = 0
+    for z in _kernel_points(lp, size):
+        res = reference_residuals(spec, lp, z)
+        expected_values = reference_values(spec, lp, z, *res[:3])
+        expected_gradients = reference_gradients(spec, lp, z, *res)
+        (f0, g0), (f, g), (gamma, rho, sigma) = merit.evaluate(spec, lp, z)
+        for got, expected in zip((f0, f), expected_values):
+            assert type(got) is type(expected)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        assert g0.tobytes() == expected_gradients[0].tobytes()
+        assert g.tobytes() == expected_gradients[1].tobytes()
+        assert np.float64(gamma).tobytes() == np.float64(res[0]).tobytes()
+        assert rho.tobytes() == res[1].tobytes() and sigma.tobytes() == res[2].tobytes()
+        assert merit.penalty_diagonal_at(spec, lp, z).tobytes() == (
+            reference_penalty_diagonal(spec, lp, z).tobytes()
+        )
+        value = merit.value_at(spec, lp, z)
+        assert type(value) is type(expected_values[1])
+        assert np.float64(value).tobytes() == np.float64(expected_values[1]).tobytes()
+        assert merit.gradient_at(spec, lp, z).tobytes() == expected_gradients[1].tobytes()
+        assert merit.value_at(at_nu_zero, lp, z) == expected_values[0] or f0 != f0
+        saturated += f == math.inf
+    assert saturated > 0
 
 
 class TestHomotopyFromBase:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import duplicated_row_lp, point_kkt
 
+import lpmerit.linsys as linsys_module
 import lpmerit.merit as merit_module
 import lpmerit.solver as solver_module
 from lpmerit import (
@@ -1090,6 +1091,34 @@ class TestPolish:
             assert sum(out.iterations for out in stable) == 230
             assert sum(out.iterations for out in ahead) == 119
 
+    def test_a_basis_the_look_ahead_names_is_factored_once(self, monkeypatch):
+        """When the look-ahead names T itself, _basic_vertex refines the
+        plain solves of its LU: across the runs, getrf meets every A_B once,
+        the named ones included, and the runs still polish."""
+        factored, named = [], []
+        getrf, look_ahead = linsys_module._getrf, solver_module._look_ahead_basis
+
+        def counting_getrf(a, *args, **kwargs):
+            factored.append(np.asarray(a).tobytes())
+            return getrf(a, *args, **kwargs)
+
+        def logging_look_ahead(lp, basis):
+            ahead = look_ahead(lp, basis)
+            if ahead is not None and ahead.tolist() == basis.tolist():
+                named.append(lp.A[:, basis].tobytes())
+            return ahead
+
+        monkeypatch.setattr(linsys_module, "_getrf", counting_getrf)
+        monkeypatch.setattr(solver_module, "_look_ahead_basis", logging_look_ahead)
+        for seed in range(10):
+            factored.clear()
+            named_before = len(named)
+            out = solve(generate_optimal_lp(5, 10, seed).lp, SolverConfig(Algorithm.HOMOTOPY))
+            assert out.polished
+            assert len(factored) == len(set(factored))
+            assert all(factored.count(a_b) == 1 for a_b in named[named_before:])
+        assert len(named) >= 3
+
     def test_look_ahead_runs_at_the_start_and_after_one_index_moves(self, monkeypatch):
         """Fed iterates whose top-m bases go {0, 1}, {2, 3}, {2, 4}, {2, 4},
         the polish looks ahead at the start and after the one-index move
@@ -1246,6 +1275,32 @@ class TestRayCheck:
             factor = full if row.alpha == 1.0 else solver_module._THETA
             extra = full if row.k >= out.ray_verified_at else 1.0
             assert following.nu == row.nu * (factor * extra)
+
+    @pytest.mark.parametrize("config", SCHEMES, ids=scheme_id)
+    @pytest.mark.parametrize("m,n", [(30, 90), (10, 30)])
+    def test_a_run_that_ends_holding_a_verified_ray_has_no_optimum(
+        self, m, n, config, monkeypatch
+    ):
+        """A and b x 1e4 on unbounded problems: the ray verifies within the
+        first ten iterates, but the value stays below the no-optimum
+        threshold, which grows with ||A||_F^2, so the stop test decides
+        nothing and the run ends on a failed step or at max_iter.  A run
+        that ends IterationLimit while it holds a verified ray reports
+        NoOptimalSolution, classified by the primal residual, with the ray;
+        with the check stubbed out the same runs end IterationLimit."""
+        config = replace(config, trace=False)
+        for seed in range(3):
+            lp = generate_unbounded_lp(m, n, seed).lp
+            lp = StandardFormLp(lp.A * 1e4, lp.b * 1e4, lp.c)
+            out = solve(lp, config)
+            assert out.status is SolveStatus.NO_OPTIMAL_SOLUTION
+            assert out.classification is Classification.PRIMAL_FEASIBLE_DUAL_INFEASIBLE
+            assert out.ray_verified_at <= 10 and is_dual_ray(lp, out.ray)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver_module._RayCheck, "__call__", lambda self, k, res: False)
+                unchecked = solve(lp, config)
+            assert unchecked.status is SolveStatus.ITERATION_LIMIT
+            assert unchecked.ray is None
 
     def test_the_adaptive_scheme_verifies_a_ray_and_keeps_its_iterates(self, monkeypatch):
         """LM_ADAPTIVE runs the check too; its nu is 0, so a verified ray
