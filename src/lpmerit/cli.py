@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from enum import Enum
 
@@ -220,7 +221,10 @@ def cmd_check(args) -> int:
     return 0 if all(value <= KKT_TOL for value in kkt.values()) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parse_args leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="lpmerit",
         description="Linear programming by unconstrained minimization of a merit function.",

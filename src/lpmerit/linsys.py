@@ -26,12 +26,14 @@ factorization of A A' + delta*I, and project_ray projects a candidate dual
 ray onto null(A_P) from the same factorization of the columns P that carry
 it.
 
-The polish factors a square basis A_B with LU.  ``_look_ahead_basis``
-screens a basis with plain solves and no refinement, and reuses its one LU
-for a dual- or primal-simplex pivot to a neighbour.  ``_basic_vertex`` gives
-a basis's vertex, each solve refined once in long double; a basis that the
-screen named as itself brings its LU and plain solves along, so each basis
-the polish tries is factored once.
+The polish factors a square basis A_B with LU.  ``_look_ahead_basis`` is a
+bounded crossover: it screens a basis with one LU, plain solves and no
+refinement (``_screen``), and reuses that LU for one dual-simplex,
+primal-simplex or criss-cross pivot to a neighbour (``_pivot``), for at
+most ``_CROSSOVER_PIVOTS`` pivots.  ``_basic_vertex`` gives a basis's
+vertex, each solve refined once in long double; the basis the crossover
+ends on brings its LU and plain solves along, so each basis the polish
+tries is factored once.
 
 The hot paths call ``ndarray.dot``, the same BLAS call as ``@`` at about
 half its dispatch cost on small arrays, and write their results into
@@ -65,6 +67,10 @@ _potrf, _potrs, _getrf, _getrs = get_lapack_funcs(
 _RAY_SUPPORT = 1e-3
 
 _EPS = float(np.finfo(float).eps)
+
+#: The most pivots that the polish's crossover, ``_look_ahead_basis``,
+#: takes from the top-m basis.
+_CROSSOVER_PIVOTS = 8
 
 
 def least_squares_start(lp: StandardFormLp) -> np.ndarray:
@@ -328,7 +334,7 @@ def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class _FactoredBasis(np.ndarray):
     """A basis, as the sorted index array, that carries its LU factors.
 
-    ``_look_ahead_basis`` returns one when it names the basis it was given:
+    ``_look_ahead_basis`` returns the basis its crossover ends on as one:
     ``factors`` = (A_B, c_B, lu, piv, x_B, lam) holds the gathered columns,
     the LU factors of A_B and the plain solves x_B = A_B^{-1} b and
     lam = A_B^{-T} c_B, which ``_basic_vertex`` refines instead of factoring
@@ -355,17 +361,10 @@ def _basic_vertex(lp, basis):
     or a negative x or s; an ill-conditioned A_B is left to those tests and
     the caller's.
     """
-    factors = getattr(basis, "factors", None)
+    factors = getattr(basis, "factors", None) or _factored(lp, basis)
     if factors is None:
-        A_B = lp.A.take(basis, axis=1)
-        lu, piv, info = _getrf(A_B)
-        if info != 0:
-            return None
-        c_B = lp.c[basis]
-        x_B = _getrs(lu, piv, lp.b)[0]
-        lam = _getrs(lu, piv, c_B, trans=1)[0]
-    else:
-        A_B, c_B, lu, piv, x_B, lam = factors
+        return None
+    A_B, c_B, lu, piv, x_B, lam = factors
     n, p = lp.n, lp.n + lp.m
     wide = A_B.astype(np.longdouble)
     z = np.zeros(p + n)
@@ -382,64 +381,127 @@ def _basic_vertex(lp, basis):
     return z
 
 
-def _look_ahead_basis(lp, basis):
-    """The basis that the polish should try in place of ``basis``, or None.
-
-    One LU factorization of A_B, with plain solves and no refinement, gives
-    the vertex x_B = A_B^{-1} b and s = c - A'A_B^{-T} c_B, s_B = 0.  When
-    x_B >= 0 and s >= 0 it returns ``basis``.  When only x_B has a negative
-    entry it takes one dual-simplex pivot: the most negative x_r leaves, and
-    the nonbasic j with alpha_j < 0 that minimizes s_j / -alpha_j enters,
-    where alpha = A'A_B^{-T} e_r is row r of A_B^{-1} A.  When only s has a
-    negative entry it takes one primal-simplex pivot: the most negative s_j
-    enters, and the i with d_i > 0 that minimizes x_i / d_i leaves, where
-    d = A_B^{-1} a_j.  Both pivots reuse the one LU.  None when A_B has an
-    exactly zero pivot, the vertex has a non-finite entry, both sides have a
-    negative entry or the ratio test is empty.  The returned basis, sorted,
-    is a guess only: ``_basic_vertex`` and the caller's test decide on it.
-    When it is ``basis`` itself, it comes as a ``_FactoredBasis`` that carries
-    the LU and both plain solves, so that ``_basic_vertex`` refines them
-    without a second factorization.
-    """
-    A = lp.A
-    A_B = A.take(basis, axis=1)
+def _factored(lp, basis):
+    """The factors (A_B, c_B, lu, piv, x_B, lam) of the square basis
+    ``basis``, as a ``_FactoredBasis`` carries them, from one LU
+    factorization and the plain solves x_B = A_B^{-1} b and
+    lam = A_B^{-T} c_B; None when A_B has an exactly zero pivot."""
+    A_B = lp.A.take(basis, axis=1)
     lu, piv, info = _getrf(A_B)
     if info != 0:
         return None
     c_B = lp.c[basis]
+    return A_B, c_B, lu, piv, _getrs(lu, piv, lp.b)[0], _getrs(lu, piv, c_B, trans=1)[0]
+
+
+def _screen(lp, basis):
+    """(factors, s) for the square basis ``basis``, unrefined: the factors
+    of ``_factored`` and s = c - A'lam with s_B = 0.  None when A_B has an
+    exactly zero pivot or x_B or s has a non-finite entry."""
+    factors = _factored(lp, basis)
+    if factors is None:
+        return None
+    s = lp.c - lp.A.T.dot(factors[5])
+    s[basis] = 0.0
+    if not (_all_finite(factors[4]) and _all_finite(s)):
+        return None
+    return factors, s
+
+
+def _pivot(lp, basis, factors, s, negative_x, negative_s):
+    """(leaving position, entering index) of one pivot from the screened
+    ``basis``, or None when the pivot's ratio test is empty.  ``negative_x``
+    and ``negative_s`` are the positions in x_B and the indices in s of the
+    negative entries, not both empty.
+
+    When only x_B has a negative entry it is a dual-simplex pivot: the most
+    negative x_r leaves, and the nonbasic j with alpha_j < 0 that minimizes
+    s_j / -alpha_j enters, where alpha = A'A_B^{-T} e_r is row r of
+    A_B^{-1} A.  When only s has one it is a primal-simplex pivot: the most
+    negative s_j enters, and the i with d_i > 0 that minimizes x_i / d_i
+    leaves, where d = A_B^{-1} a_j.  When both have one it is Terlaky's
+    least-index criss-cross pivot (Optimization 1985), with no ratio test:
+    the least index k whose x_k or s_k is negative moves; a basic k leaves
+    for the least j with alpha_j < 0, a nonbasic k enters for the least
+    basic i with d_i > 0.  Each reuses the LU of ``factors``.
+    """
+    A = lp.A
+    _, _, lu, piv, x_B, _ = factors
+    criss_cross = negative_x.size > 0 and negative_s.size > 0
+    if criss_cross:
+        # ``basis`` is sorted, so its least index with x_k < 0 comes first
+        row = negative_x[0] if basis[negative_x[0]] < negative_s[0] else None
+    else:
+        row = int(np.argmin(x_B)) if negative_x.size else None
+    if row is not None:
+        e_r = np.zeros(lp.m)
+        e_r[row] = 1.0
+        alpha = A.T @ _getrs(lu, piv, e_r, trans=1)[0]
+        alpha[basis] = 0.0
+        candidates = np.flatnonzero(alpha < 0.0)
+        if candidates.size == 0:
+            return None
+        if criss_cross:
+            return row, candidates[0]
+        return row, candidates[np.argmin(s[candidates] / -alpha[candidates])]
+    entering = negative_s[0] if criss_cross else int(np.argmin(s))
+    d = _getrs(lu, piv, A[:, entering])[0]
+    candidates = np.flatnonzero(d > 0.0)
+    if candidates.size == 0:
+        return None
+    if criss_cross:
+        return candidates[0], entering
+    return candidates[np.argmin(x_B[candidates] / d[candidates])], entering
+
+
+def _look_ahead_basis(lp, basis):
+    """The basis that the polish should try in place of ``basis``, or None.
+
+    A bounded crossover from ``basis``, the sorted top-m basis T: each basis
+    of the chain is screened once by ``_screen``, with one LU and plain
+    solves, and one ``_pivot`` on that LU moves to the next, for at most
+    ``_CROSSOVER_PIVOTS`` pivots.  The chain ends at the first basis whose
+    x_B >= 0 and s >= 0, at the budget, at an empty ratio test, or where the
+    basis has more negative entries in x_B and s together than pivots left:
+    such a basis is far from a vertex of the right signs, and its pivots
+    would be wasted LU work.  A first pivot from T whose negative entries
+    lie on one side only is taken whatever their number.  The basis the
+    chain ends on is returned as a ``_FactoredBasis`` that carries its LU
+    and plain solves, so that ``_basic_vertex`` refines them without a
+    second factorization; it is a guess only, which ``_basic_vertex`` and
+    the caller's test decide on.  None when the chain ends on T with a
+    negative entry, or a basis of the chain has an exactly zero pivot or a
+    non-finite vertex.
+    """
+    start = basis
     # an overflow gives an inf or NaN, which the finiteness test or the
     # ratio tests reject, so it needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        x_B = _getrs(lu, piv, lp.b)[0]
-        lam = _getrs(lu, piv, c_B, trans=1)[0]
-        s = lp.c - A.T.dot(lam)
-        s[basis] = 0.0
-        if not (_all_finite(x_B) and _all_finite(s)):
+        screened = _screen(lp, basis)
+        if screened is None:
             return None
-        primal, dual = x_B.min() >= 0.0, s.min() >= 0.0
-        if primal and dual:
-            named = basis.view(_FactoredBasis)
-            named.factors = A_B, c_B, lu, piv, x_B, lam
-            return named
-        if primal == dual:
-            return None
-        if dual:
-            leaving = int(np.argmin(x_B))
-            e_r = np.zeros(lp.m)
-            e_r[leaving] = 1.0
-            alpha = A.T @ _getrs(lu, piv, e_r, trans=1)[0]
-            alpha[basis] = 0.0
-            candidates = np.flatnonzero(alpha < 0.0)
-            if candidates.size == 0:
+        for left in range(_CROSSOVER_PIVOTS, -1, -1):
+            factors, s = screened
+            negative_x = np.flatnonzero(factors[4] < 0.0)
+            negative_s = np.flatnonzero(s < 0.0)
+            violations = negative_x.size + negative_s.size
+            if violations == 0 or left == 0:
+                break
+            one_sided_start = basis is start and not (negative_x.size and negative_s.size)
+            if violations > left and not one_sided_start:
+                break
+            move = _pivot(lp, basis, factors, s, negative_x, negative_s)
+            if move is None:
+                break
+            leaving, entering = move
+            neighbour = basis.copy()
+            neighbour[leaving] = entering
+            basis = np.sort(neighbour)
+            screened = _screen(lp, basis)
+            if screened is None:
                 return None
-            entering = candidates[np.argmin(s[candidates] / -alpha[candidates])]
-        else:
-            entering = int(np.argmin(s))
-            d = _getrs(lu, piv, A[:, entering])[0]
-            candidates = np.flatnonzero(d > 0.0)
-            if candidates.size == 0:
-                return None
-            leaving = candidates[np.argmin(x_B[candidates] / d[candidates])]
-    neighbour = basis.copy()
-    neighbour[leaving] = entering
-    return np.sort(neighbour)
+    if basis is start and violations:
+        return None
+    named = basis.view(_FactoredBasis)
+    named.factors = factors
+    return named

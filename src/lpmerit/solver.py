@@ -41,18 +41,22 @@ every basis that partition would, at the same iterate or earlier, and no
 run ends later than it would by waiting for exactly m x_j above their s_j.
 
 The polish also looks ahead, at the start and whenever B differs from the
-previous iterate's in exactly one index and is new: one unrefined LU of A_B
-in ``linsys._look_ahead_basis`` names B itself when its vertex has the right
-signs, or the neighbour one dual- or primal-simplex pivot away when only
-x_B or only s has a negative entry (the crossover of Megiddo, ORSA J.
-Comput. 1991, and of Bixby & Saltzman, Oper. Res. Lett. 1994, cut to one
-pivot).  That basis takes the same refined attempt; when it is B itself,
-the attempt refines the screen's LU and solves instead of factoring A_B a
-second time.  A B that the screen
-rejects is not marked tried, so every stable B is still tried when it
-would have been, and the look-ahead only adds attempts, each of which
-leaves the iterates as they were when it fails: no run ends later or with
-a worse status than without it.
+previous iterate's in exactly one index and is new, by a bounded crossover
+from B in ``linsys._look_ahead_basis`` (after Megiddo, ORSA J. Comput.
+1991, and Bixby & Saltzman, Oper. Res. Lett. 1994): at most
+``linsys._CROSSOVER_PIVOTS`` pivots, each basis screened with one unrefined
+LU, a dual-simplex pivot when only x_B has a negative entry, a
+primal-simplex pivot when only s has one, and Terlaky's least-index
+criss-cross pivot (Optimization 1985) when both have.  The chain goes on
+only while a basis has no more negative entries than pivots left, so a B
+far from a vertex costs one LU.  The basis it ends on takes the same
+refined attempt, which refines the chain's last LU and solves instead of
+factoring A_B again.  A B that the crossover rejects is not marked tried,
+so every stable B is still tried when it would have been, and the
+look-ahead only adds attempts, each of which leaves the iterates as they
+were when it fails: no run ends later or with a worse status than without
+it.  On ``generate_optimal_lp(5, 10, s)``, s = 0..59, the crossover from
+the least-squares start's B ends every run at iteration 1.
 
 ``solve`` also checks each iterate for a dual-infeasibility ray
 (``_RayCheck``, the test that PDLP applies to its iterates: Applegate,
@@ -351,12 +355,14 @@ class _Polish:
 
     At the start and whenever T differs from the previous T in exactly one
     index and is new, the polish also looks ahead: ``_look_ahead_basis``
-    screens T with one unrefined LU and names T or its one-pivot neighbour,
-    which takes the same ``_attempt``.  A screened-out T is not marked
-    tried, so it is still attempted once it is stable, and the stable
-    attempts are exactly those of the rule without the look-ahead, or
-    earlier.  The look-ahead thus only adds attempts, and by the argument
-    above no run ends later or with a worse status.
+    runs a crossover of at most ``linsys._CROSSOVER_PIVOTS`` pivots from T,
+    one unrefined LU per basis, and names the basis it ends on, T itself
+    when T's vertex has the right signs; that basis takes the same
+    ``_attempt``, with the chain's LU.  A T that the crossover rejects is
+    not marked tried, so it is still attempted once it is stable, and the
+    stable attempts are exactly those of the rule without the look-ahead,
+    or earlier.  The look-ahead thus only adds attempts, and by the
+    argument above no run ends later or with a worse status.
     """
 
     def __init__(self, lp, stop):

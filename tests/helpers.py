@@ -1,13 +1,14 @@
 """Shared test utilities: finite-difference oracles, the explicit-Hessian
 oracle, a reference merit kernel, random and constant point factories, the
 KKT residuals of a point, a rank-deficient problem and a primal-infeasible
-one."""
+one, and the one-pivot look-ahead that the polish's crossover replaced."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+import lpmerit.linsys as linsys
 from lpmerit import (
     DimensionMismatch,
     HomogeneousPoint,
@@ -97,6 +98,71 @@ def primal_infeasible_lp(m, n, seed):
     b = 5.0 * y / np.linalg.norm(y) + 0.1 * rng.standard_normal(m)
     c = rng.uniform(0.5, 2.0, n)
     return StandardFormLp(A, b, c)
+
+
+def reference_look_ahead_basis(lp, basis):
+    """The one-pivot look-ahead that ``linsys._look_ahead_basis`` replaced,
+    kept as the reference its bounded crossover is tested against: the basis
+    that the polish should try in place of ``basis``, or None.
+
+    One LU factorization of A_B, with plain solves and no refinement, gives
+    the vertex x_B = A_B^{-1} b and s = c - A'A_B^{-T} c_B, s_B = 0.  When
+    x_B >= 0 and s >= 0 it returns ``basis``.  When only x_B has a negative
+    entry it takes one dual-simplex pivot: the most negative x_r leaves, and
+    the nonbasic j with alpha_j < 0 that minimizes s_j / -alpha_j enters,
+    where alpha = A'A_B^{-T} e_r is row r of A_B^{-1} A.  When only s has a
+    negative entry it takes one primal-simplex pivot: the most negative s_j
+    enters, and the i with d_i > 0 that minimizes x_i / d_i leaves, where
+    d = A_B^{-1} a_j.  Both pivots reuse the one LU.  None when A_B has an
+    exactly zero pivot, the vertex has a non-finite entry, both sides have a
+    negative entry or the ratio test is empty.  The returned basis, sorted,
+    is a guess only: ``_basic_vertex`` and the caller's test decide on it.
+    When it is ``basis`` itself, it comes as a ``linsys._FactoredBasis``
+    that carries the LU and both plain solves, so that ``_basic_vertex``
+    refines them without a second factorization.
+    """
+    A = lp.A
+    A_B = A.take(basis, axis=1)
+    lu, piv, info = linsys._getrf(A_B)
+    if info != 0:
+        return None
+    c_B = lp.c[basis]
+    # an overflow gives an inf or NaN, which the finiteness test or the
+    # ratio tests reject, so it needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_B = linsys._getrs(lu, piv, lp.b)[0]
+        lam = linsys._getrs(lu, piv, c_B, trans=1)[0]
+        s = lp.c - A.T.dot(lam)
+        s[basis] = 0.0
+        if not (linsys._all_finite(x_B) and linsys._all_finite(s)):
+            return None
+        primal, dual = x_B.min() >= 0.0, s.min() >= 0.0
+        if primal and dual:
+            named = basis.view(linsys._FactoredBasis)
+            named.factors = A_B, c_B, lu, piv, x_B, lam
+            return named
+        if primal == dual:
+            return None
+        if dual:
+            leaving = int(np.argmin(x_B))
+            e_r = np.zeros(lp.m)
+            e_r[leaving] = 1.0
+            alpha = A.T @ linsys._getrs(lu, piv, e_r, trans=1)[0]
+            alpha[basis] = 0.0
+            candidates = np.flatnonzero(alpha < 0.0)
+            if candidates.size == 0:
+                return None
+            entering = candidates[np.argmin(s[candidates] / -alpha[candidates])]
+        else:
+            entering = int(np.argmin(s))
+            d = linsys._getrs(lu, piv, A[:, entering])[0]
+            candidates = np.flatnonzero(d > 0.0)
+            if candidates.size == 0:
+                return None
+            leaving = candidates[np.argmin(x_B[candidates] / d[candidates])]
+    neighbour = basis.copy()
+    neighbour[leaving] = entering
+    return np.sort(neighbour)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from lpmerit import (
     load_problem,
     save_problem,
 )
+import lpmerit.solver as solver_module
 from lpmerit import cli
 from lpmerit.cli import TRACE_HEADER, main
 
@@ -424,22 +425,29 @@ class TestCheck:
         assert rows[1] == "dual   = 5.857864e-01  [FAIL]"
         assert sum("FAIL" in row for row in rows) == 1
 
-    def test_false_optimal_on_row_scaled_input_fails(self, tmp_path, capsys):
+    def test_false_optimal_on_row_scaled_input_fails(self, tmp_path, capsys, monkeypatch):
         """Rows of A and b x logspace(-4, 4): the merit test alone ended
-        Optimal with x off by 0.63 relative and min x = -2.4e-5.  solve now
-        ends at the iteration limit, with min x = -5.0e-6, and check must
-        still not pass the point it wrote."""
+        Optimal with x off by 0.63 relative and min x = -2.4e-5.  With the
+        polish stubbed out, solve ends at the iteration limit, with
+        min x = -5.0e-6, and check must still not pass the point it wrote.
+        With the polish, the crossover reaches a vertex that verifies, and
+        check passes it."""
         prob = generate_optimal_lp(20, 30, 4)
         r = np.logspace(-4, 4, 20)
         lp = StandardFormLp(prob.lp.A * r[:, None], prob.lp.b * r, prob.lp.c)
         path = tmp_path / "p.json"
         save_problem(path, GeneratedProblem(lp, None, None, None, 4, ProblemKind.UNKNOWN))
         report = tmp_path / "report.json"
-        assert main(["solve", "--input", str(path), "--report", str(report)]) == 11
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_basic_vertex", lambda lp, basis: None)
+            assert main(["solve", "--input", str(path), "--report", str(report)]) == 11
         capsys.readouterr()
         assert main(["check", "--input", str(path), "--solution", str(report)]) == 1
         sign = capsys.readouterr().out.splitlines()[3]
         assert sign.startswith("sign") and sign.endswith("[FAIL]")
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["polished"] is True
+        assert main(["check", "--input", str(path), "--solution", str(report)]) == 0
 
     def test_report_point_is_accepted_as_solution(self, tmp_path):
         path = _gen(tmp_path, 3, 6)
@@ -504,6 +512,19 @@ class TestSingleSources:
         assert code in (0, 11)
         config = json.loads(report.read_text())["config"]
         assert config[field] == value
+
+    def test_the_parser_is_built_once_and_keeps_no_flag(self, tmp_path):
+        """main reuses one parser per process; a flag given to one call,
+        or an invalid call, leaves the next call at SolverConfig's default."""
+        assert cli.build_parser() is cli.build_parser()
+        path = _gen(tmp_path, 3, 6)
+        report = tmp_path / "report.json"
+        assert main(["solve", "--input", str(path), "--nu0", "2.5"]) in (0, 11)
+        with pytest.raises(SystemExit):
+            main(["solve", "--input", str(path), "--nu0", "x"])
+        assert main(["solve", "--input", str(path), "--report", str(report)]) == 0
+        nu0 = SolverConfig(Algorithm.HOMOTOPY).nu0
+        assert json.loads(report.read_text())["config"]["nu0"] == nu0
 
     def test_integral_float_flag_reads_back_as_a_float(self, tmp_path):
         path = _gen(tmp_path, 3, 6)

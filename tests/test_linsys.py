@@ -11,6 +11,7 @@ from helpers import (
     filled_point,
     random_homogeneous,
     random_primal_dual,
+    reference_look_ahead_basis,
 )
 
 from lpmerit import linsys
@@ -513,15 +514,21 @@ class TestLeastSquaresStart:
 
 
 class TestLookAheadBasis:
-    """Hand-built (2, 4) problems A = [I | N], each reaching one outcome of
-    the look-ahead at the basis {0, 1}, where A_B = I, x_B = b and
+    """Hand-built problems A = [I | N], each reaching one outcome of the
+    crossover from the basis {0, ..., m-1}, where A_B = I, x_B = b and
     s_N = c_N - N'c_B."""
 
     BASIS = np.array([0, 1])
 
     @staticmethod
     def _lp(N, b, c):
-        return StandardFormLp(np.hstack([np.eye(2), np.array(N, dtype=float)]), b, c)
+        N = np.array(N, dtype=float)
+        return StandardFormLp(np.hstack([np.eye(N.shape[0]), N]), b, c)
+
+    #: x_B = (-2, -1) and s_N = (2, 2): two dual-simplex pivots, x_0 and then
+    #: x_1 leaving, reach the optimal basis {2, 3} through {1, 2}, whose
+    #: x_B = (-1, 2).
+    TWO_PIVOTS = ([[-1.0, 0.0], [0.0, -1.0]], [-2.0, -1.0], [1.0, 1.0, 1.0, 1.0])
 
     def test_a_sign_feasible_basis_is_returned_as_is(self):
         lp = self._lp([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], [0.0, 0.0, 1.0, 1.0])
@@ -547,9 +554,64 @@ class TestLookAheadBasis:
         vertex = linsys._basic_vertex(lp, neighbour)
         np.testing.assert_allclose(vertex, [1, 0, 1, 0, 0, -1, 0, 1, 0, 1])
 
-    def test_negative_entries_on_both_sides_give_nothing(self):
-        lp = self._lp([[1.0, 1.0], [1.0, 0.0]], [-1.0, 2.0], [0.0, 0.0, -1.0, 1.0])
-        assert linsys._look_ahead_basis(lp, self.BASIS) is None
+    def test_negative_entries_on_both_sides_take_a_criss_cross_pivot(self):
+        """x_B = (-1, 2), s_N = (2, -1): the least index with a negative
+        entry is 0, so x_0 leaves, and the least j with alpha_j < 0 in row
+        0 of A, column 2, enters.  The neighbour {1, 2} is the optimal
+        basis, where the one-pivot look-ahead gave nothing."""
+        lp = self._lp([[-1.0, 1.0], [1.0, 1.0]], [-1.0, 2.0], [0.0, 0.0, 2.0, -1.0])
+        assert reference_look_ahead_basis(lp, self.BASIS) is None
+        neighbour = linsys._look_ahead_basis(lp, self.BASIS)
+        assert neighbour.tolist() == [1, 2]
+        vertex = linsys._basic_vertex(lp, neighbour)
+        np.testing.assert_allclose(vertex, [0, 1, 1, 0, -2, 0, 2, 0, 0, 1])
+
+    def test_a_two_pivot_chain_reaches_the_vertex(self):
+        lp = self._lp(*self.TWO_PIVOTS)
+        assert reference_look_ahead_basis(lp, self.BASIS).tolist() == [1, 2]
+        basis = linsys._look_ahead_basis(lp, self.BASIS)
+        assert basis.tolist() == [2, 3]
+        np.testing.assert_allclose(
+            linsys._basic_vertex(lp, basis), [0, 0, 2, 1, -1, -1, 2, 2, 0, 0]
+        )
+
+    def test_the_pivot_budget_stops_the_chain(self, monkeypatch):
+        """With one pivot allowed, the chain ends at {1, 2}, the basis the
+        one-pivot look-ahead named, and brings its LU along; its x_1 = -1
+        leaves no vertex."""
+        monkeypatch.setattr(linsys, "_CROSSOVER_PIVOTS", 1)
+        lp = self._lp(*self.TWO_PIVOTS)
+        basis = linsys._look_ahead_basis(lp, self.BASIS)
+        assert basis.tolist() == [1, 2]
+        assert isinstance(basis, linsys._FactoredBasis)
+        np.testing.assert_array_equal(basis.factors[4], [-1.0, 2.0])
+        assert linsys._basic_vertex(lp, basis) is None
+
+    def test_the_violation_gate_stops_the_chain(self, monkeypatch):
+        """x_B = (-3, -1, -1): x_0 leaves and column 3 = (-1, 1, 1) enters,
+        the first pivot from the start; {1, 2, 3} has x_B = (-4, -4, 3), two
+        negative entries.  With two pivots allowed, one is left there, so the
+        chain ends at it; with the default eight it goes on, and reaches the
+        optimal basis {3, 4, 5}."""
+        lp = self._lp(
+            [[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]],
+            [-3.0, -1.0, -1.0],
+            [0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+        )
+        start = np.array([0, 1, 2])
+        assert linsys._look_ahead_basis(lp, start).tolist() == [3, 4, 5]
+        monkeypatch.setattr(linsys, "_CROSSOVER_PIVOTS", 2)
+        basis = linsys._look_ahead_basis(lp, start)
+        assert basis.tolist() == [1, 2, 3]
+        np.testing.assert_array_equal(basis.factors[4], [-4.0, -4.0, 3.0])
+
+    def test_negative_entries_on_both_sides_beyond_the_gate_give_nothing(self):
+        """A = [I | -I] with b = -1 and c_N = (-1, -1, -1, -1, 1): all five
+        x_B and four s_N are negative, nine entries against eight pivots, so
+        the chain does not start."""
+        lp = self._lp(-np.eye(5), -np.ones(5), [0.0] * 5 + [-1.0, -1.0, -1.0, -1.0, 1.0])
+        assert linsys._CROSSOVER_PIVOTS == 8
+        assert linsys._look_ahead_basis(lp, np.arange(5)) is None
 
     def test_a_singular_basis_gives_nothing(self):
         lp = self._lp([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], [0.0, 0.0, 1.0, 1.0])
@@ -564,8 +626,11 @@ class TestLookAheadBasis:
             ([[1.0, 1.0], [1.0, 0.0]], [-1.0, 2.0], [0.0, 0.0, 1.0, 1.0]),
             # s_2 < 0, but column 2 has no positive entry: the ray is unbounded
             ([[-1.0, 1.0], [0.0, 1.0]], [1.0, 2.0], [0.0, 0.0, -1.0, 3.0]),
+            # x_0 < 0 and s_2 < 0; x_0 has the least index, and row 0 of A
+            # has no negative entry
+            ([[1.0, 1.0], [1.0, 0.0]], [-1.0, 2.0], [0.0, 0.0, -1.0, 1.0]),
         ],
-        ids=["dual-ratio", "primal-ratio"],
+        ids=["dual-ratio", "primal-ratio", "criss-cross"],
     )
     def test_an_empty_ratio_test_gives_nothing(self, N, b, c):
         assert linsys._look_ahead_basis(self._lp(N, b, c), self.BASIS) is None
@@ -577,24 +642,33 @@ class TestLookAheadBasis:
         A[0, 0] = 1e-300
         assert linsys._look_ahead_basis(StandardFormLp(A, lp.b, lp.c), self.BASIS) is None
 
-    def test_factors_once_without_refinement(self, monkeypatch):
-        """Both pivots reuse the one LU: three plain solves at most, and no
-        long-double residual."""
-        calls = {"getrf": 0, "getrs": 0}
+    def test_each_basis_of_the_chain_is_factored_once(self, monkeypatch):
+        """The chain {0, 1}, {1, 2}, {2, 3} factors each A_B once and solves
+        without refinement: two plain solves per basis and one per pivot.
+        ``_basic_vertex`` then refines the LU that the chain ended on,
+        factoring nothing, to the vertex that a fresh factorization gives."""
+        factored, solves = [], []
         getrf, getrs = linsys._getrf, linsys._getrs
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counting_getrf(a, *args, **kwargs):
+            factored.append(np.asarray(a).tobytes())
+            return getrf(a, *args, **kwargs)
 
-            return wrapper
+        def counting_getrs(*args, **kwargs):
+            solves.append(None)
+            return getrs(*args, **kwargs)
 
-        monkeypatch.setattr(linsys, "_getrf", counting("getrf", getrf))
-        monkeypatch.setattr(linsys, "_getrs", counting("getrs", getrs))
-        lp = self._lp([[-1.0, -2.0], [1.0, 1.0]], [-1.0, 2.0], [0.0, 0.0, 1.0, 3.0])
-        linsys._look_ahead_basis(lp, self.BASIS)
-        assert calls == {"getrf": 1, "getrs": 3}
+        monkeypatch.setattr(linsys, "_getrf", counting_getrf)
+        monkeypatch.setattr(linsys, "_getrs", counting_getrs)
+        lp = self._lp(*self.TWO_PIVOTS)
+        basis = linsys._look_ahead_basis(lp, self.BASIS)
+        assert factored == [lp.A[:, b].tobytes() for b in ([0, 1], [1, 2], [2, 3])]
+        assert len(solves) == 3 * 2 + 2
+        vertex = linsys._basic_vertex(lp, basis)
+        assert len(factored) == 3 and len(solves) == 3 * 2 + 2 + 2
+        fresh = linsys._basic_vertex(lp, np.array(basis))
+        assert len(factored) == 4
+        assert vertex.tobytes() == fresh.tobytes()
 
 
 class TestInputGuards:

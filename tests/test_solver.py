@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import duplicated_row_lp, point_kkt
+from helpers import (
+    duplicated_row_lp,
+    point_kkt,
+    primal_infeasible_lp,
+    reference_look_ahead_basis,
+)
 
 import lpmerit.linsys as linsys_module
 import lpmerit.merit as merit_module
@@ -244,9 +249,11 @@ class TestSolve:
             assert record.nu == nu
             nu *= 0.8
 
-    def test_homotopy_decay_follows_the_step_length(self):
+    def test_homotopy_decay_follows_the_step_length(self, monkeypatch):
         """nu falls by _THETA after a backtracked step and by half of it after
-        a full one; the run takes both kinds of step."""
+        a full one; the run takes both kinds of step.  The polish is stubbed
+        out: its crossover at the start would end the run before any step."""
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         prob = generate_optimal_lp(5, 10, 0)
         cfg = SolverConfig(Algorithm.HOMOTOPY)
         out = solve(prob.lp, cfg)
@@ -460,7 +467,10 @@ class TestFailurePathsOnRealInputs:
     """Each way a Newton step can end a run, reached by a real input: the mu
     ladder and a stagnated Armijo search by a badly scaled A, a non-descent
     step by row scaling.  Armijo stagnation is also reached by a fake merit
-    value, which pins the probe count."""
+    value, which pins the probe count.  On the scaled (5, 10, 0) inputs the
+    polish's crossover at the start verifies the vertex before any step, so
+    those runs stub the polish out; a run that never verified a vertex is
+    the run without the polish bit for bit."""
 
     @staticmethod
     def _count_attempts(monkeypatch):
@@ -485,6 +495,7 @@ class TestFailurePathsOnRealInputs:
         return StandardFormLp(lp.A * scale, lp.b * scale, lp.c)
 
     def test_ladder_escalates_and_then_steps(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         calls = self._count_attempts(monkeypatch)
         out = solve(self._scaled(1e7), SolverConfig(Algorithm.HOMOTOPY, trace=False))
         assert out.iterations >= 1
@@ -496,6 +507,7 @@ class TestFailurePathsOnRealInputs:
         """A and b x 1e14: the merit test alone passes the least-squares
         start, since VALUE_TOL * scale^2 grows with A, but its KKT residuals
         do not, so the run takes a step and every rung of the ladder fails."""
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         calls = self._count_attempts(monkeypatch)
         out = solve(self._scaled(1e14), SolverConfig(Algorithm.HOMOTOPY, trace=False))
         assert out.status is SolveStatus.NUMERICAL_FAILURE
@@ -524,6 +536,7 @@ class TestFailurePathsOnRealInputs:
     def test_stagnated_armijo_search_on_a_real_input_ends_the_run(self, monkeypatch):
         """A and b x 1e12: at the third iterate every probe down to 2**-60
         fails."""
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         searches = []
         armijo = solver_module.armijo_search
 
@@ -768,6 +781,10 @@ class TestIterates:
     def test_default_decay_takes_no_more_iterations_than_the_fixed_one(
         self, m, n, seeds, monkeypatch
     ):
+        """On the loop's own iterates, with the polish stubbed out: with it,
+        the run ends wherever the crossover first finds the vertex, which
+        depends on the iterates' top-m bases more than on the decay."""
+        monkeypatch.setattr(solver_module, "_basic_vertex", no_vertex)
         config = SolverConfig(Algorithm.HOMOTOPY, trace=False)
         lps = [generate_optimal_lp(m, n, seed).lp for seed in range(seeds)]
         outcomes = [solve(lp, config) for lp in lps]
@@ -866,9 +883,9 @@ class TestPolish:
     @pytest.mark.parametrize(
         "config,m,n,expected",
         [
-            (HOMOTOPY, 5, 10, [2, 1, 1, 3, 1, 1, 1, 2, 1, 3]),
-            (HOMOTOPY, 50, 75, [5, 11, 4]),
-            (BASE_MERIT, 5, 10, [2, 1, 1, 2, 1, 1, 1, 3, 1, 4]),
+            (HOMOTOPY, 5, 10, [1] * 10),
+            (HOMOTOPY, 50, 75, [5, 8, 4]),
+            (BASE_MERIT, 5, 10, [1] * 10),
         ],
         ids=scheme_id,
     )
@@ -950,10 +967,10 @@ class TestPolish:
         assert solver_module._basic_vertex(StandardFormLp(A, lp.b, lp.c), basis) is None
 
     def test_sign_infeasible_vertex_leaves_the_run_as_it_was(self, monkeypatch):
-        """On (5, 10, 36) the first basis tried has a vertex with x_B < 0
+        """On (20, 30, 10) the first basis tried has a vertex with x_B < 0
         or s_N < 0; the second one verifies.  Stopped before the second
         attempt, the run is the run without the polish."""
-        prob = generate_optimal_lp(5, 10, 36)
+        prob = generate_optimal_lp(20, 30, 10)
         log = log_vertex_calls(monkeypatch)
         out = solve(prob.lp, self.HOMOTOPY)
         assert out.polished
@@ -1063,7 +1080,8 @@ class TestPolish:
         """With the look-ahead stubbed to find nothing, every run is the run
         of the stable rule alone bit for bit: status, iterations, attempts,
         point and trace.  With it, every run keeps its status and ends no
-        later, and the (5, 10) panel ends 111 iterations earlier in all."""
+        later, and the (5, 10) panel ends 170 iterations earlier in all,
+        each run at iteration 1."""
         config = SolverConfig(Algorithm.HOMOTOPY)
         lps = [generate_optimal_lp(m, n, seed).lp for seed in range(seeds)]
         ahead = [solve(lp, config) for lp in lps]
@@ -1089,13 +1107,99 @@ class TestPolish:
         ] == []
         if (m, n) == (5, 10):
             assert sum(out.iterations for out in stable) == 230
-            assert sum(out.iterations for out in ahead) == 119
+            assert sum(out.iterations for out in ahead) == 60
+
+    #: The families that the crossover is checked against the one-pivot
+    #: look-ahead on, by name: their problems and, where they are pinned,
+    #: the iterations of each scheme's runs in all with the crossover and
+    #: with the one-pivot look-ahead.
+    CROSSOVER_FAMILIES = {
+        "5x10": (
+            lambda: [generate_optimal_lp(5, 10, seed).lp for seed in range(60)],
+            dict(zip(SCHEMES, [(60, 243), (60, 119), (60, 121)])),
+        ),
+        "20x30": (lambda: [generate_optimal_lp(20, 30, seed).lp for seed in range(20)], None),
+        "duplicated-row": (
+            lambda: [duplicated_row_lp(m, n, s) for m, n in [(5, 10), (20, 30)] for s in range(5)],
+            None,
+        ),
+        "primal-infeasible": (
+            lambda: [
+                primal_infeasible_lp(m, n, s) for m, n in [(5, 10), (20, 30)] for s in range(5)
+            ],
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("config", SCHEMES, ids=scheme_id)
+    @pytest.mark.parametrize("family", list(CROSSOVER_FAMILIES))
+    def test_crossover_never_stops_later_than_the_one_pivot_look_ahead(
+        self, family, config, monkeypatch
+    ):
+        """Against ``reference_look_ahead_basis``, the look-ahead the
+        crossover replaced, patched in: every run keeps its status and final
+        point bit for bit and ends no later."""
+        make, totals = self.CROSSOVER_FAMILIES[family]
+        lps = make()
+        untraced = replace(config, trace=False)
+        crossover = [solve(lp, untraced) for lp in lps]
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_look_ahead_basis", reference_look_ahead_basis)
+            one_pivot = [solve(lp, untraced) for lp in lps]
+        for out, reference in zip(crossover, one_pivot):
+            assert out.status is reference.status
+            assert out.iterations <= reference.iterations
+            assert out.point.as_vector().tobytes() == reference.point.as_vector().tobytes()
+        if totals is not None:
+            assert (
+                sum(out.iterations for out in crossover),
+                sum(out.iterations for out in one_pivot),
+            ) == totals[config]
+
+    @pytest.mark.parametrize(
+        "generate,m,n,seeds",
+        [(generate_optimal_lp, 300, 450, 3), (generate_unbounded_lp, 150, 450, 10)],
+        ids=["optimal-300x450", "unbounded-150x450"],
+    )
+    def test_crossover_is_the_one_pivot_look_ahead_where_the_start_is_far(
+        self, generate, m, n, seeds, monkeypatch
+    ):
+        """The top-m bases that these runs screen have at most one negative
+        entry, which the first pivot from T resolves, or 31 to 233, beyond
+        the gate, so no chain goes past the first pivot, which the one-pivot
+        look-ahead takes too: each run is the same bit for bit, with the
+        same LU factorizations."""
+        factored = []
+        getrf = linsys_module._getrf
+
+        def counting_getrf(*args, **kwargs):
+            factored.append(None)
+            return getrf(*args, **kwargs)
+
+        def run(lp):
+            factored.clear()
+            out = solve(lp, SolverConfig(Algorithm.HOMOTOPY, trace=False))
+            return (
+                out.status,
+                out.iterations,
+                out.polish_attempts,
+                out.ray_verified_at,
+                out.point.as_vector().tobytes(),
+                len(factored),
+            )
+
+        monkeypatch.setattr(linsys_module, "_getrf", counting_getrf)
+        lps = [generate(m, n, seed).lp for seed in range(seeds)]
+        crossover = [run(lp) for lp in lps]
+        monkeypatch.setattr(solver_module, "_look_ahead_basis", reference_look_ahead_basis)
+        assert crossover == [run(lp) for lp in lps]
 
     def test_a_basis_the_look_ahead_names_is_factored_once(self, monkeypatch):
-        """When the look-ahead names T itself, _basic_vertex refines the
-        plain solves of its LU: across the runs, getrf meets every A_B once,
-        the named ones included, and the runs still polish."""
-        factored, named = [], []
+        """The basis that the crossover ends on brings its LU to
+        _basic_vertex, which refines its plain solves: across the runs,
+        getrf meets every A_B once, the named ones included, and the runs
+        still polish, some at T itself and some after a chain of pivots."""
+        factored, named, moved = [], [], []
         getrf, look_ahead = linsys_module._getrf, solver_module._look_ahead_basis
 
         def counting_getrf(a, *args, **kwargs):
@@ -1104,8 +1208,9 @@ class TestPolish:
 
         def logging_look_ahead(lp, basis):
             ahead = look_ahead(lp, basis)
-            if ahead is not None and ahead.tolist() == basis.tolist():
-                named.append(lp.A[:, basis].tobytes())
+            if ahead is not None:
+                named.append(lp.A[:, ahead].tobytes())
+                moved.append(ahead.tolist() != basis.tolist())
             return ahead
 
         monkeypatch.setattr(linsys_module, "_getrf", counting_getrf)
@@ -1117,7 +1222,7 @@ class TestPolish:
             assert out.polished
             assert len(factored) == len(set(factored))
             assert all(factored.count(a_b) == 1 for a_b in named[named_before:])
-        assert len(named) >= 3
+        assert set(moved) == {False, True}
 
     def test_look_ahead_runs_at_the_start_and_after_one_index_moves(self, monkeypatch):
         """Fed iterates whose top-m bases go {0, 1}, {2, 3}, {2, 4}, {2, 4},
@@ -1159,8 +1264,8 @@ class TestPolish:
         logspace(-4, 4) (at 500 iterations, KKT 1.9e-5), A and b of
         (5, 10, 2) x 1e8 and x 1e10 (at iteration 0, on a first Newton step
         that climbs), the rows of A and b of (10, 15, 1) scaled by
-        logspace(-4, 4).  Each now ends at a verified vertex; the scaled
-        uniform and row inputs at iteration 1, the start's look-ahead."""
+        logspace(-4, 4).  Each now ends at a verified vertex at iteration 1,
+        the crossover from the start's top-m basis."""
         m, n, seed, kind, factor = case
         prob = generate_optimal_lp(m, n, seed)
         A, b, c = prob.lp.A, prob.lp.b, prob.lp.c
@@ -1173,7 +1278,7 @@ class TestPolish:
         out = solve(lp, SolverConfig(Algorithm.HOMOTOPY, trace=False))
         assert out.status is SolveStatus.OPTIMAL and out.polished
         assert max(point_kkt(lp, out.point).values()) <= 1e-12
-        assert out.iterations == (19 if kind == "columns" else 1)
+        assert out.iterations == 1
 
 
 class TestRayCheck:
